@@ -269,6 +269,10 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        # False exactly for zero, as for `Fraction`.
+        return bool(self.num.coeffs)
+
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
@@ -393,16 +397,6 @@ def _eval_poly_at_scalar(p: UniPoly, point: Scalar) -> Scalar:
     for c in reversed(p.coeffs):
         acc = acc * point + Scalar.of(c, point.var)
     return acc
-
-
-def normalize(num: UniPoly, den: UniPoly) -> Scalar:
-    """Canonical reduced fraction num/den with monic denominator."""
-    return Scalar(num, den)
-
-
-def evaluate(s: Scalar, point: int | Rational) -> Rational:
-    """Exact value of `s` at `point`; raises `PoleAtPoint` on a pole."""
-    return s.evaluate(point)
 
 
 def divide_by_t_minus_1(p: UniPoly) -> UniPoly:

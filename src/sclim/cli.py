@@ -21,15 +21,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
 from .errors import KernelError, NotCommutativeAtOne, ParseError
-from .exprs import parse_cpoly, parse_expression, parse_scalar  # noqa: F401
+from .exprs import parse_cpoly, parse_expression
 from .ideals import CommIdeal, MonomialOrder, membership, poisson_closure
-from .limitmap import SampleSet, verify_counterexample
+from .limitmap import SampleSet, _ms_since, verify_counterexample
 from .pbw import (B, B_lambda, B_q, PBWPresentation, Usl2, check_pbw_overlaps,
                   commutator, growth_dimensions, growth_slope,
                   presentation_from_json)
@@ -42,31 +41,6 @@ EXIT_INPUT = 2
 SAMPLES_ENV_VAR = "SCLIM_SAMPLES"
 
 _BUILTIN_ALGEBRAS = ("B", "B_q", "Usl2", "B_lambda:<value>")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters for the verification pipeline."""
-
-    command: str
-    n_min: int = 2
-    n_max: int = 2
-    samples: int = 5
-    order: str = "degrevlex"
-    fmt: str = "json"
-    algebra: Optional[str] = None
-    path: Optional[str] = None
-
-    def __post_init__(self):
-        if self.command == "verify-paper":
-            if not 2 <= self.n_min <= self.n_max:
-                raise ValueError("need 2 <= n-min <= n-max")
-            if self.samples < 3:
-                raise ValueError("need at least 3 samples")
-        if self.order not in ("degrevlex", "lex"):
-            raise ValueError(f"unknown order {self.order!r}")
-        if self.fmt not in ("json", "markdown"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 def _load_presentation(algebra: Optional[str], path: Optional[str]) -> PBWPresentation:
@@ -123,12 +97,12 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _timed_check(name: str, passed: bool, details: str, started: float) -> dict:
+def _timed_check(name: str, passed: bool, details: str, ms: float) -> dict:
     return {
         "name": name,
         "status": "pass" if passed else "fail",
         "details": details,
-        "timing": round((time.perf_counter() - started) * 1000, 3),
+        "timing": round(ms, 3),
     }
 
 
@@ -164,11 +138,12 @@ def _cmd_limit(args) -> int:
     try:
         algebra = semiclassical_limit(presentation)
     except NotCommutativeAtOne as exc:
-        check = _timed_check("commutative_at_1", False, str(exc), started)
+        check = _timed_check("commutative_at_1", False, str(exc),
+                             _ms_since(started))
         print(_render(_make_report(config, [check], False), args.format))
         return EXIT_CHECK_FAILED
     check = _timed_check("commutative_at_1", True,
-                         json.dumps(algebra.to_json()), started)
+                         json.dumps(algebra.to_json()), _ms_since(started))
     print(_render(_make_report(config, [check], True), args.format))
     return EXIT_OK
 
@@ -224,7 +199,7 @@ def _cmd_overlaps(args) -> int:
                      c.ok,
                      "both reductions agree" if c.ok else
                      f"left: {c.left}; right: {c.right}",
-                     started)
+                     _ms_since(started))
         for c in report.checks
     ]
     config = {"command": "overlaps", "algebra": presentation.name}
@@ -236,22 +211,23 @@ def _cmd_verify(args) -> int:
     samples_default = os.environ.get(SAMPLES_ENV_VAR)
     samples = args.samples if args.samples is not None else \
         int(samples_default) if samples_default else 5
-    config = RunConfig(command="verify-paper", n_min=args.n_min, n_max=args.n_max,
-                       samples=samples, fmt=args.format)
-    nodes = SampleSet.integers(config.samples)
+    if not 2 <= args.n_min <= args.n_max:
+        raise ValueError("need 2 <= n-min <= n-max")
+    if samples < 3:
+        raise ValueError("need at least 3 samples")
+    nodes = SampleSet.integers(samples)
     checks = []
     all_passed = True
-    for n in range(config.n_min, config.n_max + 1):
-        started = time.perf_counter()
+    for n in range(args.n_min, args.n_max + 1):
         report = verify_counterexample(n, nodes)
         all_passed = all_passed and report.passed
         for sub in report.checks:
             checks.append(_timed_check(f"n={n}:{sub.name}", sub.passed,
-                                       sub.details, started))
-    config_echo = {"command": "verify-paper", "n_min": config.n_min,
-                   "n_max": config.n_max, "samples": config.samples,
-                   "nodes": [str(x) for x in nodes]}
-    print(_render(_make_report(config_echo, checks, all_passed), config.fmt))
+                                       sub.details, sub.ms))
+    config = {"command": "verify-paper", "n_min": args.n_min,
+              "n_max": args.n_max, "samples": samples,
+              "nodes": [str(x) for x in nodes]}
+    print(_render(_make_report(config, checks, all_passed), args.format))
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 

@@ -186,7 +186,7 @@ class CommIdeal:
 
     def is_trivial(self) -> bool:
         """True iff the ideal is the whole ring."""
-        return any(g.total_degree() == 0 for g in self.reduced_gb)
+        return any(g.degree() == 0 for g in self.reduced_gb)
 
     def with_extra_generators(self, extra: Iterable[CPoly]) -> "CommIdeal":
         return CommIdeal(self.variables, list(self.reduced_gb) + list(extra),

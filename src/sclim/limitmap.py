@@ -23,7 +23,8 @@ nilpotent non-primeness witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .arith import Rational, Scalar, _as_rational, interpolate_band
@@ -210,11 +211,17 @@ def gamma_hat_via_family(z: NCPoly, samples: SampleSet,
 # -- the end-to-end certificate -------------------------------------------------
 
 
+def _ms_since(started: float) -> float:
+    return (time.perf_counter() - started) * 1000
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
     details: str = ""
+    # Wall time of this check alone; not part of the certificate.
+    ms: float = field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "details": self.details}
@@ -254,7 +261,9 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
     (e) images of further ideal elements land in the closure; (f) the
     closure admits the nilpotent witness (e, n), hence is not prime.
 
-    Sub-check failures are recorded in the report, never skipped.
+    Sub-check failures are recorded in the report, never skipped.  Each
+    check records its own wall time in `ms`; building e^n and the central
+    element beforehand belongs to no check.
     """
     if n < 2:
         raise ValueError("the construction needs n >= 2")
@@ -271,13 +280,15 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
     checks: list[CheckResult] = []
 
     # (a) centrality
+    started = time.perf_counter()
     central = is_central(omega)
     checks.append(CheckResult(
         "central_element", central,
         "4ef + h^2 - 2(q-1)h commutes with e, f, h" if central else
-        "quadratic element is not central"))
+        "quadratic element is not central", _ms_since(started)))
 
     # (b) properness via the n-dimensional module
+    started = time.perf_counter()
     try:
         rep = sl2_representation(n)
         kills_power = annihilates(rep, gen_power)
@@ -288,9 +299,10 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
                   f"annihilates the shifted central element: {kills_central}")
     except ValueError as exc:
         ok, detail = False, str(exc)
-    checks.append(CheckResult("ideal_proper", ok, detail))
+    checks.append(CheckResult("ideal_proper", ok, detail, _ms_since(started)))
 
     # (c) images in the limit, direct and via sampling
+    started = time.perf_counter()
     b1 = semiclassical_limit(B())
     expected_power = CPoly.monomial((n, 0, 0), 1, b1.variables)
     expected_central = (CPoly.monomial((1, 1, 0), 4, b1.variables)
@@ -304,9 +316,11 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
     checks.append(CheckResult(
         "generator_images", ok,
         f"images at 1: {image_power}; {image_central} "
-        f"(sampled route agrees: {sampled_power == image_power and sampled_central == image_central})"))
+        f"(sampled route agrees: {sampled_power == image_power and sampled_central == image_central})",
+        _ms_since(started)))
 
     # (d) Poisson closure of the image ideal
+    started = time.perf_counter()
     plain = CommIdeal(b1, [image_power, image_central])
     closure = poisson_closure(plain, b1)
     plain_stable = is_poisson_ideal(plain, b1)
@@ -315,9 +329,10 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
         "poisson_closure", closure_stable and not closure.is_trivial(),
         f"plain ideal bracket-stable: {plain_stable}; "
         f"closure bracket-stable: {closure_stable}; "
-        f"closure basis: {closure.basis_strings()}"))
+        f"closure basis: {closure.basis_strings()}", _ms_since(started)))
 
     # (e) sampled ideal elements land in the closure
+    started = time.perf_counter()
     qm1 = q - 1
     ideal_elements = [
         ("e^n", gen_power),
@@ -336,9 +351,11 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
         all_in = all_in and inside and agrees
         element_reports.append(f"{label} -> {image}: member={inside}")
     checks.append(CheckResult(
-        "image_elements_in_closure", all_in, "; ".join(element_reports)))
+        "image_elements_in_closure", all_in, "; ".join(element_reports),
+        _ms_since(started)))
 
     # (f) nilpotent witness
+    started = time.perf_counter()
     e_limit = b1.var("e")
     certificate = nilpotent_nonprime_witness(closure, e_limit, n)
     ok = certificate.verdict == "NotPrime"
@@ -349,7 +366,7 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
                   f"not prime")
     else:
         detail = "no nilpotent witness found"
-    checks.append(CheckResult("nilpotent_witness", ok, detail))
+    checks.append(CheckResult("nilpotent_witness", ok, detail, _ms_since(started)))
 
     return CounterexampleReport(
         n=n,

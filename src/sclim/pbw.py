@@ -23,6 +23,7 @@ the results.  If all triples agree, the ordered monomials are a basis.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,7 +58,11 @@ class SwapRule:
 
 
 class PBWPresentation:
-    """Ordered generators plus swap rules; immutable once constructed."""
+    """Ordered generators plus swap rules.
+
+    Fixed once constructed, except `_prod_cache`, which gains an entry for
+    every monomial product not seen before and is never bounded.
+    """
 
     def __init__(self, name: str, generators: Sequence[str],
                  swap_rules: Mapping[tuple[int, int], SwapRule],
@@ -229,24 +234,36 @@ def _exponents_to_word(exps: Exponents) -> tuple[int, ...]:
     return tuple(g for g, e in enumerate(exps) for _ in range(e))
 
 
-def _accumulate(table: dict, key, value: Scalar) -> None:
+def _accumulate(table: dict, key, value) -> None:
+    """Add `value` into table[key], dropping the entry when the sum is zero.
+
+    The only place a term is added into a term dict; coefficients are
+    `Scalar` or `Fraction`, both false exactly when zero.
+    """
     cur = table.get(key)
     total = value if cur is None else cur + value
-    if total.is_zero():
-        table.pop(key, None)
-    else:
+    if total:
         table[key] = total
+    else:
+        table.pop(key, None)
 
 
-class NCPoly:
-    """Element of a PBW algebra, stored in normal form."""
+class SparsePoly:
+    """Ring arithmetic shared by `NCPoly` and `CPoly`.
 
-    __slots__ = ("presentation", "terms")
+    `terms` maps exponent vectors to nonzero coefficients.  Addition,
+    scaling, powers, equality and coercion of scalars on either side are the
+    same in both rings; a subclass supplies only its ring:
 
-    def __init__(self, presentation: PBWPresentation,
-                 terms: Mapping[Exponents, Scalar]):
-        self.presentation = presentation
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+    * `_scalars`, the types read as constants, and `_coeff`, which turns
+      one into a coefficient;
+    * `_const`, the constant element, and `_new`, which wraps terms that are
+      already canonical without validating them again;
+    * `_same_ring` and `_check_compatible`, which raises the ring's error;
+    * `_product`, the product of two elements.
+    """
+
+    __slots__ = ("terms",)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -254,6 +271,114 @@ class NCPoly:
     def degree(self) -> int:
         """Total degree; -1 for zero."""
         return max((sum(e) for e in self.terms), default=-1)
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, self._scalars):
+            return self._const(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        self._check_compatible(o)
+        out = dict(self.terms)
+        for e, c in o.terms.items():
+            _accumulate(out, e, c)
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return self._new({e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scale(other)
+        if isinstance(other, type(self)):
+            return self._product(other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, factor):
+        f = self._coeff(factor)
+        if not f:
+            return self._new({})
+        # A product of nonzero field elements is nonzero.
+        return self._new({e: c * f for e, c in self.terms.items()})
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("negative power of a polynomial")
+        result = self._const(1)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, self._scalars):
+            other = self._const(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._same_ring(other) and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class NCPoly(SparsePoly):
+    """Element of a PBW algebra, stored in normal form."""
+
+    __slots__ = ("presentation",)
+
+    _scalars = (int, Fraction, Scalar)
+
+    def __init__(self, presentation: PBWPresentation,
+                 terms: Mapping[Exponents, Scalar]):
+        self.presentation = presentation
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def _new(self, terms: dict[Exponents, Scalar]) -> "NCPoly":
+        out = NCPoly.__new__(NCPoly)
+        out.presentation = self.presentation
+        out.terms = terms
+        return out
+
+    def _coeff(self, value) -> Scalar:
+        return value if isinstance(value, Scalar) else \
+            Scalar.of(value, self.presentation.coeff_var)
+
+    def _const(self, value) -> "NCPoly":
+        return self.presentation.scalar(value)
+
+    def _same_ring(self, other: "NCPoly") -> bool:
+        return self.presentation == other.presentation
+
+    def _check_compatible(self, other: "NCPoly") -> None:
+        if not self._same_ring(other):
+            raise MixedPresentations(
+                f"{self.presentation.name} vs {other.presentation.name}")
+
+    def _product(self, other: "NCPoly") -> "NCPoly":
+        return multiply(self, other)
 
     def leading_monomial(self) -> Exponents:
         """Highest monomial in degree-then-lex order."""
@@ -265,87 +390,9 @@ class NCPoly:
         return self.terms.get(tuple(exps),
                               Scalar.of(0, self.presentation.coeff_var))
 
-    def _check_compatible(self, other: "NCPoly") -> None:
-        if self.presentation is not other.presentation and \
-                self.presentation != other.presentation:
-            raise MixedPresentations(
-                f"{self.presentation.name} vs {other.presentation.name}")
-
-    def _coerce(self, other):
-        if isinstance(other, NCPoly):
-            return other
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.presentation.scalar(other)
-        return None
-
-    def __add__(self, other) -> "NCPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check_compatible(o)
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            _accumulate(out, e, c)
-        return NCPoly(self.presentation, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "NCPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "NCPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.presentation, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other) -> "NCPoly":
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        if isinstance(other, NCPoly):
-            return multiply(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other) -> "NCPoly":
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, factor) -> "NCPoly":
-        f = factor if isinstance(factor, Scalar) else \
-            Scalar.of(factor, self.presentation.coeff_var)
-        return NCPoly(self.presentation,
-                      {e: c * f for e, c in self.terms.items()})
-
-    def __pow__(self, exponent: int) -> "NCPoly":
-        if exponent < 0:
-            raise ValueError("negative power of an algebra element")
-        result = self.presentation.one()
-        for _ in range(exponent):
-            result = multiply(result, self)
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self.presentation.scalar(other)
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.presentation == other.presentation and self.terms == other.terms
-
-    __hash__ = None
-
     def __str__(self) -> str:
         return _format_terms(self.terms, self.presentation.generators,
                              coeff_str=_scalar_coeff_str)
-
-    def __repr__(self) -> str:
-        return f"NCPoly({self})"
 
 
 def _scalar_coeff_str(c: Scalar) -> tuple[str, bool]:
@@ -389,7 +436,7 @@ def multiply(a: NCPoly, b: NCPoly) -> NCPoly:
             factor = ca * cb
             for em, cm in p._monomial_product(ea, eb).items():
                 _accumulate(out, em, factor * cm)
-    return NCPoly(p, out)
+    return a._new(out)
 
 
 def commutator(a: NCPoly, b: NCPoly) -> NCPoly:
@@ -480,27 +527,16 @@ def _reduce_after_first_step(p: PBWPresentation, word: tuple[int, int, int],
 def growth_dimensions(p: PBWPresentation, d_max: int) -> list[int]:
     """Dimension of the span of all products of at most d generators, d=0..d_max.
 
-    With a passing overlap check and degree-compatible rules this equals the
-    number of ordered monomials of total degree at most d.
+    The overlap check certifies that the ordered monomials form a basis (the
+    PBW basis), and the degree-compatible rules keep products of at most d
+    generators inside the span of those of total degree at most d.  The
+    dimension is therefore the number of such monomials in n generators,
+    comb(d + n, n); no span is computed.
     """
     if not p.is_confluent:
         raise ValueError(f"{p.name}: overlap check failed; dimensions undefined")
     n = len(p.generators)
-    # counts[d] = number of exponent vectors in n variables with sum == d
-    counts = [1] + [0] * d_max
-    for _ in range(n):
-        acc = 0
-        new = []
-        for d in range(d_max + 1):
-            acc += counts[d]
-            new.append(acc)
-        counts = new  # running sums: one more variable
-    dims = []
-    total = 0
-    for d in range(d_max + 1):
-        total += counts[d]
-        dims.append(total)
-    return dims
+    return [math.comb(d + n, n) for d in range(d_max + 1)]
 
 
 def growth_slope(dims: Sequence[int], d_lo: int, d_hi: int) -> Fraction:

@@ -24,17 +24,20 @@ from typing import Mapping, Sequence
 
 from .arith import Rational, Scalar, _as_rational
 from .errors import NotCommutativeAtOne, PoleAtPoint
-from .pbw import PBWPresentation, _format_terms, commutator
+from .pbw import (PBWPresentation, SparsePoly, _accumulate, _format_terms,
+                  commutator)
 
 Exponents = tuple[int, ...]
 
 DEFAULT_VARIABLES = ("e", "f", "h")
 
 
-class CPoly:
+class CPoly(SparsePoly):
     """Commutative polynomial with exact rational coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables",)
+
+    _scalars = (int, Fraction)
 
     def __init__(self, variables: Sequence[str],
                  terms: Mapping[Exponents, int | Rational] = ()):
@@ -42,7 +45,7 @@ class CPoly:
         clean: dict[Exponents, Rational] = {}
         for exps, c in dict(terms).items():
             c = _as_rational(c)
-            if c != 0:
+            if c:
                 clean[tuple(exps)] = c
         self.terms = clean
 
@@ -66,106 +69,42 @@ class CPoly:
                  variables: Sequence[str] = DEFAULT_VARIABLES) -> "CPoly":
         return cls(variables, {tuple(exps): _as_rational(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _new(self, terms: dict[Exponents, Rational]) -> "CPoly":
+        out = CPoly.__new__(CPoly)
+        out.variables = self.variables
+        out.terms = terms
+        return out
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+    _coeff = staticmethod(_as_rational)
+
+    def _const(self, value) -> "CPoly":
+        return CPoly.const(value, self.variables)
+
+    def _same_ring(self, other: "CPoly") -> bool:
+        return self.variables == other.variables
 
     def _check_compatible(self, other: "CPoly") -> None:
-        if self.variables != other.variables:
+        if not self._same_ring(other):
             raise ValueError(
                 f"mixed variable lists {self.variables} and {other.variables}")
 
-    def _coerce(self, other) -> "CPoly | None":
-        if isinstance(other, CPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CPoly.const(other, self.variables)
-        return None
-
-    def __add__(self, other) -> "CPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check_compatible(o)
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return CPoly(self.variables, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "CPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "CPoly":
-        return CPoly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other) -> "CPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, CPoly):
-            return NotImplemented
+    def _product(self, other: "CPoly") -> "CPoly":
         self._check_compatible(other)
         out: dict[Exponents, Rational] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return CPoly(self.variables, out)
-
-    def __rmul__(self, other) -> "CPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, factor) -> "CPoly":
-        f = _as_rational(factor)
-        return CPoly(self.variables, {e: c * f for e, c in self.terms.items()})
-
-    def __pow__(self, exponent: int) -> "CPoly":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        out = CPoly.const(1, self.variables)
-        for _ in range(exponent):
-            out = out * self
-        return out
+                _accumulate(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        return self._new(out)
 
     def partial(self, index: int) -> "CPoly":
         """Partial derivative with respect to the index-th variable."""
         out: dict[Exponents, Rational] = {}
         for exps, c in self.terms.items():
             e = exps[index]
-            if e == 0:
-                continue
-            key = exps[:index] + (e - 1,) + exps[index + 1:]
-            out[key] = out.get(key, Fraction(0)) + c * e
-        return CPoly(self.variables, out)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CPoly.const(other, self.variables)
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+            if e:
+                # Monomials the derivative does not kill stay distinct.
+                out[exps[:index] + (e - 1,) + exps[index + 1:]] = c * e
+        return self._new(out)
 
     def __hash__(self) -> int:
         return hash((self.variables, tuple(sorted(self.terms.items()))))
@@ -175,9 +114,6 @@ class CPoly:
             return str(c), False
 
         return _format_terms(self.terms, self.variables, coeff_str)
-
-    def __repr__(self) -> str:
-        return f"CPoly({self})"
 
 
 class PoissonAlgebra:

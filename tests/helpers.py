@@ -105,7 +105,7 @@ def degree_slice_basis(generators, algebra, cap, variables=("e", "f", "h")):
         for p in frontier:
             for x in gens:
                 for candidate in (p * x, poisson_bracket(algebra, p, x)):
-                    if candidate.is_zero() or candidate.total_degree() > cap:
+                    if candidate.is_zero() or candidate.degree() > cap:
                         continue
                     if insert(candidate):
                         new_frontier.append(candidate)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -209,6 +210,18 @@ class TestReportStability:
         a = json.dumps(_strip_timings(json.loads(first)), sort_keys=False)
         b = json.dumps(_strip_timings(json.loads(second)), sort_keys=False)
         assert a == b
+
+    def test_check_timings_fit_in_wall_time(self, capsys):
+        # Each check times itself, so the six timings of one n cannot add up
+        # to more than the whole command took.
+        started = time.perf_counter()
+        assert main(["verify-paper", "--n-min", "3", "--n-max", "3"]) == 0
+        wall_ms = (time.perf_counter() - started) * 1000
+        report = json.loads(capsys.readouterr().out)
+        timings = [check["timing"] for check in report["checks"]]
+        assert len(timings) == 6
+        assert all(t > 0 for t in timings)
+        assert sum(timings) <= wall_ms
 
     def test_report_schema(self, capsys):
         assert main(["verify-paper", "--n-min", "2", "--n-max", "2",
