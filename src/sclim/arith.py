@@ -503,14 +503,22 @@ class ScalarMatrix:
         if isinstance(other, ScalarMatrix):
             if self.cols != other.rows:
                 raise ValueError("inner dimensions do not match")
+            # Row by row over nonzero entries only: the module matrices are
+            # diagonal or bidiagonal, so almost every product is of zeros.
+            zero = Scalar.of(0, self.entries[0].var)
+            n, m = self.cols, other.cols
             out = []
             for i in range(self.rows):
-                for j in range(other.cols):
-                    acc = Scalar.of(0, self.entries[0].var if self.entries else "t")
-                    for k in range(self.cols):
-                        acc = acc + self.entry(i, k) * other.entry(k, j)
-                    out.append(acc)
-            return ScalarMatrix(self.rows, other.cols, out)
+                row: list[Scalar | None] = [None] * m
+                for k, a in enumerate(self.entries[i * n:(i + 1) * n]):
+                    if not a:
+                        continue
+                    for j, b in enumerate(other.entries[k * m:(k + 1) * m]):
+                        if b:
+                            acc = row[j]
+                            row[j] = a * b if acc is None else acc + a * b
+                out.extend(zero if x is None else x for x in row)
+            return ScalarMatrix(self.rows, m, out)
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
         return NotImplemented

@@ -192,14 +192,13 @@ def _cmd_gk(args) -> int:
 
 def _cmd_overlaps(args) -> int:
     presentation = _load_presentation(args.algebra, args.file)
-    started = time.perf_counter()
     report = check_pbw_overlaps(presentation)
     checks = [
         _timed_check(f"overlap_{'_'.join(presentation.generators[g] for g in c.triple)}",
                      c.ok,
                      "both reductions agree" if c.ok else
                      f"left: {c.left}; right: {c.right}",
-                     _ms_since(started))
+                     c.ms)
         for c in report.checks
     ]
     config = {"command": "overlaps", "algebra": presentation.name}

@@ -1,10 +1,20 @@
 """Groebner bases over the rationals, Poisson ideals and non-primeness witnesses.
 
-The engine is plain Buchberger with the coprime-leading-term criterion and
-full interreduction, so the cached basis of a `CommIdeal` is *the* reduced
+The engine is Buchberger with the coprime-leading-term criterion and full
+interreduction, so the cached basis of a `CommIdeal` is *the* reduced
 Groebner basis: auto-reduced, monic, and unique for (ideal, order).  Default
 order is degree-reverse-lexicographic with the ambient variable list as
 precedence; lexicographic is available.
+
+Pairs wait in a heap and follow Buchberger's normal selection strategy:
+smallest lcm first and, among equal lcms, the newest pair.  Each basis
+element's leading term is found once, when it enters the basis, and
+reduction works on one mutable term dict.  The engine only ever extends a
+reduced basis: `groebner` extends the empty one by its generators, and
+`CommIdeal.with_extra_generators` extends the ideal's own.  Only pairs with
+at least one new element are formed.  Pairs of two old elements would be
+wasted work, because the S-polynomial of two elements of a Groebner basis
+reduces to zero modulo that basis, and so modulo any larger set.
 
 On top of membership sit the Poisson-theoretic operations: `is_poisson_ideal`
 tests bracket stability on basis elements against generators (enough, by
@@ -15,10 +25,13 @@ non-primeness from a pair g, k with g**k inside and g outside.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .pbw import _accumulate
 from .poisson import CPoly, PoissonAlgebra, poisson_bracket
 
 Exponents = tuple[int, ...]
@@ -54,106 +67,158 @@ class MonomialOrder:
 
 
 def leading_term(p: CPoly, key) -> tuple[Exponents, Fraction]:
-    exps = max(p.terms, key=key)
-    return exps, p.terms[exps]
+    return _entry(p.terms, key)[:2]
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _quot(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def reduce_poly(p: CPoly, basis: Sequence[CPoly], key) -> CPoly:
-    """Full remainder of multivariate division of p by the basis."""
-    remainder = CPoly.zero(p.variables)
-    lead = [leading_term(g, key) for g in basis]
-    work = p
-    while not work.is_zero():
-        exps, coeff = leading_term(work, key)
-        for g, (gexps, gcoeff) in zip(basis, lead):
+# The engine works on term dicts.  A basis element is kept as an entry
+# (leading exponents, leading coefficient, terms), its leading term found
+# once, when it enters the basis.
+Terms = dict[Exponents, Fraction]
+Entry = tuple[Exponents, Fraction, Terms]
+
+
+def _entry(terms: Terms, key) -> Entry:
+    lead = max(terms, key=key)
+    return lead, terms[lead], terms
+
+
+def _polys(variables: Sequence[str], basis: Sequence[Entry]) -> list[CPoly]:
+    zero = CPoly.zero(variables)
+    return [zero._new(terms) for _, _, terms in basis]
+
+
+def _monic_entry(terms: Terms, key) -> Entry:
+    lead, c, terms = _entry(terms, key)
+    if c != 1:
+        terms = {e: x / c for e, x in terms.items()}
+    return lead, Fraction(1), terms
+
+
+def _reduce(terms: Terms, basis: Sequence[Entry], key) -> Terms:
+    """Full remainder of multivariate division, on one mutable term dict."""
+    work = dict(terms)
+    remainder: Terms = {}
+    while work:
+        exps = max(work, key=key)
+        coeff = work.pop(exps)
+        for gexps, gcoeff, gterms in basis:
             if _divides(gexps, exps):
-                factor = CPoly.monomial(_quot(exps, gexps), coeff / gcoeff,
-                                        p.variables)
-                work = work - factor * g
+                factor = coeff / gcoeff
+                shift = tuple(x - y for x, y in zip(exps, gexps))
+                for e, c in gterms.items():
+                    if e != gexps:  # the leading term cancels exactly
+                        _accumulate(work, tuple(x + y for x, y in zip(e, shift)),
+                                    -factor * c)
                 break
         else:
-            work = work - CPoly.monomial(exps, coeff, p.variables)
-            remainder = remainder + CPoly.monomial(exps, coeff, p.variables)
+            remainder[exps] = coeff
     return remainder
 
 
-def s_polynomial(f: CPoly, g: CPoly, key) -> CPoly:
-    (fe, fc), (ge, gc) = leading_term(f, key), leading_term(g, key)
+def _s_terms(f: Entry, g: Entry) -> Terms:
+    """S-polynomial of two entries; the leading terms cancel and are skipped."""
+    (fe, fc, ft), (ge, gc, gt) = f, g
     lcm = _lcm(fe, ge)
-    mf = CPoly.monomial(_quot(lcm, fe), Fraction(1) / fc, f.variables)
-    mg = CPoly.monomial(_quot(lcm, ge), Fraction(1) / gc, g.variables)
-    return mf * f - mg * g
+    out: Terms = {}
+    for lead, coeff, terms, sign in ((fe, fc, ft, 1), (ge, gc, gt, -1)):
+        shift = tuple(x - y for x, y in zip(lcm, lead))
+        scale = sign / coeff
+        for e, c in terms.items():
+            if e != lead:
+                _accumulate(out, tuple(x + y for x, y in zip(e, shift)), c * scale)
+    return out
 
 
-def _monic(p: CPoly, key) -> CPoly:
-    _, c = leading_term(p, key)
-    return p.scale(Fraction(1) / c)
+def reduce_poly(p: CPoly, basis: Sequence[CPoly], key) -> CPoly:
+    """Full remainder of multivariate division of p by the basis."""
+    for g in basis:
+        p._check_compatible(g)
+    return p._new(_reduce(p.terms, [_entry(g.terms, key) for g in basis], key))
+
+
+def s_polynomial(f: CPoly, g: CPoly, key) -> CPoly:
+    f._check_compatible(g)
+    return f._new(_s_terms(_entry(f.terms, key), _entry(g.terms, key)))
+
+
+def _extend(basis: Sequence[Entry], new: Iterable[Terms], key) -> list[Entry]:
+    """Reduced Groebner basis of the ideal of a reduced basis plus `new`.
+
+    Buchberger with B. Buchberger's normal selection strategy: pending pairs
+    sit in a heap keyed by (key(lcm), -insertion number), so the smallest
+    lcm is taken first and, among equal lcms, the newest pair.  Pairs with
+    coprime leading terms are never queued: their S-polynomials reduce to
+    zero.  Pairs of two elements of `basis` are never formed either: `basis`
+    is a Groebner basis, so their S-polynomials already reduce to zero
+    modulo it, and a fortiori modulo any larger set, which is all
+    Buchberger's criterion asks of a pair.
+    """
+    basis = list(basis)
+    heap: list = []
+    seq = itertools.count()
+
+    def add(terms: Terms) -> None:
+        g = _monic_entry(terms, key)
+        lead, j = g[0], len(basis)
+        for i, (other, _, _) in enumerate(basis):
+            lcm = _lcm(other, lead)
+            if lcm != tuple(x + y for x, y in zip(other, lead)):
+                heapq.heappush(heap, (key(lcm), -next(seq), i, j))
+        basis.append(g)
+
+    for terms in new:
+        remainder = _reduce(terms, basis, key)
+        if remainder:
+            add(remainder)
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        remainder = _reduce(_s_terms(basis[i], basis[j]), basis, key)
+        if remainder:
+            add(remainder)
+    return _interreduce(basis, key)
+
+
+def _interreduce(basis: Sequence[Entry], key) -> list[Entry]:
+    """Reduced basis from a monic Groebner basis, sorted by leading term.
+
+    Drops every element whose leading monomial another element's divides
+    (of equal ones, all but the first), then replaces each survivor's tail
+    by its remainder modulo the others; leading monomials do not change, so
+    one pass suffices.
+    """
+    minimal = [g for i, g in enumerate(basis)
+               if not any(_divides(h[0], g[0]) and (h[0] != g[0] or k < i)
+                          for k, h in enumerate(basis) if k != i)]
+    reduced = []
+    for i, (lead, coeff, terms) in enumerate(minimal):
+        tail = {e: c for e, c in terms.items() if e != lead}
+        tail = _reduce(tail, minimal[:i] + minimal[i + 1:], key)
+        tail[lead] = coeff
+        reduced.append((lead, coeff, tail))
+    return sorted(reduced, key=lambda g: key(g[0]))
 
 
 def groebner(gens: Iterable[CPoly], order: MonomialOrder | None = None,
              variables: Sequence[str] | None = None) -> list[CPoly]:
-    """Reduced Groebner basis; deterministic for fixed input and order."""
+    """Reduced Groebner basis; deterministic for fixed input and order.
+
+    The empty basis extended by the generators.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
     variables = tuple(variables or gens[0].variables)
     order = order or MonomialOrder(precedence=variables)
     key = order.key_for(variables)
-
-    basis = [_monic(g, key) for g in gens]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        # Normal selection: smallest lcm first, for determinism and speed.
-        pairs.sort(key=lambda ij: key(_lcm(leading_term(basis[ij[0]], key)[0],
-                                           leading_term(basis[ij[1]], key)[0])),
-                   reverse=True)
-        i, j = pairs.pop()
-        fe = leading_term(basis[i], key)[0]
-        ge = leading_term(basis[j], key)[0]
-        if _lcm(fe, ge) == tuple(x + y for x, y in zip(fe, ge)):
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        s = reduce_poly(s_polynomial(basis[i], basis[j], key), basis, key)
-        if s.is_zero():
-            continue
-        basis.append(_monic(s, key))
-        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return _interreduce(basis, key, variables)
-
-
-def _interreduce(basis: list[CPoly], key, variables: Sequence[str]) -> list[CPoly]:
-    # Drop elements whose leading term another element's leading term divides,
-    # then tail-reduce each survivor against the rest.
-    basis = list(basis)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            rest = basis[:idx] + basis[idx + 1:]
-            if not rest:
-                continue
-            reduced = reduce_poly(basis[idx], rest, key)
-            if reduced.is_zero():
-                basis.pop(idx)
-                changed = True
-                break
-            reduced = _monic(reduced, key)
-            if reduced != basis[idx]:
-                basis[idx] = reduced
-                changed = True
-                break
-    return sorted(basis, key=lambda g: key(leading_term(g, key)[0]))
+    return _polys(gens[0].variables, _extend([], [g.terms for g in gens], key))
 
 
 class CommIdeal:
@@ -167,19 +232,27 @@ class CommIdeal:
         else:
             self.variables = tuple(ambient)
         self.generators = tuple(generators)
-        for g in self.generators:
-            if g.variables != self.variables:
-                raise ValueError("generator over the wrong variable list")
+        self._check_variables(self.generators)
         self.order = order or MonomialOrder(precedence=self.variables)
         self._key = self.order.key_for(self.variables)
-        self.reduced_gb = tuple(groebner(self.generators, self.order,
-                                         self.variables))
+        self._set_basis(groebner(self.generators, self.order, self.variables))
+
+    def _check_variables(self, polys: Iterable[CPoly]) -> None:
+        for g in polys:
+            if g.variables != self.variables:
+                raise ValueError("generator over the wrong variable list")
+
+    def _set_basis(self, basis: Iterable[CPoly]) -> None:
+        self.reduced_gb = tuple(basis)
+        self._basis = [_entry(g.terms, self._key) for g in self.reduced_gb]
 
     def reduce(self, p: CPoly) -> CPoly:
         """Remainder of p modulo the ideal (zero iff p is a member)."""
+        if p.variables != self.variables:
+            raise ValueError("polynomial over the wrong variable list")
         if not self.reduced_gb:
             return p
-        return reduce_poly(p, self.reduced_gb, self._key)
+        return p._new(_reduce(p.terms, self._basis, self._key))
 
     def contains(self, p: CPoly) -> bool:
         return self.reduce(p).is_zero()
@@ -189,8 +262,15 @@ class CommIdeal:
         return any(g.degree() == 0 for g in self.reduced_gb)
 
     def with_extra_generators(self, extra: Iterable[CPoly]) -> "CommIdeal":
-        return CommIdeal(self.variables, list(self.reduced_gb) + list(extra),
-                         self.order)
+        """The ideal plus `extra`, extending this ideal's reduced basis."""
+        extra = tuple(extra)
+        self._check_variables(extra)
+        out = CommIdeal.__new__(CommIdeal)
+        out.variables, out.order, out._key = self.variables, self.order, self._key
+        out.generators = self.reduced_gb + extra
+        basis = _extend(self._basis, [g.terms for g in extra if g.terms], self._key)
+        out._set_basis(_polys(self.variables, basis))
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommIdeal):
@@ -233,17 +313,21 @@ def is_poisson_ideal(ideal: CommIdeal, algebra: PoissonAlgebra) -> bool:
 def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
     """Smallest Poisson ideal containing the given one.
 
-    Each round adjoins the brackets of all current basis elements with the
-    generators and recomputes the reduced basis; the ascending chain of
-    ideals stabilizes, and the fixpoint is bracket-stable.
+    Each round brackets the basis elements not bracketed before with the
+    generators and extends the reduced basis by the brackets outside the
+    ideal.  A basis element kept from an earlier round needs no new bracket:
+    its brackets already lie in the earlier, smaller ideal.  The ascending
+    chain of ideals stabilizes, and the fixpoint is bracket-stable.
     """
     if ideal.variables != algebra.variables:
         raise ValueError("ideal is not over the algebra's variables")
     gens = [algebra.var(v) for v in algebra.variables]
     current = ideal
+    bracketed: set[CPoly] = set()
     for _ in range(_MAX_CLOSURE_ROUNDS):
-        new = [poisson_bracket(algebra, g, x)
-               for g in current.reduced_gb for x in gens]
+        fresh = [g for g in current.reduced_gb if g not in bracketed]
+        bracketed.update(fresh)
+        new = [poisson_bracket(algebra, g, x) for g in fresh for x in gens]
         new = [p for p in new if not current.contains(p)]
         if not new:
             return current

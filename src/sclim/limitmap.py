@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .arith import Rational, Scalar, _as_rational, interpolate_band
@@ -100,18 +101,28 @@ class FamilyElement:
 
 
 def specialize_presentation(p: PBWPresentation, value: Rational) -> PBWPresentation:
-    """Fiber of a parametric presentation at a fixed parameter value."""
+    """Fiber of a parametric presentation at a fixed parameter value.
+
+    Fibers are memoized by the presentation's structure and the value, so
+    each distinct fiber is built, and gets its overlap certificate, once.
+    """
     if not p.has_symbolic_parameter():
         raise ValueError(f"{p.name} has no symbolic parameter")
-    value = _as_rational(value)
-    rules = {}
-    for pair, rule in p.swap_rules.items():
-        coeff = Scalar.of(rule.coeff.evaluate(value), p.coeff_var)
-        tail = {exps: Scalar.of(c.evaluate(value), p.coeff_var)
-                for exps, c in rule.tail.items()}
-        rules[pair] = SwapRule(coeff, tail)
-    return PBWPresentation(f"{p.name}_fiber", p.generators, rules,
-                           parameter=p.parameter, parameter_value=value)
+    return _fiber(p.name, p.parameter, p._signature(), _as_rational(value))
+
+
+@lru_cache(maxsize=64)
+def _fiber(name: str, parameter: str, signature, value: Rational) -> PBWPresentation:
+    # `PBWPresentation` is unhashable; its signature (generators, parameter
+    # value, rules) holds everything a fiber is built from.
+    generators, _, rules = signature
+    fiber_rules = {
+        pair: SwapRule(Scalar.of(coeff.evaluate(value), parameter),
+                       {exps: Scalar.of(c.evaluate(value), parameter)
+                        for exps, c in tail})
+        for pair, coeff, tail in rules}
+    return PBWPresentation(f"{name}_fiber", generators, fiber_rules,
+                           parameter=parameter, parameter_value=value)
 
 
 def gamma_eval(b: NCPoly, samples: SampleSet) -> FamilyElement:

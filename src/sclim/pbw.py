@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
@@ -460,6 +461,8 @@ class OverlapCheck:
     ok: bool
     left: "NCPoly"
     right: "NCPoly"
+    # Wall time of this triple's two reductions; not part of the certificate.
+    ms: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -497,9 +500,11 @@ def check_pbw_overlaps(p: PBWPresentation) -> OverlapReport:
     n = len(p.generators)
     checks = []
     for k, j, i in itertools.combinations(range(n - 1, -1, -1), 3):
+        started = time.perf_counter()
         left = _reduce_after_first_step(p, (k, j, i), left_first=True)
         right = _reduce_after_first_step(p, (k, j, i), left_first=False)
-        checks.append(OverlapCheck((k, j, i), left == right, left, right))
+        checks.append(OverlapCheck((k, j, i), left == right, left, right,
+                                   (time.perf_counter() - started) * 1000))
     return OverlapReport(p.name, tuple(checks))
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import nonzero, random_fraction, random_scalar, random_unipoly
 from sclim.arith import (Scalar, ScalarMatrix, UniPoly, divide_by_t_minus_1,
@@ -194,3 +196,69 @@ class TestScalarMatrix:
                                     [Scalar.of(0), Scalar.of(0)]])
         assert (m ** 2).is_zero()
         assert m ** 0 == ScalarMatrix.identity(2)
+
+
+# -- the sparse matrix product against a dense reference ----------------------------
+
+ZERO_Q = Scalar.of(0, "q")
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+nonzero_scalars = st.builds(
+    lambda num, den: Scalar(UniPoly(num, "q"), UniPoly(den, "q")),
+    st.lists(small_fractions, min_size=1, max_size=3).filter(any),
+    st.sampled_from([[1], [-1, 1], [2, 0, 1]]))
+# Three zeros for every nonzero entry, like the module matrices.
+sparse_scalars = st.one_of(st.just(ZERO_Q), st.just(ZERO_Q), st.just(ZERO_Q),
+                           nonzero_scalars)
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols):
+    entries = draw(st.lists(sparse_scalars, min_size=rows * cols,
+                            max_size=rows * cols))
+    if draw(st.booleans()):  # one all-zero row
+        r = draw(st.integers(0, rows - 1))
+        entries[r * cols:(r + 1) * cols] = [ZERO_Q] * cols
+    if draw(st.booleans()):  # one all-zero column
+        c = draw(st.integers(0, cols - 1))
+        entries[c::cols] = [ZERO_Q] * rows
+    return ScalarMatrix(rows, cols, entries)
+
+
+@st.composite
+def product_pairs(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(sparse_matrices(n, k)), draw(sparse_matrices(k, m))
+
+
+def naive_product(a, b):
+    """Textbook triple loop over every entry, zeros included."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = Scalar.of(0, "q")
+            for k in range(a.cols):
+                acc = acc + a.entry(i, k) * b.entry(k, j)
+            out.append(acc)
+    return out
+
+
+class TestSparseProduct:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(product_pairs())
+    def test_matches_the_triple_loop(self, pair):
+        a, b = pair
+        product = a * b
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert product.entries == tuple(naive_product(a, b))
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 4))
+    def test_inner_dimension_mismatch(self, n, k, j, m):
+        if k == j:
+            j += 1
+        a = ScalarMatrix(n, k, [ZERO_Q] * (n * k))
+        b = ScalarMatrix(j, m, [ZERO_Q] * (j * m))
+        with pytest.raises(ValueError):
+            _ = a * b
+

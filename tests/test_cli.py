@@ -10,7 +10,8 @@ from helpers import random_cpoly, random_ncpoly
 from sclim.cli import main
 from sclim.errors import ParseError
 from sclim.exprs import parse_cpoly, parse_expression, parse_scalar
-from sclim.pbw import B, B_q, casimir, multiply, presentation_to_json
+from sclim.pbw import (B, B_q, PBWPresentation, SwapRule, casimir, multiply,
+                       presentation_to_json)
 from sclim.arith import Scalar
 
 
@@ -223,6 +224,22 @@ class TestReportStability:
         assert all(t > 0 for t in timings)
         assert sum(timings) <= wall_ms
 
+    def test_overlap_timings_fit_in_wall_time(self, tmp_path, capsys):
+        # Each triple times its own two reductions, so the timings of one
+        # report cannot add up to more than the whole command took.  Two
+        # commuting copies of B have twenty triples, B only one.
+        path = tmp_path / "two_copies.json"
+        path.write_text(json.dumps(presentation_to_json(_two_copies_of_b())))
+        for argv, count in ((["overlaps", "--algebra", "B"], 1),
+                            (["overlaps", "--file", str(path)], 20)):
+            started = time.perf_counter()
+            assert main(argv) == 0
+            wall_ms = (time.perf_counter() - started) * 1000
+            timings = [check["timing"] for check in
+                       json.loads(capsys.readouterr().out)["checks"]]
+            assert len(timings) == count
+            assert sum(timings) <= wall_ms
+
     def test_report_schema(self, capsys):
         assert main(["verify-paper", "--n-min", "2", "--n-max", "2",
                      "--samples", "3"]) == 0
@@ -230,3 +247,15 @@ class TestReportStability:
         assert list(report) == ["version", "config", "checks", "verdict"]
         for check in report["checks"]:
             assert list(check) == ["name", "status", "details", "timing"]
+
+
+def _two_copies_of_b() -> PBWPresentation:
+    """B on e < f < h next to a copy on E < F < H that commutes with it."""
+    one = Scalar.of(1, "t")
+    pad = (0, 0, 0)
+    rules = {(j, i): SwapRule(one, {}) for j in range(3, 6) for i in range(3)}
+    for (j, i), rule in B().swap_rules.items():
+        rules[(j, i)] = SwapRule(rule.coeff, {e + pad: c for e, c in rule.tail.items()})
+        rules[(j + 3, i + 3)] = SwapRule(rule.coeff,
+                                         {pad + e: c for e, c in rule.tail.items()})
+    return PBWPresentation("B2", ("e", "f", "h", "E", "F", "H"), rules, parameter="t")

@@ -1,0 +1,124 @@
+"""The Groebner engine against routes that share no code with it.
+
+`sympy.groebner` is a test-only oracle: on seeded random ideals in both
+orders its reduced basis must be the engine's, and a closure loop written
+here on sympy polynomials must give `poisson_closure`'s basis.  Hypothesis
+properties check that extending a reduced basis gives the basis computed
+from scratch.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_cpoly
+from sclim.ideals import CommIdeal, MonomialOrder, groebner, poisson_closure
+from sclim.pbw import B
+from sclim.poisson import CPoly, semiclassical_limit
+
+VARS = ("e", "f", "h")
+E, F, H = SYMBOLS = sympy.symbols(VARS)
+SYMPY_ORDER = {"degrevlex": "grevlex", "lex": "lex"}
+
+
+def to_sympy(p: CPoly):
+    return sympy.Poly.from_dict(
+        {exps: sympy.Rational(c.numerator, c.denominator)
+         for exps, c in p.terms.items()}, *SYMBOLS, domain="QQ")
+
+
+def from_sympy(expr) -> CPoly:
+    poly = sympy.Poly(expr, *SYMBOLS, domain="QQ")
+    return CPoly(VARS, {exps: Fraction(int(c.p), int(c.q))
+                        for exps, c in poly.terms()})
+
+
+def sympy_basis(gens, kind: str) -> set:
+    gb = sympy.groebner([to_sympy(g).as_expr() for g in gens], *SYMBOLS,
+                        order=SYMPY_ORDER[kind], domain="QQ")
+    return {from_sympy(g) for g in gb.exprs}
+
+
+def sympy_bracket(a, b):
+    # {e,f} = h, {h,e} = 2e, {h,f} = -2f, extended as a biderivation.
+    table = {(E, F): H, (E, H): -2 * E, (F, H): 2 * F}
+    return sympy.expand(sum((sympy.diff(a, x) * sympy.diff(b, y)
+                             - sympy.diff(a, y) * sympy.diff(b, x)) * value
+                            for (x, y), value in table.items()))
+
+
+def sympy_closure(gens) -> set:
+    """Adjoin brackets with e, f, h until all lie in the ideal."""
+    gb = sympy.groebner([to_sympy(g).as_expr() for g in gens], *SYMBOLS,
+                        order="grevlex", domain="QQ")
+    while True:
+        new = [sympy_bracket(g, x) for g in gb.exprs for x in SYMBOLS]
+        new = [p for p in new if not gb.contains(p)]
+        if not new:
+            return {from_sympy(g) for g in gb.exprs}
+        gb = sympy.groebner(list(gb.exprs) + new, *SYMBOLS, order="grevlex",
+                            domain="QQ")
+
+
+def mono(exps, coeff=1):
+    return CPoly.monomial(exps, coeff, VARS)
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    def test_random_ideals(self, kind):
+        rng = random.Random(501 if kind == "degrevlex" else 502)
+        order = MonomialOrder(kind, VARS)
+        for _ in range(60):
+            gens = [random_cpoly(rng, VARS, max_degree=3, max_terms=3)
+                    for _ in range(rng.randint(1, 3))]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            ours = groebner(gens, order, VARS)
+            assert len(ours) == len(set(ours))
+            assert set(ours) == sympy_basis(gens, kind)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closure_of_the_paper_images(self, n):
+        # n = 2 is the closure golden case: all six quadratic monomials.
+        gens = [mono((n, 0, 0)), 4 * mono((1, 1, 0)) + mono((0, 0, 2))]
+        b1 = semiclassical_limit(B())
+        closure = poisson_closure(CommIdeal(b1, gens), b1)
+        assert set(closure.reduced_gb) == sympy_closure(gens)
+
+    def test_closure_of_random_ideals(self):
+        rng = random.Random(503)
+        b1 = semiclassical_limit(B())
+        for _ in range(15):
+            gens = [random_cpoly(rng, VARS, max_degree=2, max_terms=2)
+                    for _ in range(rng.randint(1, 2))]
+            gens = [g for g in gens if not g.is_zero()]
+            closure = poisson_closure(CommIdeal(b1, gens), b1)
+            assert set(closure.reduced_gb) == sympy_closure(gens)
+
+
+# -- incremental extension ------------------------------------------------------------
+
+# Total degree at most 2 keeps every lex basis small; at degree 6, random
+# lex bases run for minutes.
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+quadratic_exponents = st.sampled_from(
+    [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2])
+polys = st.builds(lambda terms: CPoly(VARS, terms),
+                  st.dictionaries(quadratic_exponents, fractions, max_size=3))
+orders = st.sampled_from(["degrevlex", "lex"]).map(lambda k: MonomialOrder(k, VARS))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.lists(polys, max_size=3), st.lists(polys, max_size=3), orders)
+def test_extension_equals_basis_from_scratch(gens, extra, order):
+    ideal = CommIdeal(VARS, gens, order)
+    extended = ideal.with_extra_generators(extra)
+    assert extended.reduced_gb == tuple(groebner(list(ideal.reduced_gb) + extra,
+                                                 order, VARS))
+    assert extended.generators == ideal.reduced_gb + tuple(extra)

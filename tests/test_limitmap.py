@@ -83,6 +83,19 @@ class TestGammaEval:
         assert specialize_presentation(B(), 5) == B_lambda(5)
         assert specialize_presentation(B_q(), 5) == B_lambda(5)
 
+    def test_fibers_are_built_once(self):
+        b = B()
+        nodes = SampleSet([2, 3, 5])
+        first = gamma_eval(b.generator(0), nodes)
+        second = gamma_eval(b.generator(1).scale(t_minus_1()), nodes)
+        assert all(x.presentation is y.presentation
+                   for x, y in zip(first.fibers, second.fibers))
+        assert len({id(x.presentation) for x in first.fibers}) == 3
+        # Structurally equal presentations share the fiber; B_q's differs.
+        assert specialize_presentation(B(), 5) is first.fiber(5).presentation
+        assert specialize_presentation(B_q(), 5) is not first.fiber(5).presentation
+        assert specialize_presentation(B_q(), 5) == B_lambda(5)
+
 
 class TestGammaInverse:
     def test_two_point_reconstruction(self):
