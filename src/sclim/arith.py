@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DuplicateNode, NotDivisible, PoleAtPoint, ZeroDenominator
+from .errors import DuplicateNode, PoleAtPoint, ZeroDenominator
 
 # The coefficient field: arbitrary-precision rationals.
 Rational = Fraction
@@ -397,25 +397,6 @@ def _eval_poly_at_scalar(p: UniPoly, point: Scalar) -> Scalar:
     for c in reversed(p.coeffs):
         acc = acc * point + Scalar.of(c, point.var)
     return acc
-
-
-def divide_by_t_minus_1(p: UniPoly) -> UniPoly:
-    """Exact quotient r with r * (x - 1) == p, where x is p's variable.
-
-    Raises `NotDivisible` when p(1) != 0, i.e. when (x - 1) does not
-    divide p.
-    """
-    if p.is_zero():
-        return p
-    if p.evaluate(1) != 0:
-        raise NotDivisible(f"{p} does not vanish at 1")
-    # Synthetic division by the root 1, highest coefficient first.
-    quot: list[Rational] = []
-    acc = Fraction(0)
-    for c in reversed(p.coeffs[1:]):
-        acc += c
-        quot.append(acc)
-    return UniPoly(reversed(quot), p.var)
 
 
 def interpolate_band(points: Sequence[tuple[Rational, Rational]],

@@ -153,10 +153,8 @@ def _order_from_args(args, variables) -> MonomialOrder:
 
 
 def _cmd_closure(args) -> int:
-    variables = tuple(_split_polys(args.vars))
-    algebra = _limit_algebra(None, None) if variables == ("e", "f", "h") else None
-    if algebra is None:
-        raise ParseError("closure needs the default variables e,f,h")
+    algebra = semiclassical_limit(B())
+    variables = algebra.variables
     gens = [parse_cpoly(text, variables) for text in _split_polys(args.ideal)]
     ideal = CommIdeal(variables, gens, _order_from_args(args, variables))
     closure = poisson_closure(ideal, algebra)
@@ -276,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closure", help="Poisson closure of an ideal in the limit")
     p.add_argument("--ideal", required=True,
                    help="comma-separated generator polynomials")
-    p.add_argument("--vars", default="e,f,h")
     p.add_argument("--order", default="degrevlex", choices=("degrevlex", "lex"))
     p.set_defaults(handler=_cmd_closure)
 

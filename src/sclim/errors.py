@@ -27,10 +27,6 @@ class PoleAtOne(PoleAtPoint):
     """A coefficient has a pole at 1, so the element has no fiber there."""
 
 
-class NotDivisible(KernelError):
-    """Exact division by (x - 1) failed: the polynomial does not vanish at 1."""
-
-
 class DuplicateNode(KernelError):
     """Interpolation nodes must be pairwise distinct."""
 

@@ -42,9 +42,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append((ch, ch, k))
             k += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: str.isdigit also takes "²" and other scripts' digits.
+        if ch in "0123456789":
             start = k
-            while k < len(text) and text[k].isdigit():
+            while k < len(text) and text[k] in "0123456789":
                 k += 1
             tokens.append(("int", text[start:k], start))
             continue

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from .arith import Rational, Scalar, ScalarMatrix, UniPoly, _as_rational
+from .arith import Rational, Scalar, UniPoly, _as_rational
 from .errors import MixedPresentations
 
 Exponents = tuple[int, ...]
@@ -176,9 +176,6 @@ class PBWPresentation:
     @property
     def is_confluent(self) -> bool:
         return self._overlap_report.passed
-
-    def overlap_report(self) -> "OverlapReport":
-        return self._overlap_report
 
     # -- rewriting engine ----------------------------------------------------
 
@@ -635,87 +632,82 @@ def identity_morphism(p: PBWPresentation) -> AlgebraMorphism:
 
 
 class Representation:
-    """Matrices for the generators satisfying all defining relations.
+    """A module on the basis v_0..v_{d-1}, given by each generator's action.
 
-    Construction verifies every swap relation on the matrices and raises
-    `ValueError` if any fails, so an instance is always a genuine module.
+    `actions[g][i]` is g·v_i as {j: nonzero scalar}.  Construction applies
+    every swap relation x_j x_i - c x_i x_j - tail to every basis vector and
+    raises `ValueError` unless each gives 0, so an instance is always a
+    genuine module.
     """
 
     def __init__(self, presentation: PBWPresentation, dimension: int,
-                 matrices: Mapping[str, ScalarMatrix]):
+                 actions: Mapping[str, Sequence[Mapping[int, Scalar]]]):
         if dimension < 1:
             raise ValueError("dimension must be positive")
-        if set(matrices) != set(presentation.generators):
-            raise ValueError("need exactly one matrix per generator")
-        for mat in matrices.values():
-            if mat.rows != dimension or mat.cols != dimension:
-                raise ValueError("matrix sizes must equal the dimension")
+        if set(actions) != set(presentation.generators):
+            raise ValueError("need exactly one action per generator")
+        for images in actions.values():
+            if len(images) != dimension or any(not 0 <= j < dimension
+                                               for image in images for j in image):
+                raise ValueError("an action sends v_i outside v_0..v_{dimension-1}")
         self.presentation = presentation
         self.dimension = dimension
-        self.matrices = dict(matrices)
-        bad = self._failing_relation()
-        if bad is not None:
-            raise ValueError(f"relation for pair {bad} fails on the matrices")
+        self.actions = {g: tuple({j: c for j, c in image.items() if c}
+                                 for image in images)
+                        for g, images in actions.items()}
+        one = Scalar.of(1, presentation.coeff_var)
+        for (j, i), rule in presentation.swap_rules.items():
+            relation = [((j, i), one), ((i, j), -rule.coeff)]
+            relation += [(_exponents_to_word(t), -c) for t, c in rule.tail.items()]
+            for k in range(dimension):
+                if self._act(relation, k):
+                    raise ValueError(f"relation for pair {(j, i)} fails on v_{k}")
 
-    def _failing_relation(self) -> Optional[tuple[int, int]]:
-        p = self.presentation
-        for (j, i), rule in p.swap_rules.items():
-            mj = self.matrices[p.generators[j]]
-            mi = self.matrices[p.generators[i]]
-            rhs = (mi * mj).scale(rule.coeff)
-            for texps, tc in rule.tail.items():
-                rhs = rhs + self._monomial_matrix(texps).scale(tc)
-            if not (mj * mi - rhs).is_zero():
-                return (j, i)
-        return None
-
-    def _monomial_matrix(self, exps: Exponents) -> ScalarMatrix:
-        var = self.presentation.coeff_var
-        out = ScalarMatrix.identity(self.dimension, var)
-        for idx, e in enumerate(exps):
-            if e:
-                out = out * (self.matrices[self.presentation.generators[idx]] ** e)
+    def _act(self, terms: Sequence[tuple[tuple[int, ...], Scalar]],
+             k: int) -> dict[int, Scalar]:
+        """Sum of c * word·v_k over (word, c) in terms; words act last letter first."""
+        out: dict[int, Scalar] = {}
+        for word, c in terms:
+            vec = {k: c}
+            for g in reversed(word):
+                images = self.actions[self.presentation.generators[g]]
+                moved: dict[int, Scalar] = {}
+                for i, a in vec.items():
+                    for j, b in images[i].items():
+                        _accumulate(moved, j, b * a)
+                vec = moved
+            for j, a in vec.items():
+                _accumulate(out, j, a)
         return out
 
-    def act(self, z: NCPoly) -> ScalarMatrix:
-        """Matrix by which z acts."""
+    def apply(self, z: NCPoly, i: int) -> dict[int, Scalar]:
+        """z·v_i as {j: nonzero scalar}."""
         if z.presentation != self.presentation:
             raise MixedPresentations("element is not over this representation's algebra")
-        var = self.presentation.coeff_var
-        out = ScalarMatrix.zeros(self.dimension, var)
-        for exps, c in z.terms.items():
-            out = out + self._monomial_matrix(exps).scale(c)
-        return out
+        if not 0 <= i < self.dimension:
+            raise ValueError("basis index out of range")
+        return self._act([(_exponents_to_word(e), c) for e, c in z.terms.items()], i)
 
 
 def annihilates(r: Representation, z: NCPoly) -> bool:
-    """True iff z acts as the zero matrix."""
-    return r.act(z).is_zero()
+    """True iff z·v_i = 0 for every basis vector v_i."""
+    return not any(r.apply(z, i) for i in range(r.dimension))
 
 
 def sl2_representation(n: int) -> Representation:
     """The n-dimensional weight module of the symbolic deformation algebra.
 
-    On the weight basis v_0..v_{n-1}: H = diag(n-1-2i), F the subdiagonal
-    shift, E with i(n-i) on the superdiagonal; the algebra generators act as
-    e = (q-1)E, f = (q-1)F, h = (q-1)H.
+    On the weight basis v_0..v_{n-1}: H v_i = (n-1-2i) v_i, F v_i = v_{i+1},
+    E v_i = i(n-i) v_{i-1} (a shift past either end gives 0); the algebra
+    generators act as e = (q-1)E, f = (q-1)F, h = (q-1)H.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
     p = B_q()
-    var = p.coeff_var
-    zero = Scalar.of(0, var)
-
-    def build(entry) -> ScalarMatrix:
-        return ScalarMatrix(n, n, [entry(r, c) for r in range(n) for c in range(n)])
-
-    E = build(lambda r, c: Scalar.of(c * (n - c), var) if r == c - 1 else zero)
-    F = build(lambda r, c: Scalar.of(1, var) if r == c + 1 else zero)
-    H = build(lambda r, c: Scalar.of(n - 1 - 2 * r, var) if r == c else zero)
-    qm1 = Scalar.variable(var) - 1
-    return Representation(p, n, {"e": E.scale(qm1),
-                                 "f": F.scale(qm1),
-                                 "h": H.scale(qm1)})
+    qm1 = Scalar.variable(p.coeff_var) - 1
+    return Representation(p, n, {
+        "e": [{i - 1: qm1 * (i * (n - i))} if i > 0 else {} for i in range(n)],
+        "f": [{i + 1: qm1} if i < n - 1 else {} for i in range(n)],
+        "h": [{i: qm1 * (n - 1 - 2 * i)} for i in range(n)],
+    })
 
 
 # -- built-in presentations -----------------------------------------------------
@@ -757,7 +749,7 @@ def B_lambda(lam) -> PBWPresentation:
     return _b_lambda_cached(_as_rational(lam))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _b_lambda_cached(lam: Rational) -> PBWPresentation:
     return PBWPresentation("B_lambda", ("e", "f", "h"),
                            _deformation_rules("t", lam),

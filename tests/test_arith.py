@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import nonzero, random_fraction, random_scalar, random_unipoly
-from sclim.arith import (Scalar, ScalarMatrix, UniPoly, divide_by_t_minus_1,
-                         interpolate_band)
-from sclim.errors import (DuplicateNode, NotDivisible, PoleAtPoint,
-                          ZeroDenominator)
+from sclim.arith import Scalar, ScalarMatrix, UniPoly, interpolate_band
+from sclim.errors import DuplicateNode, PoleAtPoint, ZeroDenominator
 
 
 def poly(*coeffs, var="t"):
@@ -76,29 +74,6 @@ class TestEvaluate:
         s = Scalar(poly(1), poly(-2, 1))  # 1/(t-2)
         assert s.is_regular_at(3)
         assert not s.is_regular_at(2)
-
-
-class TestDivideByTMinus1:
-    def test_square(self):
-        assert divide_by_t_minus_1(poly(1, -2, 1)) == poly(-1, 1)
-
-    def test_linear(self):
-        assert divide_by_t_minus_1(poly(-2, 2)) == poly(2)
-
-    def test_not_divisible(self):
-        with pytest.raises(NotDivisible):
-            divide_by_t_minus_1(poly(0, 1))
-
-    def test_round_trip_and_failure_characterisation(self):
-        rng = random.Random(103)
-        for _ in range(200):
-            p = random_unipoly(rng, 4)
-            if p.evaluate(1) == 0:
-                q = divide_by_t_minus_1(p)
-                assert q * poly(-1, 1) == p
-            else:
-                with pytest.raises(NotDivisible):
-                    divide_by_t_minus_1(p)
 
 
 class TestInterpolateBand:

@@ -48,6 +48,16 @@ class TestParsing:
             parse_expression("e + $", B())
         assert excinfo.value.position == 4
 
+    @pytest.mark.parametrize("text", ["e^\u00b2", "e^\u0663"])
+    def test_non_ascii_digits_rejected(self, text):
+        # Superscript two and Arabic-Indic three pass str.isdigit.
+        for parse in (lambda: parse_expression(text, B()),
+                      lambda: parse_cpoly(text, ("e", "f", "h")),
+                      lambda: parse_scalar(text.replace("e", "t"), "t")):
+            with pytest.raises(ParseError) as excinfo:
+                parse()
+            assert excinfo.value.position == 2
+
     def test_unknown_symbol(self):
         with pytest.raises(ParseError):
             parse_expression("e + x", B())
@@ -117,6 +127,7 @@ class TestCommands:
     def test_closure(self, capsys):
         assert main(["closure", "--ideal", "e^2, 4*e*f+h^2"]) == 0
         data = json.loads(capsys.readouterr().out)
+        assert data["vars"] == ["e", "f", "h"]
         assert sorted(data["closure_basis"]) == sorted(
             ["e^2", "e*f", "e*h", "f^2", "f*h", "h^2"])
 

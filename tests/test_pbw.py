@@ -7,12 +7,13 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+import sympy
 
 from helpers import corrupted_b, nonzero, random_ncpoly
 from sclim.arith import Scalar, UniPoly
 from sclim.errors import MixedPresentations
 from sclim.pbw import (AlgebraMorphism, B, B_lambda, B_q, PBWPresentation,
-                       SwapRule, Usl2, annihilates, casimir,
+                       Representation, SwapRule, Usl2, annihilates, casimir,
                        check_pbw_overlaps, commutator, growth_dimensions,
                        growth_slope, identity_morphism, is_central, multiply,
                        presentation_from_json, presentation_to_json,
@@ -195,26 +196,35 @@ class TestMorphisms:
         assert m(ef) == multiply(images["E"], images["F"])
 
 
+def _qm1():
+    return Scalar.variable("q") - 1
+
+
+def _sympy_scalar(c, q):
+    """A `Scalar` in q as a sympy expression."""
+    def poly(p):
+        return sum((sympy.Rational(x.numerator, x.denominator) * q ** k
+                    for k, x in enumerate(p.coeffs)), sympy.Integer(0))
+    return poly(c.num) / poly(c.den)
+
+
 class TestRepresentations:
     def test_one_dimensional_is_zero(self):
         rep = sl2_representation(1)
-        for mat in rep.matrices.values():
-            assert mat.is_zero()
+        assert rep.actions == {"e": ({},), "f": ({},), "h": ({},)}
 
     def test_two_dimensional_matrices(self):
         rep = sl2_representation(2)
-        qm1 = Scalar.variable("q") - 1
-        z = Scalar.of(0, "q")
-        assert rep.matrices["h"].entries == (qm1, z, z, -qm1)
-        assert rep.matrices["e"].entries == (z, qm1, z, z)
-        assert rep.matrices["f"].entries == (z, z, qm1, z)
+        qm1 = _qm1()
+        assert rep.actions["h"] == ({0: qm1}, {1: -qm1})
+        assert rep.actions["e"] == ({}, {0: qm1})
+        assert rep.actions["f"] == ({1: qm1}, {})
 
     def test_three_dimensional_weights(self):
         rep = sl2_representation(3)
-        h = rep.matrices["h"]
-        qm1 = Scalar.variable("q") - 1
-        assert [h.entry(i, i) for i in range(3)] == \
-            [qm1 * 2, Scalar.of(0, "q"), qm1 * (-2)]
+        qm1 = _qm1()
+        # The zero weight of the middle vector is not stored.
+        assert rep.actions["h"] == ({0: qm1 * 2}, {}, {2: qm1 * (-2)})
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_annihilates_ideal_generators(self, n):
@@ -232,13 +242,69 @@ class TestRepresentations:
         assert not annihilates(rep, B_q().generator(0))
 
     def test_invalid_matrices_rejected(self):
-        from sclim.arith import ScalarMatrix
-        bq = B_q()
-        eye = ScalarMatrix.identity(2, "q")
+        one = Scalar.of(1, "q")
+        identity = [{0: one}, {1: one}]
         with pytest.raises(ValueError):
-            # Identity matrices do not satisfy [e, f] = (q-1)h.
-            from sclim.pbw import Representation
-            Representation(bq, 2, {"e": eye, "f": eye, "h": eye})
+            # The identity on every generator does not satisfy [e, f] = (q-1)h.
+            Representation(B_q(), 2, {"e": identity, "f": identity, "h": identity})
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_one_wrong_entry_in_e_rejected(self, n):
+        actions = {g: [dict(image) for image in images]
+                   for g, images in sl2_representation(n).actions.items()}
+        actions["e"][1][0] = actions["e"][1][0] * 2
+        with pytest.raises(ValueError, match="fails"):
+            Representation(B_q(), n, actions)
+
+    def test_missing_generator_or_index_out_of_range_rejected(self):
+        actions = dict(sl2_representation(2).actions)
+        del actions["h"]
+        with pytest.raises(ValueError, match="one action per generator"):
+            Representation(B_q(), 2, actions)
+        actions = dict(sl2_representation(2).actions)
+        for bad in (({2: _qm1()}, {}), ({-1: _qm1()}, {}), ({1: _qm1()},)):
+            actions["f"] = bad
+            with pytest.raises(ValueError, match="outside"):
+                Representation(B_q(), 2, actions)
+        with pytest.raises(ValueError, match="out of range"):
+            sl2_representation(2).apply(B_q().one(), 2)
+        with pytest.raises(ValueError, match="positive"):
+            sl2_representation(0)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_action_matches_sympy_matrices(self, n):
+        # Independent route: the dense matrices E, F, H of the weight module
+        # in sympy, multiplied out monomial by monomial.
+        q = sympy.Symbol("q")
+        E = sympy.Matrix(n, n, lambda r, c: c * (n - c) if r == c - 1 else 0)
+        F = sympy.Matrix(n, n, lambda r, c: 1 if r == c + 1 else 0)
+        H = sympy.Matrix(n, n, lambda r, c: n - 1 - 2 * r if r == c else 0)
+        gens = [(q - 1) * E, (q - 1) * F, (q - 1) * H]
+        rep = sl2_representation(n)
+        rng = random.Random(600 + n)
+        for _ in range(8):
+            z = random_ncpoly(rng, B_q(), max_degree=4, max_terms=3)
+            matrix = sympy.zeros(n, n)
+            for exps, c in z.terms.items():
+                mono = sympy.eye(n)
+                for g, k in enumerate(exps):
+                    mono = mono * gens[g] ** k
+                matrix += _sympy_scalar(c, q) * mono
+            for i in range(n):
+                image = rep.apply(z, i)
+                assert set(image) <= set(range(n))
+                for j in range(n):
+                    got = _sympy_scalar(image[j], q) if j in image else 0
+                    assert sympy.cancel(got - matrix[j, i]) == 0
+
+
+class TestBLambdaCache:
+    def test_bounded_and_shared(self):
+        from sclim.pbw import _b_lambda_cached
+        for k in range(100):
+            B_lambda(Fraction(1000 + k, 7))
+        assert _b_lambda_cached.cache_info().currsize <= 64
+        assert B_lambda(2) is B_lambda(2)
 
 
 class TestProperties:
