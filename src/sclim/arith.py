@@ -22,6 +22,7 @@ omitted when 1), which is exactly ``str(Fraction)``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DuplicateNode, PoleAtPoint, ZeroDenominator
@@ -56,6 +57,14 @@ class UniPoly:
             cs.pop()
         self.coeffs: tuple[Rational, ...] = tuple(cs)
         self.var = var
+
+    @classmethod
+    def _raw(cls, coeffs: tuple[Rational, ...], var: str) -> "UniPoly":
+        """Wrap coefficients that are already Fractions with no trailing zero."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        out.var = var
+        return out
 
     @classmethod
     def const(cls, value: int | str | Rational, var: str = "t") -> "UniPoly":
@@ -114,10 +123,14 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         var = _join_vars(self, other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return UniPoly([x + y for x, y in zip(a, b)], var)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b):]
+        while out and not out[-1]:
+            out.pop()
+        return UniPoly._raw(tuple(out), var)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
@@ -129,12 +142,19 @@ class UniPoly:
         var = _join_vars(self, other)
         if self.is_zero() or other.is_zero():
             return UniPoly((), var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        a, b = self.coeffs, other.coeffs
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # A nonzero constant times a polynomial leaves no trailing zero.
+            c = a[0]
+            return UniPoly._raw(tuple([c * x for x in b]), var)
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            for j, y in enumerate(b):
+                out[i + j] += x * y
         return UniPoly(out, var)
 
     def __pow__(self, exponent: int) -> "UniPoly":
@@ -227,8 +247,10 @@ class UniPoly:
 class Scalar:
     """Reduced rational function num/den with a monic denominator.
 
-    Construction always canonicalizes, so two scalars are equal in the
-    rational-function field iff their stored parts are identical.
+    Every scalar is canonical, so two scalars are equal in the
+    rational-function field iff their stored parts are identical.  The
+    constructor canonicalizes through a gcd; `+ - *` and negation of
+    polynomials (denominator 1) build num/1 directly, which already is.
     """
 
     __slots__ = ("num", "den")
@@ -312,6 +334,8 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if _polynomial(self, o):
+            return _over_one(self.num + o.num, o.var)
         return Scalar(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -320,6 +344,8 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if _polynomial(self, o):
+            return _over_one(self.num - o.num, o.var)
         return Scalar(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other) -> "Scalar":
@@ -329,12 +355,16 @@ class Scalar:
         return o - self
 
     def __neg__(self) -> "Scalar":
+        if self.is_polynomial():
+            return _over_one(-self.num, self.var)
         return Scalar(-self.num, self.den)
 
     def __mul__(self, other) -> "Scalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if _polynomial(self, o):
+            return _over_one(self.num * o.num, o.var)
         return Scalar(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -392,6 +422,30 @@ class Scalar:
         return {"var": self.var, "num": self.num.to_json(), "den": self.den.to_json()}
 
 
+def _polynomial(a: Scalar, b: Scalar) -> bool:
+    """True iff both denominators are 1 (a monic constant is 1)."""
+    return len(a.den.coeffs) == 1 and len(b.den.coeffs) == 1
+
+
+@lru_cache(maxsize=64)
+def _unit(var: str) -> UniPoly:
+    return UniPoly.const(1, var)
+
+
+def _over_one(num: UniPoly, right_var: str) -> Scalar:
+    """num/1 from an operation on two polynomial scalars, without a gcd.
+
+    num/1 is already canonical.  The variable is the one the constructor
+    would pick for the same operation: a constant result takes the right
+    operand's, whose denominator it inherits; any other keeps num's own.
+    """
+    var = right_var if len(num.coeffs) <= 1 else num.var
+    out = Scalar.__new__(Scalar)
+    out.num = num if num.var == var else UniPoly(num.coeffs, var)
+    out.den = _unit(var)
+    return out
+
+
 def _eval_poly_at_scalar(p: UniPoly, point: Scalar) -> Scalar:
     acc = Scalar.of(0, point.var)
     for c in reversed(p.coeffs):
@@ -435,7 +489,12 @@ def _lagrange(xs: Sequence[Rational], ys: Sequence[Rational], var: str) -> UniPo
 
 
 class ScalarMatrix:
-    """Dense matrix of scalars, row-major; used for finite representations."""
+    """Dense matrix of scalars, row-major.
+
+    No kernel code uses it.  It stays only because the benchmark's tracer
+    (`perfbench/tracer.py`) targets `ScalarMatrix.__mul__`; see the FOUND
+    line about it in CHANGES.md.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 

@@ -10,18 +10,21 @@ at most two.  Elements (`NCPoly`) are stored in normal form: a map from
 exponent vectors to scalars, the exponent vector (i, j, k) standing for the
 ordered monomial x_0^i x_1^j x_2^k.
 
-Multiplication rewrites words by repeatedly swapping the leftmost out-of-order
-adjacent pair.  The rules are degree-compatible (rewriting never raises total
-degree), so the loop terminates and normal forms are well defined whenever the
-overlap check below passes.
+Multiplication reads products of a normal monomial and one generator from a
+memoized table, which the swap rules fill one generator at a time (see
+`PBWPresentation._times`).  The rules are degree-compatible (rewriting never
+raises total degree), so products terminate and normal forms are well defined
+whenever the overlap check below passes.
 
 `check_pbw_overlaps` is the confluence certificate: for every generator triple
-k > j > i it reduces x_k x_j x_i along both association orders and compares
-the results.  If all triples agree, the ordered monomials are a basis.
+k > j > i it reduces x_k x_j x_i along both association orders, rewriting
+whole words, and compares the results.  If all triples agree, the ordered
+monomials are a basis.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -37,6 +40,9 @@ Exponents = tuple[int, ...]
 
 # Safety valve against a non-terminating rule set slipping past validation.
 _MAX_REWRITE_STEPS = 2_000_000
+
+# Entries a presentation's product table holds before it is emptied.
+_MAX_TABLE_ENTRIES = 20_000
 
 
 class SwapRule:
@@ -61,8 +67,11 @@ class SwapRule:
 class PBWPresentation:
     """Ordered generators plus swap rules.
 
-    Fixed once constructed, except `_prod_cache`, which gains an entry for
-    every monomial product not seen before and is never bounded.
+    Fixed once constructed, except the product table `_table`: normal
+    monomial m and generator index i -> the normal form of m·x_i, for every
+    such product with a generator of m above i.  It gains an entry for each
+    product not seen before, is written without a lock, and is emptied when
+    it holds `_MAX_TABLE_ENTRIES` entries.
     """
 
     def __init__(self, name: str, generators: Sequence[str],
@@ -84,7 +93,8 @@ class PBWPresentation:
         self.swap_rules = dict(swap_rules)
         for (j, i), rule in self.swap_rules.items():
             self._validate_tail(j, i, rule)
-        self._prod_cache: dict[tuple[Exponents, Exponents], dict[Exponents, Scalar]] = {}
+        self._one = Scalar.of(1, self.coeff_var)
+        self._table: dict[tuple[Exponents, int], dict[Exponents, Scalar]] = {}
         # Confluence certificate, computed once here so shared presentations
         # never race on it.
         self._overlap_report = check_pbw_overlaps(self)
@@ -180,13 +190,22 @@ class PBWPresentation:
     # -- rewriting engine ----------------------------------------------------
 
     def _word_normal_form(self, word: tuple[int, ...]) -> dict[Exponents, Scalar]:
-        """Normal form of a single word as exponents -> Scalar."""
-        one = Scalar.of(1, self.coeff_var)
-        pending: dict[tuple[int, ...], Scalar] = {word: one}
+        """Normal form of a single word as exponents -> Scalar.
+
+        Swaps the leftmost out-of-order pair.  Every rewrite yields words that
+        are shorter, or as long and lexicographically smaller, so taking the
+        largest pending word first finishes each word before it is reached
+        again: equal words merge instead of being rewritten twice.
+        """
+        pending: dict[tuple[int, ...], Scalar] = {word: self._one}
+        queue = [_word_rank(word)]
         out: dict[Exponents, Scalar] = {}
         steps = 0
-        while pending:
-            w, c = pending.popitem()
+        while queue:
+            w = heapq.heappop(queue)[2]
+            c = pending.pop(w, None)
+            if c is None:
+                continue
             pos = _first_inversion(w)
             if pos is None:
                 exps = _word_to_exponents(w, len(self.generators))
@@ -197,21 +216,107 @@ class PBWPresentation:
                 raise RuntimeError("rewriting did not terminate; rules are invalid")
             j, i = w[pos], w[pos + 1]
             rule = self.swap_rules[(j, i)]
-            swapped = w[:pos] + (i, j) + w[pos + 2:]
-            _accumulate(pending, swapped, c * rule.coeff)
-            for texps, tc in rule.tail.items():
-                tword = w[:pos] + _exponents_to_word(texps) + w[pos + 2:]
-                _accumulate(pending, tword, c * tc)
+            images = [(w[:pos] + (i, j) + w[pos + 2:], c * rule.coeff)]
+            images += [(w[:pos] + _exponents_to_word(texps) + w[pos + 2:], c * tc)
+                       for texps, tc in rule.tail.items()]
+            for image, ic in images:
+                if image not in pending:
+                    heapq.heappush(queue, _word_rank(image))
+                _accumulate(pending, image, ic)
         return out
 
     def _monomial_product(self, a: Exponents, b: Exponents) -> dict[Exponents, Scalar]:
-        key = (a, b)
-        cached = self._prod_cache.get(key)
-        if cached is None:
-            word = _exponents_to_word(a) + _exponents_to_word(b)
-            cached = self._word_normal_form(word)
-            self._prod_cache[key] = cached
-        return cached
+        """Normal form of a·b: b's generators enter one at a time, lowest first."""
+        word = _exponents_to_word(b)
+        active: set[tuple[Exponents, int]] = set()
+        if word and any(a[word[0] + 1:]):
+            # The table's entry itself: callers only read it.
+            terms, word = self._times(a, word[0], active), word[1:]
+        else:
+            terms = {a: self._one}
+        for g in word:
+            terms = self._apply(terms, g, active)
+        return terms
+
+    def _apply(self, terms: Mapping[Exponents, Scalar], g: int,
+               active: set) -> dict[Exponents, Scalar]:
+        """The sum of c·(u·x_g) over the terms u -> c."""
+        out: dict[Exponents, Scalar] = {}
+        for u, c in terms.items():
+            if any(u[g + 1:]):
+                for v, cv in self._times(u, g, active).items():
+                    _accumulate(out, v, c * cv)
+            else:
+                _accumulate(out, _bump(u, g), c)
+        return out
+
+    def _times(self, m: Exponents, i: int, active: set) -> dict[Exponents, Scalar]:
+        """m·x_i from the table, for a monomial m with a generator above i.
+
+        With k the last generator of m and m = m0·x_k^a, the swap rule (k, i)
+        gives, for b = 1..a,
+
+            (m0 x_k^b)·x_i = c·((m0 x_k^(b-1))·x_i)·x_k + (m0 x_k^(b-1))·tail.
+
+        The loop starts from the highest b whose product the table holds, or
+        from m0·x_i, so the recursion only ever moves to another generator
+        and its depth does not grow with a.  `active` holds the products
+        being built; meeting one of them again means the rules loop.
+        """
+        table = self._table
+        key = (m, i)
+        found = table.get(key)
+        if found is not None:
+            return found
+        if key in active:
+            raise RuntimeError("rewriting did not terminate; rules are invalid")
+        active.add(key)
+        k = max(g for g, e in enumerate(m) if e)
+        rule = self.swap_rules[(k, i)]
+        coeff = None if rule.coeff == self._one else rule.coeff
+        head, rest = m[:k], m[k + 1:]
+
+        def power(b: int) -> Exponents:             # m0·x_k^b
+            return head + (b,) + rest
+
+        b = m[k] - 1
+        terms = table.get((power(b), i))
+        while terms is None and b:
+            b -= 1
+            terms = table.get((power(b), i))
+        if terms is None:
+            terms = self._apply({power(0): self._one}, i, active)
+        for b in range(b + 1, m[k] + 1):
+            out = self._apply(terms, k, active)
+            if coeff is not None:
+                out = {v: c * coeff for v, c in out.items()}
+            for t, tc in rule.tail.items():
+                word = _exponents_to_word(t)
+                # (m0 x_k^(b-1))·x_i is the previous step's product.
+                if word[:1] == (i,):
+                    part, word = terms, word[1:]
+                else:
+                    part = {power(b - 1): self._one}
+                for g in word:
+                    part = self._apply(part, g, active)
+                for v, c in part.items():
+                    _accumulate(out, v, tc * c)
+            terms = out
+        active.discard(key)
+        if len(table) >= _MAX_TABLE_ENTRIES:
+            table.clear()
+        table[key] = terms
+        return terms
+
+
+def _bump(m: Exponents, g: int) -> Exponents:
+    """m·x_g for a monomial m with no generator above g."""
+    return m[:g] + (m[g] + 1,) + m[g + 1:]
+
+
+def _word_rank(word: tuple[int, ...]) -> tuple:
+    """Heap entry that pops longer words first, then lexicographically larger."""
+    return (-len(word), tuple(-g for g in word), word)
 
 
 def _first_inversion(word: tuple[int, ...]) -> Optional[int]:

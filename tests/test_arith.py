@@ -1,5 +1,6 @@
 """Tests for the exact scalar arithmetic layer."""
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -237,3 +238,142 @@ class TestSparseProduct:
         with pytest.raises(ValueError):
             _ = a * b
 
+
+
+# -- the gcd-free path for polynomial scalars ----------------------------------
+
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def unipolys(draw, var=None):
+    var = var or draw(st.sampled_from(("t", "q")))
+    return UniPoly(draw(st.lists(coefficients, max_size=4)), var)
+
+
+@st.composite
+def polynomial_scalars(draw):
+    return Scalar(draw(unipolys()))
+
+
+@st.composite
+def rational_functions(draw):
+    """num/(var - root), with num(root) != 0 so that nothing cancels."""
+    var = draw(st.sampled_from(("t", "q")))
+    root = draw(coefficients)
+    num = draw(unipolys(var).filter(lambda p: p.evaluate(root) != 0))
+    return Scalar(num, UniPoly([-root, 1], var))
+
+
+def canonical(num_expr, den_expr):
+    """What the general constructor builds from the textbook expressions."""
+    return Scalar(num_expr(), den_expr())
+
+
+GENERAL = {
+    "add": lambda a, b: canonical(lambda: a.num * b.den + b.num * a.den,
+                                  lambda: a.den * b.den),
+    "sub": lambda a, b: canonical(lambda: a.num * b.den - b.num * a.den,
+                                  lambda: a.den * b.den),
+    "mul": lambda a, b: canonical(lambda: a.num * b.num, lambda: a.den * b.den),
+    "neg": lambda a, b: canonical(lambda: -a.num, lambda: a.den),
+}
+FAST = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b, "neg": lambda a, b: -a}
+
+
+def outcome(build, a, b):
+    """(num coeffs, den coeffs, var), or the error message a mixed pair raises."""
+    try:
+        s = build(a, b)
+    except ValueError as exc:
+        return str(exc)
+    assert s.num.var == s.den.var == s.var
+    return s.num.coeffs, s.den.coeffs, s.var
+
+
+@contextlib.contextmanager
+def counting_gcd():
+    """Record every UniPoly.gcd call made inside the block."""
+    calls = []
+    original = UniPoly.__dict__["gcd"]
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original.__func__(a, b)
+
+    UniPoly.gcd = staticmethod(counted)
+    try:
+        yield calls
+    finally:
+        UniPoly.gcd = original
+
+
+class TestPolynomialFastPath:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(a=polynomial_scalars(), b=polynomial_scalars(),
+           op=st.sampled_from(sorted(GENERAL)), negate=st.booleans())
+    def test_same_structure_as_the_constructor(self, a, b, op, negate):
+        if negate:
+            # b = -a in b's variable: sums vanish, constants change variable.
+            b = Scalar(UniPoly([-c for c in a.num.coeffs], b.var)) \
+                if a.is_constant() else -a
+        assert outcome(FAST[op], a, b) == outcome(GENERAL[op], a, b)
+
+    @pytest.mark.parametrize("op", sorted(GENERAL))
+    def test_zero_and_constants_across_variables(self, op):
+        cases = [(Scalar.of(2, "t"), Scalar.variable("q")),
+                 (Scalar.variable("q"), Scalar.of(2, "t")),
+                 (Scalar.of(2, "t"), Scalar.of(-2, "q")),
+                 (Scalar.of(0, "t"), Scalar.variable("q")),
+                 (Scalar.variable("q"), Scalar.of(0, "t")),
+                 (Scalar.variable("q"), Scalar.variable("q")),
+                 (Scalar.variable("q"), Scalar.variable("t"))]
+        for a, b in cases:
+            assert outcome(FAST[op], a, b) == outcome(GENERAL[op], a, b)
+        assert (Scalar.of(2, "t") * Scalar.variable("q")).var == "q"
+        assert (Scalar.of(2, "t") - Scalar.of(2, "q")).var == "q"
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(a=polynomial_scalars(), b=polynomial_scalars(),
+           op=st.sampled_from(sorted(GENERAL)))
+    def test_polynomials_skip_the_gcd(self, a, b, op):
+        with counting_gcd() as calls:
+            try:
+                FAST[op](a, b)
+            except ValueError:
+                pass
+        assert calls == []
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(a=polynomial_scalars(), r=rational_functions(),
+           op=st.sampled_from(sorted(GENERAL)), swap=st.booleans())
+    def test_rational_functions_are_canonicalized(self, a, r, op, swap):
+        a, b = (r, a) if swap else (a, r)
+        if op == "neg":
+            a = r
+        with counting_gcd() as calls:
+            fast = outcome(FAST[op], a, b)
+        if isinstance(fast, tuple) and fast[0]:
+            # Only a zero result is built without a gcd.
+            assert calls, "a rational-function operand must be canonicalized"
+        assert fast == outcome(GENERAL[op], a, b)
+
+
+class TestUniPolyArithmetic:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(a=unipolys("t"), b=unipolys("t"))
+    def test_sum_and_product_match_the_textbook_forms(self, a, b):
+        n = max(len(a.coeffs), len(b.coeffs))
+
+        def pad(p):
+            return list(p.coeffs) + [Fraction(0)] * (n - len(p.coeffs))
+
+        total = UniPoly([x + y for x, y in zip(pad(a), pad(b))], "t")
+        assert (a + b).coeffs == total.coeffs
+        conv = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs))
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                conv[i + j] += x * y
+        assert (a * b).coeffs == UniPoly(conv, "t").coeffs
+        assert all(isinstance(c, Fraction) for c in (a + b).coeffs + (a * b).coeffs)

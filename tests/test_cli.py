@@ -1,8 +1,12 @@
 """Tests for the expression language and the command-line front end."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -270,3 +274,13 @@ def _two_copies_of_b() -> PBWPresentation:
         rules[(j + 3, i + 3)] = SwapRule(rule.coeff,
                                          {pad + e: c for e, c in rule.tail.items()})
     return PBWPresentation("B2", ("e", "f", "h", "E", "F", "H"), rules, parameter="t")
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "sclim", "nf", "--algebra", "B", "f*e"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "e*f + (-t+1)*h"

@@ -3,17 +3,22 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import corrupted_b, nonzero, random_ncpoly
+from sclim import pbw
 from sclim.arith import Scalar, UniPoly
 from sclim.errors import MixedPresentations
-from sclim.pbw import (AlgebraMorphism, B, B_lambda, B_q, PBWPresentation,
-                       Representation, SwapRule, Usl2, annihilates, casimir,
+from sclim.pbw import (AlgebraMorphism, B, B_lambda, B_q, NCPoly,
+                       PBWPresentation, Representation, SwapRule, Usl2,
+                       _exponents_to_word, annihilates, casimir,
                        check_pbw_overlaps, commutator, growth_dimensions,
                        growth_slope, identity_morphism, is_central, multiply,
                        presentation_from_json, presentation_to_json,
@@ -62,6 +67,104 @@ class TestMultiply:
                 z = random_ncpoly(rng, p)
                 assert multiply(z, p.one()) == z
                 assert multiply(p.one(), z) == z
+
+
+def quantum_space() -> PBWPresentation:
+    """Four generators that t-commute on the pairs (j, i) with j + i odd."""
+    one, t = Scalar.of(1, "t"), Scalar.variable("t")
+    rules = {(j, i): SwapRule(t if (i + j) % 2 else one, {})
+             for j in range(4) for i in range(j)}
+    return PBWPresentation("Q4", ("a", "b", "c", "d"), rules, parameter="t")
+
+
+def quadratic_tail() -> PBWPresentation:
+    """y x = t x y, z x = x z / t, z y = y z + (t - 1) x^2."""
+    one, t = Scalar.of(1, "t"), Scalar.variable("t")
+    rules = {(1, 0): SwapRule(t, {}),
+             (2, 0): SwapRule(one / t, {}),
+             (2, 1): SwapRule(one, {(2, 0, 0): t - 1})}
+    return PBWPresentation("T", ("x", "y", "z"), rules, parameter="t")
+
+
+ENGINE_ALGEBRAS = {"B": B, "B_q": B_q, "Usl2": Usl2,
+                   "B_lambda(3/2)": lambda: B_lambda(Fraction(3, 2)),
+                   "Q4": quantum_space, "T": quadratic_tail}
+
+
+def copy_of(p: PBWPresentation) -> PBWPresentation:
+    """The same algebra with an empty product table of its own."""
+    return PBWPresentation(p.name, p.generators, p.swap_rules, p.parameter,
+                           p.parameter_value)
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestProductEngine:
+    """Products from the table against whole-word rewriting as the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_ALGEBRAS))
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_matches_word_rewriting(self, name, data):
+        p = ENGINE_ALGEBRAS[name]()
+        assert p.is_confluent
+        exps = st.tuples(*[st.integers(0, 3)] * len(p.generators))
+        a, b = data.draw(exps), data.draw(exps)
+        word = _exponents_to_word(a) + _exponents_to_word(b)
+        assert p._monomial_product(a, b) == p._word_normal_form(word)
+
+    @pytest.mark.parametrize("gen, shift", [(0, 2), (1, -2)])
+    def test_deep_power_is_binomial(self, gen, shift):
+        # Over B_lambda(2), h e = e (h + 2) and h f = f (h - 2), so
+        # h^n x = x (h + shift)^n = sum_j C(n, j) shift^(n-j) x h^j.
+        n = 1200
+        p = copy_of(B_lambda(2))
+        x, h = p.generator(gen), p.generator(2)
+        power = h ** n
+        limit = sys.getrecursionlimit()
+        # The engine may not nest deeper as the degree grows.
+        sys.setrecursionlimit(stack_depth() + 60)
+        try:
+            got = multiply(power, x)
+        finally:
+            sys.setrecursionlimit(limit)
+        expected = {}
+        for j in range(n + 1):
+            exps = [0, 0, j]
+            exps[gen] = 1
+            expected[tuple(exps)] = Scalar.of(math.comb(n, j) * shift ** (n - j), "t")
+        assert got.terms == expected
+
+    def test_table_is_bounded_and_eviction_changes_nothing(self, monkeypatch):
+        rng = random.Random(206)
+        pairs = [(random_ncpoly(rng, B(), max_degree=4),
+                  random_ncpoly(rng, B(), max_degree=4)) for _ in range(30)]
+        reference = copy_of(B())
+        expected = [multiply(NCPoly(reference, a.terms), b).terms for a, b in pairs]
+        cap = 16
+        assert len(reference._table) > cap
+        monkeypatch.setattr(pbw, "_MAX_TABLE_ENTRIES", cap)
+        p = copy_of(B())
+        for (a, b), terms in zip(pairs, expected):
+            got = multiply(NCPoly(p, a.terms), b)
+            assert len(p._table) <= cap
+            assert got.terms == terms
+
+    def test_looping_rules_raise(self):
+        one = Scalar.of(1, "t")
+        p = PBWPresentation("loop", ("x", "y", "z"), {
+            (1, 0): SwapRule(one, {}), (2, 0): SwapRule(one, {}),
+            (2, 1): SwapRule(one, {(1, 1, 0): one})})
+        # z x = x z + z^2 fails validation; installed afterwards, it makes
+        # z^2 y depend on itself.
+        p.swap_rules[(2, 0)] = SwapRule(one, {(0, 0, 2): one})
+        with pytest.raises(RuntimeError, match="did not terminate"):
+            p._monomial_product((0, 0, 2), (0, 1, 0))
 
 
 class TestCommutator:
