@@ -8,8 +8,11 @@ structural equality of canonical forms.
 
 Canonical forms:
 
-* `UniPoly` stores a dense coefficient tuple with no trailing zeros; the zero
-  polynomial is the empty tuple.
+* `UniPoly` stores ints over one denominator, as FLINT's `fmpq_poly` does:
+  a tuple of ints with no trailing zero and an int `den > 0` with
+  gcd(den, *ints) == 1, so den is the least common denominator of the
+  coefficients and the pair is unique; zero is ``((), 1)``.  Arithmetic runs
+  on ints, with one `math.gcd` per result whose denominator is not 1.
 * `Scalar` keeps numerator and denominator coprime with a monic denominator,
   so zero tests and equality are cheap and exact.
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DuplicateNode, PoleAtPoint, ZeroDenominator
@@ -46,68 +50,90 @@ def _join_vars(a: "UniPoly", b: "UniPoly") -> str:
     raise ValueError(f"cannot mix variables {a.var!r} and {b.var!r}")
 
 
-class UniPoly:
-    """Dense univariate polynomial over the rationals in a named variable."""
+def _canonical(ints: list[int], den: int, var: str) -> "UniPoly":
+    """ints/den in canonical form: trailing zeros and gcd(den, *ints) removed."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if den != 1:
+        g = gcd(den, *ints)
+        if g != 1:
+            ints = [x // g for x in ints]
+            den //= g
+    return UniPoly._raw(tuple(ints), den, var)
 
-    __slots__ = ("coeffs", "var")
+
+class UniPoly:
+    """Dense univariate polynomial over Q in a named variable: sum(ints[i] var^i) / den."""
+
+    __slots__ = ("_ints", "_den", "var")
 
     def __init__(self, coeffs: Iterable[int | str | Rational] = (), var: str = "t"):
         cs = [_as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs: tuple[Rational, ...] = tuple(cs)
+        # The lcm of reduced denominators leaves no factor common to all.
+        den = lcm(*[c.denominator for c in cs])
+        self._ints = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
         self.var = var
 
     @classmethod
-    def _raw(cls, coeffs: tuple[Rational, ...], var: str) -> "UniPoly":
-        """Wrap coefficients that are already Fractions with no trailing zero."""
+    def _raw(cls, ints: tuple[int, ...], den: int, var: str) -> "UniPoly":
+        """Wrap a pair that is already canonical."""
         out = cls.__new__(cls)
-        out.coeffs = coeffs
+        out._ints = ints
+        out._den = den
         out.var = var
         return out
 
     @classmethod
     def const(cls, value: int | str | Rational, var: str = "t") -> "UniPoly":
-        return cls([_as_rational(value)], var)
+        c = value if isinstance(value, int) else _as_rational(value)
+        return cls._raw((c.numerator,) if c else (), c.denominator, var)
 
     @classmethod
     def variable(cls, var: str = "t") -> "UniPoly":
-        return cls([0, 1], var)
+        return cls._raw((0, 1), 1, var)
 
-    @classmethod
-    def monomial(cls, exponent: int, var: str = "t",
-                 coeff: int | Rational = 1) -> "UniPoly":
-        return cls([0] * exponent + [coeff], var)
+    @property
+    def coeffs(self) -> tuple[Rational, ...]:
+        """Coefficients as reduced Fractions, constant term first."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._ints)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._ints) <= 1
 
     def constant_value(self) -> Rational:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self._ints[0], self._den) if self._ints else Fraction(0)
 
     def leading_coeff(self) -> Rational:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self._ints[-1], self._den) if self._ints else Fraction(0)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self._ints) and self._ints[-1] == self._den
 
     def evaluate(self, point: int | Rational) -> Rational:
-        """Exact value at `point` (Horner)."""
+        """Exact value at `point` (Horner on ints, homogenized in its denominator)."""
+        if not self._ints:
+            return Fraction(0)
         x = _as_rational(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        acc, qk = 0, 1
+        for c in reversed(self._ints):
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc, self._den * (qk // q))
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by var**k (k >= 0)."""
@@ -115,109 +141,114 @@ class UniPoly:
             raise ValueError("shift exponent must be non-negative")
         if self.is_zero():
             return self
-        return UniPoly((Fraction(0),) * k + self.coeffs, self.var)
+        return UniPoly._raw((0,) * k + self._ints, self._den, self.var)
 
     def scale(self, factor: int | Rational) -> "UniPoly":
         f = _as_rational(factor)
-        return UniPoly([c * f for c in self.coeffs], self.var)
+        return _canonical([x * f.numerator for x in self._ints],
+                          self._den * f.denominator, self.var)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         var = _join_vars(self, other)
-        a, b = self.coeffs, other.coeffs
+        a, da, b, db = self._ints, self._den, other._ints, other._den
+        if da != db:
+            g = gcd(da, db)
+            a = [x * (db // g) for x in a]
+            b = [y * (da // g) for y in b]
+            da *= db // g
         if len(a) < len(b):
             a, b = b, a
         out = [x + y for x, y in zip(a, b)]
         out += a[len(b):]
-        while out and not out[-1]:
-            out.pop()
-        return UniPoly._raw(tuple(out), var)
+        return _canonical(out, da, var)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs], self.var)
+        return UniPoly._raw(tuple([-x for x in self._ints]), self._den, self.var)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         var = _join_vars(self, other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly((), var)
-        a, b = self.coeffs, other.coeffs
+        a, b = self._ints, other._ints
+        if not a or not b:
+            return UniPoly._raw((), 1, var)
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:
-            # A nonzero constant times a polynomial leaves no trailing zero.
             c = a[0]
-            return UniPoly._raw(tuple([c * x for x in b]), var)
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return UniPoly(out, var)
-
-    def __pow__(self, exponent: int) -> "UniPoly":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.const(1, self.var)
-        for _ in range(exponent):
-            result = result * self
-        return result
+            out = [c * y for y in b]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+        return _canonical(out, self._den * other._den, var)
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         var = _join_vars(self, other)
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlc = other.leading_coeff()
-        dd = other.degree
-        while len(rem) - 1 >= dd and rem:
-            k = len(rem) - 1 - dd
-            c = rem[-1] / dlc
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UniPoly(quot, var), UniPoly(rem, var)
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
+        # Pseudo-division on the ints, s*a == q*b + r, scaling by the least
+        # factor that keeps each quotient coefficient an integer.
+        b = other._ints
+        lb, db = b[-1], len(b) - 1
+        r = list(self._ints)
+        q = [0] * max(len(r) - db, 0)
+        s = 1
+        while len(r) > db:
+            k = len(r) - 1 - db
+            top = r[-1]
+            if top % lb:
+                f = abs(lb) // gcd(top, lb)
+                r = [x * f for x in r]
+                q = [x * f for x in q]
+                s *= f
+                top *= f
+            c = top // lb
+            q[k] = c
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+            while r and not r[-1]:
+                r.pop()
+        # With a = self's ints: a/da = (q*db / (s*da)) * (b/db) + r / (s*da).
+        den = s * self._den
+        return (_canonical([x * other._den for x in q], den, var),
+                _canonical(r, den, var))
 
     def monic(self) -> "UniPoly":
         if self.is_zero() or self.is_monic():
             return self
-        return self.scale(1 / self.leading_coeff())
+        # (ints[i]/den) / (ints[-1]/den) is ints[i]/ints[-1].
+        sign = 1 if self._ints[-1] > 0 else -1
+        return _canonical([x * sign for x in self._ints], abs(self._ints[-1]), self.var)
 
     @staticmethod
     def gcd(a: "UniPoly", b: "UniPoly") -> "UniPoly":
         """Monic greatest common divisor (Euclid)."""
-        while not b.is_zero():
-            a, b = b, a % b
+        while b._ints:
+            a, b = b, divmod(a, b)[1]
         return a.monic()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if self.coeffs != other.coeffs:
+        if self._ints != other._ints or self._den != other._den:
             return False
         # Constants compare equal regardless of the variable name.
         return self.is_constant() or self.var == other.var
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._ints, self._den))
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts: list[str] = []
-        for exp in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[exp]
+        for exp in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[exp]
             if c == 0:
                 continue
             if exp == 0:
@@ -249,40 +280,39 @@ class Scalar:
 
     Every scalar is canonical, so two scalars are equal in the
     rational-function field iff their stored parts are identical.  The
-    constructor canonicalizes through a gcd; `+ - *` and negation of
-    polynomials (denominator 1) build num/1 directly, which already is.
+    constructor canonicalizes through a gcd when the denominator is not
+    constant; `Scalar.of` and `+ - *` and negation of polynomials
+    (denominator 1) build num/1 directly, which already is.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: UniPoly, den: UniPoly | None = None):
         if den is None:
-            den = UniPoly.const(1, num.var)
+            den = _unit(num.var)
         if den.is_zero():
             raise ZeroDenominator(f"zero denominator under {num}")
         var = _join_vars(num, den)
         if num.is_zero():
-            self.num = UniPoly((), var)
-            self.den = UniPoly.const(1, var)
-            return
-        g = UniPoly.gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
+            num, den = UniPoly._raw((), 1, var), _unit(var)
+        elif not den.is_constant():
+            g = UniPoly.gcd(num, den)
+            if g.degree > 0:
+                num, den = divmod(num, g)[0], divmod(den, g)[0]
         lc = den.leading_coeff()
         if lc != 1:
             num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        self.num = UniPoly(num.coeffs, var)
-        self.den = UniPoly(den.coeffs, var)
+            den = den.monic()
+        self.num = UniPoly._raw(num._ints, num._den, var)
+        self.den = UniPoly._raw(den._ints, den._den, var)
 
     @classmethod
     def of(cls, value: int | str | Rational, var: str = "t") -> "Scalar":
-        return cls(UniPoly.const(_as_rational(value), var))
+        return _over_one(UniPoly.const(value, var), var)
 
     @classmethod
     def variable(cls, var: str = "t") -> "Scalar":
-        return cls(UniPoly.variable(var))
+        return _over_one(UniPoly.variable(var), var)
 
     @property
     def var(self) -> str:
@@ -293,7 +323,7 @@ class Scalar:
 
     def __bool__(self) -> bool:
         # False exactly for zero, as for `Fraction`.
-        return bool(self.num.coeffs)
+        return bool(self.num._ints)
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
@@ -306,7 +336,7 @@ class Scalar:
 
     def is_laurent(self) -> bool:
         """True iff the denominator is a power of the variable."""
-        return all(c == 0 for c in self.den.coeffs[:-1])
+        return not any(self.den._ints[:-1])
 
     def is_regular_at(self, point: int | Rational) -> bool:
         return self.den.evaluate(point) != 0
@@ -404,14 +434,17 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        # Variable name deliberately omitted so that constants hash alike.
-        return hash((self.num.coeffs, self.den.coeffs))
+        # A constant hashes as its Fraction, which it equals; the variable
+        # name is omitted so that constants hash alike.
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         if self.den.is_constant():
             return str(self.num)
         num = str(self.num)
-        if len([c for c in self.num.coeffs if c != 0]) > 1:
+        if len([c for c in self.num._ints if c]) > 1:
             num = f"({num})"
         return f"{num}/({self.den})"
 
@@ -424,7 +457,7 @@ class Scalar:
 
 def _polynomial(a: Scalar, b: Scalar) -> bool:
     """True iff both denominators are 1 (a monic constant is 1)."""
-    return len(a.den.coeffs) == 1 and len(b.den.coeffs) == 1
+    return len(a.den._ints) == 1 and len(b.den._ints) == 1
 
 
 @lru_cache(maxsize=64)
@@ -439,9 +472,9 @@ def _over_one(num: UniPoly, right_var: str) -> Scalar:
     would pick for the same operation: a constant result takes the right
     operand's, whose denominator it inherits; any other keeps num's own.
     """
-    var = right_var if len(num.coeffs) <= 1 else num.var
+    var = right_var if len(num._ints) <= 1 else num.var
     out = Scalar.__new__(Scalar)
-    out.num = num if num.var == var else UniPoly(num.coeffs, var)
+    out.num = num if num.var == var else UniPoly._raw(num._ints, num._den, var)
     out.den = _unit(var)
     return out
 
@@ -471,7 +504,7 @@ def interpolate_band(points: Sequence[tuple[Rational, Rational]],
     p = _lagrange(xs, ys, var)
     if band_min >= 0:
         return Scalar(p.shift(band_min))
-    return Scalar(p, UniPoly.monomial(-band_min, var))
+    return Scalar(p, UniPoly.const(1, var).shift(-band_min))
 
 
 def _lagrange(xs: Sequence[Rational], ys: Sequence[Rational], var: str) -> UniPoly:
@@ -491,9 +524,9 @@ def _lagrange(xs: Sequence[Rational], ys: Sequence[Rational], var: str) -> UniPo
 class ScalarMatrix:
     """Dense matrix of scalars, row-major.
 
-    No kernel code uses it.  It stays only because the benchmark's tracer
-    (`perfbench/tracer.py`) targets `ScalarMatrix.__mul__`; see the FOUND
-    line about it in CHANGES.md.
+    No kernel code uses it, and it keeps only what its tests use.  It stays
+    because the benchmark's tracer (`perfbench/tracer.py`) targets
+    `ScalarMatrix.__mul__`; see the FOUND line about it in CHANGES.md.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -514,11 +547,6 @@ class ScalarMatrix:
         return cls(len(rows), len(rows[0]), flat)
 
     @classmethod
-    def zeros(cls, n: int, var: str = "t") -> "ScalarMatrix":
-        z = Scalar.of(0, var)
-        return cls(n, n, [z] * (n * n))
-
-    @classmethod
     def identity(cls, n: int, var: str = "t") -> "ScalarMatrix":
         z, one = Scalar.of(0, var), Scalar.of(1, var)
         return cls(n, n, [one if i == j else z for i in range(n) for j in range(n)])
@@ -528,16 +556,6 @@ class ScalarMatrix:
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.entries)
-
-    def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        self._check_shape(other)
-        return ScalarMatrix(self.rows, self.cols,
-                            [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        self._check_shape(other)
-        return ScalarMatrix(self.rows, self.cols,
-                            [a - b for a, b in zip(self.entries, other.entries)])
 
     def __mul__(self, other):
         if isinstance(other, ScalarMatrix):
@@ -559,17 +577,7 @@ class ScalarMatrix:
                             row[j] = a * b if acc is None else acc + a * b
                 out.extend(zero if x is None else x for x in row)
             return ScalarMatrix(self.rows, m, out)
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, factor: int | Fraction | Scalar) -> "ScalarMatrix":
-        return ScalarMatrix(self.rows, self.cols, [x * factor for x in self.entries])
 
     def __pow__(self, exponent: int) -> "ScalarMatrix":
         if self.rows != self.cols:
@@ -591,12 +599,3 @@ class ScalarMatrix:
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and \
             self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        rows = []
-        for i in range(self.rows):
-            rows.append("[" + ", ".join(str(self.entry(i, j)) for j in range(self.cols)) + "]")
-        return "[" + ", ".join(rows) + "]"

@@ -49,6 +49,11 @@ class InconsistentFamily(KernelError):
     within the requested coefficient band."""
 
 
+class BudgetExceeded(KernelError, RuntimeError):
+    """A computation ran past one of the kernel's fixed caps (rounds or
+    rewrite steps), or met itself again; the message names the cap."""
+
+
 class ParseError(KernelError):
     """An expression or presentation file failed to parse."""
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .errors import BudgetExceeded
 from .pbw import _accumulate
 from .poisson import CPoly, PoissonAlgebra, poisson_bracket
 
@@ -332,7 +333,8 @@ def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
         if not new:
             return current
         current = current.with_extra_generators(new)
-    raise RuntimeError("poisson closure did not stabilize")
+    raise BudgetExceeded(
+        f"poisson closure did not stabilize within {_MAX_CLOSURE_ROUNDS} rounds")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from .arith import Rational, Scalar, UniPoly, _as_rational
-from .errors import MixedPresentations
+from .errors import BudgetExceeded, MixedPresentations
 
 Exponents = tuple[int, ...]
 
@@ -213,7 +213,8 @@ class PBWPresentation:
                 continue
             steps += 1
             if steps > _MAX_REWRITE_STEPS:
-                raise RuntimeError("rewriting did not terminate; rules are invalid")
+                raise BudgetExceeded(f"rewriting did not terminate within "
+                                     f"{_MAX_REWRITE_STEPS} steps; rules are invalid")
             j, i = w[pos], w[pos + 1]
             rule = self.swap_rules[(j, i)]
             images = [(w[:pos] + (i, j) + w[pos + 2:], c * rule.coeff)]
@@ -269,7 +270,7 @@ class PBWPresentation:
         if found is not None:
             return found
         if key in active:
-            raise RuntimeError("rewriting did not terminate; rules are invalid")
+            raise BudgetExceeded("rewriting did not terminate; rules are invalid")
         active.add(key)
         k = max(g for g, e in enumerate(m) if e)
         rule = self.swap_rules[(k, i)]

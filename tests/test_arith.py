@@ -1,10 +1,12 @@
 """Tests for the exact scalar arithmetic layer."""
 
 import contextlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -377,3 +379,150 @@ class TestUniPolyArithmetic:
                 conv[i + j] += x * y
         assert (a * b).coeffs == UniPoly(conv, "t").coeffs
         assert all(isinstance(c, Fraction) for c in (a + b).coeffs + (a * b).coeffs)
+
+
+# -- integer-content arithmetic against sympy ----------------------------------
+
+# Small coefficients make cancellations and equal values likely; large ones
+# reach far past machine words in both numerator and denominator.
+oracle_coefficients = st.one_of(
+    coefficients,
+    st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 70)))
+
+
+@st.composite
+def oracle_polys(draw, var=None):
+    var = var or draw(st.sampled_from(("t", "q")))
+    return UniPoly(draw(st.lists(oracle_coefficients, max_size=5)), var)
+
+
+def joined_var(a, b):
+    """The variable rule: constants take the other operand's variable."""
+    if a.var == b.var:
+        return a.var
+    if a.is_constant():
+        return b.var
+    return a.var if b.is_constant() else None
+
+
+def to_sympy(p, var=None):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs or [0], sympy.Symbol(var or p.var), domain="QQ")
+
+
+def shape(p):
+    """(coefficients, variable) of a UniPoly or a sympy Poly."""
+    if isinstance(p, UniPoly):
+        # The stored form is canonical: no trailing zero, den > 0 and
+        # coprime to the ints as a whole.
+        ints, den = p._ints, p._den
+        assert den > 0 and (not ints or ints[-1]) and math.gcd(den, *ints) == 1
+        assert all(isinstance(c, Fraction) for c in p.coeffs)
+        return p.coeffs, p.var
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs), str(p.gen)
+
+
+BINARY = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+          "mul": lambda x, y: x * y}
+
+
+class TestSympyOracle:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(a=oracle_polys(), b=oracle_polys(), op=st.sampled_from(sorted(BINARY)))
+    def test_ring_operations(self, a, b, op):
+        var = joined_var(a, b)
+        if var is None:
+            with pytest.raises(ValueError):
+                BINARY[op](a, b)
+            return
+        expected = BINARY[op](to_sympy(a, var), to_sympy(b, var))
+        assert shape(BINARY[op](a, b)) == shape(expected)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(a=oracle_polys(), c=oracle_coefficients, x=oracle_coefficients)
+    def test_unary_operations(self, a, c, x):
+        pa = to_sympy(a)
+        assert shape(-a) == shape(-pa)
+        assert shape(a.scale(c)) == shape(pa * sympy.Rational(c.numerator, c.denominator))
+        assert a.evaluate(x) == Fraction(str(pa.eval(sympy.Rational(x.numerator,
+                                                                     x.denominator))))
+        if not a.is_zero():
+            assert shape(a.monic()) == shape(pa.monic())
+            assert a.monic().is_monic()
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(a=oracle_polys("t"), b=oracle_polys("t"), common=oracle_polys("t"))
+    def test_division_and_gcd(self, a, b, common):
+        # A shared factor makes nontrivial gcds and exact divisions common.
+        a, b = a * common, b * common
+        pa, pb = to_sympy(a), to_sympy(b)
+        if not b.is_zero():
+            q, r = divmod(a, b)
+            eq, er = pa.div(pb)
+            assert (shape(q), shape(r)) == (shape(eq), shape(er))
+            assert q * b + r == a
+        assert shape(UniPoly.gcd(a, b)) == shape(pa.gcd(pb))
+
+    def test_gcd_and_division_of_constants_across_variables(self):
+        two_q, poly_t = UniPoly([2], "q"), UniPoly([1, 3], "t")
+        assert UniPoly.gcd(poly_t, two_q) == UniPoly([1], "t")
+        assert UniPoly.gcd(two_q, poly_t).var == "t"
+        assert shape(divmod(poly_t, two_q)[0]) == ((Fraction(1, 2), Fraction(3, 2)), "t")
+        with pytest.raises(ZeroDivisionError):
+            divmod(poly_t, UniPoly([], "t"))
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(num=oracle_polys(), den=oracle_polys(), common=oracle_polys())
+    def test_scalar_constructor_is_cancel(self, num, den, common):
+        if None not in (joined_var(num, common), joined_var(den, common)) \
+                and not common.is_zero():
+            num, den = num * common, den * common
+        var = joined_var(num, den)
+        if den.is_zero() or var is None:
+            return
+        expected_num, expected_den = sympy.fraction(sympy.cancel(
+            to_sympy(num, var).as_expr() / to_sympy(den, var).as_expr()))
+        symbol = sympy.Symbol(var)
+        p = sympy.Poly(expected_num, symbol, domain="QQ")
+        q = sympy.Poly(expected_den, symbol, domain="QQ")
+        p, q = p.quo_ground(q.LC()), q.monic()
+        s = Scalar(num, den)
+        assert (shape(s.num), shape(s.den)) == (shape(p), shape(q))
+
+
+class TestHashAndConstants:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(a=unipolys(), b=unipolys(), d=unipolys())
+    def test_equal_values_hash_equal(self, a, b, d):
+        b = UniPoly(b.coeffs, a.var)
+        other = "q" if a.var == "t" else "t"
+        moved = UniPoly(a.coeffs, other)
+        pairs = [(a, (a + b) - b), (a, moved), (Scalar(a), Scalar(moved)),
+                 (Scalar(a), Scalar(a + b) - Scalar(b))]
+        if not b.is_zero():
+            d = UniPoly(d.coeffs, a.var)
+            pairs.append((Scalar(a, b), Scalar(a * b, b * b) if d.is_zero()
+                          else Scalar(a * d, b * d)))
+        if a.is_constant():
+            c = a.constant_value()
+            pairs += [(Scalar(a), c), (Scalar(moved), c)]
+            if c.denominator == 1:
+                pairs.append((Scalar(a), int(c)))
+        for x, y in pairs:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+        assert (a == moved) == a.is_constant()
+        assert a == (a + b) - b and Scalar(a) == Scalar(a + b) - Scalar(b)
+
+    def test_constants_skip_the_gcd(self):
+        with counting_gcd() as calls:
+            a, b = Scalar.of(Fraction(-7, 3), "t"), Scalar.of(5, "q")
+            products = [a * b, a * a, Scalar.of("2/9") * Scalar.of(9)]
+            # A constant denominator divides out without Euclid.
+            halved = Scalar(UniPoly([2, 6], "t"), UniPoly([4], "t"))
+        assert calls == []
+        assert products == [Fraction(-35, 3), Fraction(49, 9), 2]
+        assert halved == Scalar(UniPoly([Fraction(1, 2), Fraction(3, 2)], "t"))

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from helpers import random_cpoly, random_ncpoly
+from sclim import ideals
 from sclim.cli import main
-from sclim.errors import ParseError
+from sclim.errors import BudgetExceeded, ParseError
 from sclim.exprs import parse_cpoly, parse_expression, parse_scalar
 from sclim.pbw import (B, B_q, PBWPresentation, SwapRule, casimir, multiply,
                        presentation_to_json)
@@ -214,6 +215,16 @@ class TestExitCodeCorpus:
     def test_usage_error_exits_two(self, capsys):
         assert main(["no-such-command"]) == 2
         capsys.readouterr()
+
+    def test_kernel_cap_exits_two(self, capsys, monkeypatch):
+        # The closure of n=3 needs more than two rounds.
+        monkeypatch.setattr(ideals, "_MAX_CLOSURE_ROUNDS", 2)
+        assert main(["verify-paper", "--n-min", "3", "--n-max", "3",
+                     "--samples", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "within 2 rounds" in err
+        assert "Traceback" not in err
+        assert issubclass(BudgetExceeded, RuntimeError)
 
 
 class TestReportStability:
