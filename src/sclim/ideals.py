@@ -18,9 +18,20 @@ reduces to zero modulo that basis, and so modulo any larger set.
 
 On top of membership sit the Poisson-theoretic operations: `is_poisson_ideal`
 tests bracket stability on basis elements against generators (enough, by
-Leibniz), `poisson_closure` augments an ideal with such brackets until the
-reduced basis stabilizes, and `nilpotent_nonprime_witness` certifies
-non-primeness from a pair g, k with g**k inside and g outside.
+Leibniz), `poisson_closure` builds the smallest Poisson ideal containing an
+ideal, and `nilpotent_nonprime_witness` certifies non-primeness from a pair
+g, k with g**k inside and g outside.
+
+The closure has two routes, picked from the bracket table alone.  When every
+entry {x_i, x_j} has degree <= 1 (a Lie-Poisson table, possibly with
+constants, such as B1 = sl2*), ad_x = {-, x} never raises degree.  The
+smallest subspace M that contains the ideal's generators and is stable under
+every ad_x is then finite-dimensional, and the closure is the ideal (M): by
+Leibniz, {a*m, x} = {a, x}*m + a*{m, x} lies in (M) for every m in M, so (M)
+is Poisson, and every Poisson ideal that contains the generators contains
+M.  M is spanned breadth-first against a row echelon, and the closure costs
+one Groebner basis.  A table with an entry of degree >= 2 takes rounds of
+bracketing basis elements and extending the basis until nothing new appears.
 """
 
 from __future__ import annotations
@@ -37,7 +48,11 @@ from .poisson import CPoly, PoissonAlgebra, poisson_bracket
 
 Exponents = tuple[int, ...]
 
-_MAX_CLOSURE_ROUNDS = 100
+# Passes of either closure route.  For linear brackets each breadth-first
+# level adds at least one vector, so the level count is bounded by the
+# dimension of the ad-stable span; the paper's ideal for e^n needs about
+# 2n+1 levels.
+_MAX_CLOSURE_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -314,14 +329,78 @@ def is_poisson_ideal(ideal: CommIdeal, algebra: PoissonAlgebra) -> bool:
 def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
     """Smallest Poisson ideal containing the given one.
 
+    For a table whose entries all have degree <= 1 this is (M), M the
+    smallest ad-stable span of the ideal's generators (see the module
+    docstring).  Each breadth-first level brackets the vectors new at the
+    level before with every variable and keeps their remainders modulo a
+    fully reduced row echelon of M so far; the closure is then the reduced
+    Groebner basis of M in the ideal's order.  M starts from the generators,
+    not the reduced basis, whose ring multiples (e^(n-1)h^2 and the like)
+    would make it far larger.  Other tables go to `_closure_by_rounds`.  A
+    level counts as a round against `_MAX_CLOSURE_ROUNDS`.
+    """
+    if ideal.variables != algebra.variables:
+        raise ValueError("ideal is not over the algebra's variables")
+    n = len(algebra.variables)
+    entries = [[algebra.bracket_entry(i, k) for i in range(n)] for k in range(n)]
+    if any(p.degree() > 1 for row in entries for p in row):
+        return _closure_by_rounds(ideal, algebra)
+    # {x^a, x_k} = sum_i a_i x^(a - u_i) {x_i, x_k}, u_i the i-th unit vector:
+    # per k, the triples (i, b - u_i, c) over the terms c x^b of {x_i, x_k}.
+    shifts = [[(i, tuple(x - (j == i) for j, x in enumerate(b)), c)
+               for i, entry in enumerate(row) for b, c in entry.terms.items()]
+              for row in entries]
+    key = ideal._key
+    rows: dict[Exponents, Terms] = {}  # pivot -> row, 1 there, 0 at other pivots
+
+    def ad(terms: Terms, k: int) -> Terms:
+        out: Terms = {}
+        for a, c in terms.items():
+            for i, shift, b in shifts[k]:
+                if a[i]:
+                    _accumulate(out, tuple(x + y for x, y in zip(a, shift)),
+                                c * a[i] * b)
+        return out
+
+    def insert(terms: Terms) -> Terms:
+        """Remainder of `terms` modulo the rows, added to them when nonzero."""
+        work = dict(terms)
+        for pivot in [e for e in work if e in rows]:
+            c = work[pivot]
+            for e, x in rows[pivot].items():
+                _accumulate(work, e, -c * x)
+        if work:
+            pivot, _, work = _monic_entry(work, key)
+            for row in rows.values():
+                c = row.get(pivot)
+                if c:
+                    for e, x in work.items():
+                        _accumulate(row, e, -c * x)
+            rows[pivot] = dict(work)  # later inserts reduce rows in place
+        return work
+
+    level = [r for g in ideal.generators if (r := insert(g.terms))]
+    for depth in range(_MAX_CLOSURE_ROUNDS):
+        level = [r for t in level for k in range(n) if (r := insert(ad(t, k)))]
+        if not level:
+            if depth == 0:  # the generators span an ad-stable space
+                return ideal
+            zero = CPoly.zero(ideal.variables)
+            return CommIdeal(ideal.variables, [zero._new(t) for t in rows.values()],
+                             ideal.order)
+    raise BudgetExceeded(
+        f"poisson closure did not stabilize within {_MAX_CLOSURE_ROUNDS} rounds")
+
+
+def _closure_by_rounds(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
+    """Poisson closure for any bracket table, by rounds of extension.
+
     Each round brackets the basis elements not bracketed before with the
     generators and extends the reduced basis by the brackets outside the
     ideal.  A basis element kept from an earlier round needs no new bracket:
     its brackets already lie in the earlier, smaller ideal.  The ascending
     chain of ideals stabilizes, and the fixpoint is bracket-stable.
     """
-    if ideal.variables != algebra.variables:
-        raise ValueError("ideal is not over the algebra's variables")
     gens = [algebra.var(v) for v in algebra.variables]
     current = ideal
     bracketed: set[CPoly] = set()

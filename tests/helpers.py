@@ -29,9 +29,9 @@ def nonzero(rng, make):
             return value
 
 
-def random_exponents(rng, n_vars, max_degree):
+def random_exponents(rng, n_vars, max_degree, min_degree=0):
     exps = [0] * n_vars
-    for _ in range(rng.randint(0, max_degree)):
+    for _ in range(rng.randint(min_degree, max_degree)):
         exps[rng.randrange(n_vars)] += 1
     return tuple(exps)
 
@@ -46,10 +46,11 @@ def random_ncpoly(rng, presentation, max_degree=3, max_terms=3, coeff_degree=1):
     return NCPoly(presentation, terms)
 
 
-def random_cpoly(rng, variables=("e", "f", "h"), max_degree=2, max_terms=3):
+def random_cpoly(rng, variables=("e", "f", "h"), max_degree=2, max_terms=3,
+                 min_degree=0):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        exps = random_exponents(rng, len(variables), max_degree)
+        exps = random_exponents(rng, len(variables), max_degree, min_degree)
         terms[exps] = terms.get(exps, Fraction(0)) + random_fraction(rng)
     return CPoly(variables, terms)
 

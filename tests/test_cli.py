@@ -1,5 +1,6 @@
 """Tests for the expression language and the command-line front end."""
 
+import ast
 import json
 import os
 import random
@@ -225,6 +226,16 @@ class TestExitCodeCorpus:
         assert err.startswith("error: ") and "within 2 rounds" in err
         assert "Traceback" not in err
         assert issubclass(BudgetExceeded, RuntimeError)
+
+    def test_large_n_runs(self, capsys):
+        # The closure of e^50 takes more than 100 bracket passes.
+        assert main(["verify-paper", "--n-min", "50", "--n-max", "50",
+                     "--samples", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        details = next(c["details"] for c in report["checks"]
+                       if c["name"] == "n=50:poisson_closure")
+        basis = ast.literal_eval(details.split("closure basis: ", 1)[1])
+        assert len(basis) == 2 * 50 + 2
 
 
 class TestReportStability:

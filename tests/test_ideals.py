@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import degree_slice_basis, random_cpoly
+from sclim import ideals
 from sclim.ideals import (CommIdeal, MonomialOrder, groebner, ideal_equal,
                           is_poisson_ideal, leading_term, membership,
                           nilpotent_nonprime_witness, poisson_closure,
                           reduce_poly, s_polynomial)
 from sclim.pbw import B
-from sclim.poisson import CPoly, poisson_bracket, semiclassical_limit
+from sclim.poisson import (CPoly, PoissonAlgebra, poisson_bracket,
+                           semiclassical_limit)
 
 VARS = ("e", "f", "h")
 
@@ -183,6 +185,67 @@ class TestClosure:
             assert ideal_equal(poisson_closure(closure, algebra), closure)
             if is_poisson_ideal(ideal, algebra):
                 assert ideal_equal(closure, ideal)
+
+
+class TestKostantShape:
+    @pytest.mark.parametrize("n", [*range(2, 13), 20, 40, 60])
+    def test_closure_of_the_paper_images(self, n):
+        # Kostant: S(sl2) is the invariants tensor the harmonics, so the
+        # closure of (e^n, 4ef + h^2) is (4ef + h^2) + (e, f, h)^n.  Its
+        # reduced basis in degrevlex is ef + h^2/4 and the 2n+1 degree-n
+        # monomials not divisible by ef: e^a h^(n-a) and f^b h^(n-b).  At
+        # n = 2, h^2 is one of them and reduces the invariant to ef.
+        closure = poisson_closure(
+            CommIdeal(VARS, [mono((n, 0, 0)),
+                             4 * mono((1, 1, 0)) + mono((0, 0, 2))]), b1())
+        invariant = mono((1, 1, 0)) + (mono((0, 0, 2), Fraction(1, 4)) if n > 2 else 0)
+        expected = ({invariant}
+                    | {mono((a, 0, n - a)) for a in range(n + 1)}
+                    | {mono((0, b, n - b)) for b in range(1, n + 1)})
+        assert len(closure.reduced_gb) == 2 * n + 2
+        assert set(closure.reduced_gb) == expected
+
+
+XYZ = ("x", "y", "z")
+
+
+def xyz(name):
+    return CPoly.variable(name, XYZ)
+
+
+# Bracket tables by the degree of their entries: three linear ones (sl2*,
+# Heisenberg, and a constant {x, y} = 1 with z central) take the span route;
+# the log-canonical {x, y} = xy, {y, z} = yz, {x, z} = xz takes the rounds.
+TABLES = {
+    "B1": b1,
+    "heisenberg": lambda: PoissonAlgebra(XYZ, {("x", "y"): xyz("z")}),
+    "constant": lambda: PoissonAlgebra(XYZ, {("x", "y"): CPoly.const(1, XYZ)}),
+    "quadratic": lambda: PoissonAlgebra(
+        XYZ, {(a, b): xyz(a) * xyz(b) for a, b in [("x", "y"), ("x", "z"),
+                                                   ("y", "z")]}),
+}
+
+
+class TestClosureRoutes:
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_routes_agree(self, name, kind, monkeypatch):
+        rounds = []
+        by_rounds = ideals._closure_by_rounds
+        monkeypatch.setattr(ideals, "_closure_by_rounds",
+                            lambda *args: rounds.append(args) or by_rounds(*args))
+        algebra = TABLES[name]()
+        order = MonomialOrder(kind, algebra.variables)
+        rng = random.Random(f"{name}-{kind}")
+        for _ in range(20):
+            gens = [random_cpoly(rng, algebra.variables, max_degree=3, max_terms=2,
+                                 min_degree=2)
+                    for _ in range(rng.randint(1, 2))]
+            ideal = CommIdeal(algebra, gens, order)
+            closure = poisson_closure(ideal, algebra)
+            assert closure.reduced_gb == by_rounds(ideal, algebra).reduced_gb
+            assert is_poisson_ideal(closure, algebra)
+        assert len(rounds) == (20 if name == "quadratic" else 0)
 
 
 class TestWitness:
