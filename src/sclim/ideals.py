@@ -20,7 +20,8 @@ On top of membership sit the Poisson-theoretic operations: `is_poisson_ideal`
 tests bracket stability on basis elements against generators (enough, by
 Leibniz), `poisson_closure` builds the smallest Poisson ideal containing an
 ideal, and `nilpotent_nonprime_witness` certifies non-primeness from a pair
-g, k with g**k inside and g outside.
+g, k with g**k inside and g outside.  All three bracket through
+`PoissonAlgebra.ad`, {p, x_k} on term dicts.
 
 The closure has two routes, picked from the bracket table alone.  When every
 entry {x_i, x_j} has degree <= 1 (a Lie-Poisson table, possibly with
@@ -31,7 +32,7 @@ Leibniz, {a*m, x} = {a, x}*m + a*{m, x} lies in (M) for every m in M, so (M)
 is Poisson, and every Poisson ideal that contains the generators contains
 M.  M is spanned breadth-first against a row echelon, and the closure costs
 one Groebner basis.  A table with an entry of degree >= 2 takes rounds of
-bracketing basis elements and extending the basis until nothing new appears.
+bracketing what the last round added and extending the basis by it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded
 from .pbw import _accumulate
-from .poisson import CPoly, PoissonAlgebra, poisson_bracket
+from .poisson import CPoly, PoissonAlgebra
 
 Exponents = tuple[int, ...]
 
@@ -175,7 +176,8 @@ def _extend(basis: Sequence[Entry], new: Iterable[Terms], key) -> list[Entry]:
     zero.  Pairs of two elements of `basis` are never formed either: `basis`
     is a Groebner basis, so their S-polynomials already reduce to zero
     modulo it, and a fortiori modulo any larger set, which is all
-    Buchberger's criterion asks of a pair.
+    Buchberger's criterion asks of a pair.  `new` is taken smallest leading
+    term first, by a stable sort, so the work does not depend on its order.
     """
     basis = list(basis)
     heap: list = []
@@ -190,7 +192,7 @@ def _extend(basis: Sequence[Entry], new: Iterable[Terms], key) -> list[Entry]:
                 heapq.heappush(heap, (key(lcm), -next(seq), i, j))
         basis.append(g)
 
-    for terms in new:
+    for terms in sorted((t for t in new if t), key=lambda t: key(max(t, key=key))):
         remainder = _reduce(terms, basis, key)
         if remainder:
             add(remainder)
@@ -284,7 +286,7 @@ class CommIdeal:
         out = CommIdeal.__new__(CommIdeal)
         out.variables, out.order, out._key = self.variables, self.order, self._key
         out.generators = self.reduced_gb + extra
-        basis = _extend(self._basis, [g.terms for g in extra if g.terms], self._key)
+        basis = _extend(self._basis, [g.terms for g in extra], self._key)
         out._set_basis(_polys(self.variables, basis))
         return out
 
@@ -321,9 +323,8 @@ def is_poisson_ideal(ideal: CommIdeal, algebra: PoissonAlgebra) -> bool:
     variable x; by Leibniz this already gives {I, A} contained in I."""
     if ideal.variables != algebra.variables:
         raise ValueError("ideal is not over the algebra's variables")
-    gens = [algebra.var(v) for v in algebra.variables]
-    return all(ideal.contains(poisson_bracket(algebra, g, x))
-               for g in ideal.reduced_gb for x in gens)
+    return not any(_reduce(algebra.ad(g.terms, k), ideal._basis, ideal._key)
+                   for g in ideal.reduced_gb for k in range(len(algebra.variables)))
 
 
 def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
@@ -341,26 +342,11 @@ def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
     """
     if ideal.variables != algebra.variables:
         raise ValueError("ideal is not over the algebra's variables")
-    n = len(algebra.variables)
-    entries = [[algebra.bracket_entry(i, k) for i in range(n)] for k in range(n)]
-    if any(p.degree() > 1 for row in entries for p in row):
+    if any(p.degree() > 1 for p in algebra._table.values()):
         return _closure_by_rounds(ideal, algebra)
-    # {x^a, x_k} = sum_i a_i x^(a - u_i) {x_i, x_k}, u_i the i-th unit vector:
-    # per k, the triples (i, b - u_i, c) over the terms c x^b of {x_i, x_k}.
-    shifts = [[(i, tuple(x - (j == i) for j, x in enumerate(b)), c)
-               for i, entry in enumerate(row) for b, c in entry.terms.items()]
-              for row in entries]
+    n = len(algebra.variables)
     key = ideal._key
     rows: dict[Exponents, Terms] = {}  # pivot -> row, 1 there, 0 at other pivots
-
-    def ad(terms: Terms, k: int) -> Terms:
-        out: Terms = {}
-        for a, c in terms.items():
-            for i, shift, b in shifts[k]:
-                if a[i]:
-                    _accumulate(out, tuple(x + y for x, y in zip(a, shift)),
-                                c * a[i] * b)
-        return out
 
     def insert(terms: Terms) -> Terms:
         """Remainder of `terms` modulo the rows, added to them when nonzero."""
@@ -381,7 +367,8 @@ def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
 
     level = [r for g in ideal.generators if (r := insert(g.terms))]
     for depth in range(_MAX_CLOSURE_ROUNDS):
-        level = [r for t in level for k in range(n) if (r := insert(ad(t, k)))]
+        level = [r for t in level for k in range(n)
+                 if (r := insert(algebra.ad(t, k)))]
         if not level:
             if depth == 0:  # the generators span an ad-stable space
                 return ideal
@@ -395,23 +382,23 @@ def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
 def _closure_by_rounds(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
     """Poisson closure for any bracket table, by rounds of extension.
 
-    Each round brackets the basis elements not bracketed before with the
-    generators and extends the reduced basis by the brackets outside the
-    ideal.  A basis element kept from an earlier round needs no new bracket:
-    its brackets already lie in the earlier, smaller ideal.  The ascending
-    chain of ideals stabilizes, and the fixpoint is bracket-stable.
+    Each round brackets the remainders the round before added (at first, the
+    ideal's generators) with every variable, and extends the reduced basis
+    by the remainders of those brackets.  Earlier generators need no new
+    bracket: theirs lie in the current ideal already.  So the round that
+    adds nothing leaves an ideal whose generators all bracket into it, which
+    by Leibniz is Poisson.  The ascending chain of ideals stabilizes.
     """
-    gens = [algebra.var(v) for v in algebra.variables]
-    current = ideal
-    bracketed: set[CPoly] = set()
+    zero = CPoly.zero(ideal.variables)
+    n = len(algebra.variables)
+    current, fresh = ideal, ideal.generators
     for _ in range(_MAX_CLOSURE_ROUNDS):
-        fresh = [g for g in current.reduced_gb if g not in bracketed]
-        bracketed.update(fresh)
-        new = [poisson_bracket(algebra, g, x) for g in fresh for x in gens]
-        new = [p for p in new if not current.contains(p)]
-        if not new:
+        fresh = [zero._new(r) for g in fresh for k in range(n)
+                 if (r := _reduce(algebra.ad(g.terms, k), current._basis,
+                                  current._key))]
+        if not fresh:
             return current
-        current = current.with_extra_generators(new)
+        current = current.with_extra_generators(fresh)
     raise BudgetExceeded(
         f"poisson closure did not stabilize within {_MAX_CLOSURE_ROUNDS} rounds")
 

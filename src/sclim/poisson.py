@@ -3,9 +3,12 @@
 `CPoly` is a commutative polynomial over the rationals in a fixed variable
 list (default e, f, h), stored as a map from exponent vectors to nonzero
 coefficients.  A `PoissonAlgebra` adds a bracket table b_ij = {x_i, x_j} for
-i < j; the bracket of two polynomials is the biderivation extension
+i < j, and owns the derivation table built from it once: its `ad` gives
+{x^a, x_k} = sum_i a_i x^(a - u_i) b_ik, u_i the i-th unit vector, and no
+other code turns table entries into brackets.  The bracket of two
+polynomials is the biderivation extension
 
-    {a, b} = sum_{i<j} (da/dx_i db/dx_j - da/dx_j db/dx_i) b_ij,
+    {a, b} = sum_k {a, x_k} db/dx_k,
 
 which is antisymmetric and Leibniz by construction.  Whether the Jacobi
 identity holds is a property of the table; it is checked on generator triples
@@ -96,16 +99,6 @@ class CPoly(SparsePoly):
                 _accumulate(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
         return self._new(out)
 
-    def partial(self, index: int) -> "CPoly":
-        """Partial derivative with respect to the index-th variable."""
-        out: dict[Exponents, Rational] = {}
-        for exps, c in self.terms.items():
-            e = exps[index]
-            if e:
-                # Monomials the derivative does not kill stay distinct.
-                out[exps[:index] + (e - 1,) + exps[index + 1:]] = c * e
-        return self._new(out)
-
     def __hash__(self) -> int:
         return hash((self.variables, tuple(sorted(self.terms.items()))))
 
@@ -138,9 +131,15 @@ class PoissonAlgebra:
                 raise ValueError("bracket entry over the wrong variable list")
             self._table[(i, j)] = poly
         zero = CPoly.zero(self.variables)
-        for i in range(len(self.variables)):
-            for j in range(i + 1, len(self.variables)):
+        n = len(self.variables)
+        for i in range(n):
+            for j in range(i + 1, n):
                 self._table.setdefault((i, j), zero)
+        # Per k, the triples (i, b - u_i, c) over the terms c x^b of {x_i, x_k}.
+        self._derivations = [
+            [(i, tuple(x - (m == i) for m, x in enumerate(b)), c)
+             for i in range(n) for b, c in self.bracket_entry(i, k).terms.items()]
+            for k in range(n)]
         self.jacobi_certificate = tuple(jacobi_residuals(self))
 
     @property
@@ -160,6 +159,16 @@ class PoissonAlgebra:
         if i < j:
             return self._table[(i, j)]
         return -self._table[(j, i)]
+
+    def ad(self, terms: Mapping[Exponents, Rational], k: int) -> dict:
+        """{p, x_k} as a term dict, p given by its term dict."""
+        out: dict[Exponents, Rational] = {}
+        for a, c in terms.items():
+            for i, shift, b in self._derivations[k]:
+                if a[i]:
+                    _accumulate(out, tuple(x + y for x, y in zip(a, shift)),
+                                c * a[i] * b)
+        return out
 
     def bracket_of(self, a: str, b: str) -> CPoly:
         index = {v: k for k, v in enumerate(self.variables)}
@@ -187,21 +196,20 @@ class PoissonAlgebra:
 
 
 def poisson_bracket(algebra: PoissonAlgebra, a: CPoly, b: CPoly) -> CPoly:
-    """Biderivation extension of the generator table to polynomials."""
+    """{a, b} = sum_k {a, x_k} db/dx_k, with {a, x_k} from `algebra.ad`."""
     if a.variables != algebra.variables or b.variables != algebra.variables:
         raise ValueError("operands are not over this algebra's variables")
-    out = CPoly.zero(algebra.variables)
-    n = len(algebra.variables)
-    partials_a = [a.partial(k) for k in range(n)]
-    partials_b = [b.partial(k) for k in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = algebra.bracket_entry(i, j)
-            if entry.is_zero():
-                continue
-            piece = partials_a[i] * partials_b[j] - partials_a[j] * partials_b[i]
-            out = out + piece * entry
-    return out
+    out: dict[Exponents, Rational] = {}
+    for k in range(len(algebra.variables)):
+        ad_k = algebra.ad(a.terms, k)
+        for eb, cb in b.terms.items():
+            if eb[k]:
+                shift = eb[:k] + (eb[k] - 1,) + eb[k + 1:]
+                factor = cb * eb[k]
+                for ea, ca in ad_k.items():
+                    _accumulate(out, tuple(x + y for x, y in zip(ea, shift)),
+                                ca * factor)
+    return a._new(out)
 
 
 def jacobi_residuals(algebra: PoissonAlgebra) -> list[CPoly]:

@@ -1,10 +1,12 @@
-"""The Groebner engine against routes that share no code with it.
+"""The Groebner engine and the bracket against routes that share no code with them.
 
 `sympy.groebner` is a test-only oracle: on seeded random ideals in both
 orders its reduced basis must be the engine's, and a closure loop written
-here on sympy polynomials must give `poisson_closure`'s basis.  Hypothesis
-properties check that extending a reduced basis gives the basis computed
-from scratch.
+here on sympy polynomials must give `poisson_closure`'s basis.  A sympy
+biderivation built from a bracket table checks `poisson_bracket` over four
+tables, and the closure of the one quadratic table in both orders.
+Hypothesis properties check that extending a reduced basis gives the basis
+computed from scratch.
 """
 
 import random
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from helpers import random_cpoly
 from sclim.ideals import CommIdeal, MonomialOrder, groebner, poisson_closure
 from sclim.pbw import B
-from sclim.poisson import CPoly, semiclassical_limit
+from sclim.poisson import CPoly, PoissonAlgebra, poisson_bracket, semiclassical_limit
 
 VARS = ("e", "f", "h")
 E, F, H = SYMBOLS = sympy.symbols(VARS)
@@ -64,6 +66,42 @@ def sympy_closure(gens) -> set:
                             domain="QQ")
 
 
+# Bracket tables {(x, y): {x, y}} over e, f, h, one per kind of entry: linear
+# (sl2* and Heisenberg), constant, and quadratic (log-canonical).
+TABLES = {
+    "B1": {(E, F): H, (E, H): -2 * E, (F, H): 2 * F},
+    "heisenberg": {(E, F): H},
+    "constant": {(E, F): sympy.Integer(1)},
+    "log-canonical": {(E, F): E * F, (E, H): E * H, (F, H): F * H},
+}
+
+
+def table_bracket(table, a, b):
+    """{a, b} = sum over the table's pairs (x, y) of
+    (da/dx db/dy - da/dy db/dx) {x, y}."""
+    return sympy.expand(sum((sympy.diff(a, x) * sympy.diff(b, y)
+                             - sympy.diff(a, y) * sympy.diff(b, x)) * value
+                            for (x, y), value in table.items()))
+
+
+def table_algebra(table) -> PoissonAlgebra:
+    return PoissonAlgebra(VARS, {(str(x), str(y)): from_sympy(value)
+                                 for (x, y), value in table.items()})
+
+
+def table_closure(table, gens, kind: str) -> set:
+    """Adjoin brackets of the basis with e, f, h until all lie in the ideal."""
+    gb = sympy.groebner([to_sympy(g).as_expr() for g in gens], *SYMBOLS,
+                        order=SYMPY_ORDER[kind], domain="QQ")
+    while True:
+        new = [table_bracket(table, g, x) for g in gb.exprs for x in SYMBOLS]
+        new = [p for p in new if not gb.contains(p)]
+        if not new:
+            return {from_sympy(g) for g in gb.exprs}
+        gb = sympy.groebner(list(gb.exprs) + new, *SYMBOLS,
+                            order=SYMPY_ORDER[kind], domain="QQ")
+
+
 def mono(exps, coeff=1):
     return CPoly.monomial(exps, coeff, VARS)
 
@@ -100,6 +138,37 @@ class TestAgainstSympy:
             gens = [g for g in gens if not g.is_zero()]
             closure = poisson_closure(CommIdeal(b1, gens), b1)
             assert set(closure.reduced_gb) == sympy_closure(gens)
+
+
+class TestBracketAgainstSympy:
+    def test_b1_table_is_the_semiclassical_limit(self):
+        assert table_algebra(TABLES["B1"]) == semiclassical_limit(B())
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_random_pairs(self, name):
+        table = TABLES[name]
+        algebra = table_algebra(table)
+        rng = random.Random(f"bracket-{name}")
+        for _ in range(40):
+            a, b = (random_cpoly(rng, VARS, max_degree=4, max_terms=4)
+                    for _ in range(2))
+            expected = table_bracket(table, to_sympy(a).as_expr(),
+                                     to_sympy(b).as_expr())
+            assert poisson_bracket(algebra, a, b) == from_sympy(expected)
+
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    def test_closure_over_the_log_canonical_table(self, kind):
+        # A quadratic table: `poisson_closure` takes its rounds.
+        table = TABLES["log-canonical"]
+        algebra = table_algebra(table)
+        order = MonomialOrder(kind, VARS)
+        rng = random.Random(f"log-canonical-{kind}")
+        for _ in range(10):
+            gens = [random_cpoly(rng, VARS, max_degree=3, max_terms=2, min_degree=1)
+                    for _ in range(rng.randint(1, 2))]
+            gens = [g for g in gens if not g.is_zero()]
+            closure = poisson_closure(CommIdeal(algebra, gens, order), algebra)
+            assert set(closure.reduced_gb) == table_closure(table, gens, kind)
 
 
 # -- incremental extension ------------------------------------------------------------

@@ -95,6 +95,24 @@ class TestGroebner:
                 s = s_polynomial(f, g, key)
                 assert reduce_poly(s, gb, key).is_zero()
 
+    def test_pair_count_does_not_depend_on_generator_order(self, monkeypatch):
+        # The n = 12 closure's span, fed smallest or largest leading term
+        # first, once formed 299 and 1,044 S-polynomials.
+        closure = poisson_closure(
+            CommIdeal(VARS, [mono((12, 0, 0)),
+                             4 * mono((1, 1, 0)) + mono((0, 0, 2))]), b1())
+        key = closure._key
+        gens = sorted(closure.generators, key=lambda g: key(leading_term(g, key)[0]))
+        s_terms, counts, bases = ideals._s_terms, [], []
+        for ordered in (gens, gens[::-1]):
+            calls = []
+            monkeypatch.setattr(ideals, "_s_terms",
+                                lambda *args: calls.append(1) or s_terms(*args))
+            bases.append(CommIdeal(VARS, ordered).reduced_gb)
+            counts.append(len(calls))
+        assert bases[0] == bases[1] == closure.reduced_gb
+        assert counts[0] == counts[1]
+
     def test_every_generator_reduces_to_zero(self):
         rng = random.Random(403)
         for _ in range(50):
