@@ -14,7 +14,9 @@ Canonical forms:
   coefficients and the pair is unique; zero is ``((), 1)``.  Arithmetic runs
   on ints, with one `math.gcd` per result whose denominator is not 1.
 * `Scalar` keeps numerator and denominator coprime with a monic denominator,
-  so zero tests and equality are cheap and exact.
+  so zero tests and equality are cheap and exact.  Sums, differences,
+  products and negatives of polynomial scalars (denominator 1, constants
+  included) run on the operands' ints and build num/1 with no `UniPoly` op.
 
 A scalar whose denominator is a power of the variable is "Laurent"; one whose
 denominator does not vanish at a point is "regular" there and can be
@@ -24,6 +26,7 @@ omitted when 1), which is exactly ``str(Fraction)``.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -48,6 +51,40 @@ def _join_vars(a: "UniPoly", b: "UniPoly") -> str:
     if b.is_constant():
         return a.var
     raise ValueError(f"cannot mix variables {a.var!r} and {b.var!r}")
+
+
+def _ints_sum(x: Sequence[int], dx: int, y: Sequence[int],
+              dy: int) -> tuple[list[int], int]:
+    """x/dx + y/dy as (ints, den); trailing zeros and common content stay."""
+    if dx != dy:
+        g = gcd(dx, dy)
+        x = [c * (dy // g) for c in x]
+        y = [c * (dx // g) for c in y]
+        dx *= dy // g
+    if len(x) == 1 == len(y):
+        return [x[0] + y[0]], dx
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(map(operator.add, x, y))
+    out += x[len(y):]
+    return out, dx
+
+
+def _ints_product(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """The ints of the product of two int polynomials, constant term first."""
+    if len(y) == 1:
+        x, y = y, x
+    if len(x) != 1:
+        out = [0] * (len(x) + len(y) - 1)
+        for i, c in enumerate(x):
+            if c:
+                for j, d in enumerate(y):
+                    out[i + j] += c * d
+        return out
+    if len(y) == 1:
+        return [x[0] * y[0]]
+    c = x[0]
+    return [c * d for d in y]
 
 
 def _canonical(ints: list[int], den: int, var: str) -> "UniPoly":
@@ -150,17 +187,7 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         var = _join_vars(self, other)
-        a, da, b, db = self._ints, self._den, other._ints, other._den
-        if da != db:
-            g = gcd(da, db)
-            a = [x * (db // g) for x in a]
-            b = [y * (da // g) for y in b]
-            da *= db // g
-        if len(a) < len(b):
-            a, b = b, a
-        out = [x + y for x, y in zip(a, b)]
-        out += a[len(b):]
-        return _canonical(out, da, var)
+        return _canonical(*_ints_sum(self._ints, self._den, other._ints, other._den), var)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
@@ -170,21 +197,8 @@ class UniPoly:
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         var = _join_vars(self, other)
-        a, b = self._ints, other._ints
-        if not a or not b:
-            return UniPoly._raw((), 1, var)
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:
-            c = a[0]
-            out = [c * y for y in b]
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-        return _canonical(out, self._den * other._den, var)
+        return _canonical(_ints_product(self._ints, other._ints),
+                          self._den * other._den, var)
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
@@ -308,11 +322,11 @@ class Scalar:
 
     @classmethod
     def of(cls, value: int | str | Rational, var: str = "t") -> "Scalar":
-        return _over_one(UniPoly.const(value, var), var)
+        return _over(UniPoly.const(value, var), _unit(var))
 
     @classmethod
     def variable(cls, var: str = "t") -> "Scalar":
-        return _over_one(UniPoly.variable(var), var)
+        return _over(UniPoly.variable(var), _unit(var))
 
     @property
     def var(self) -> str:
@@ -361,22 +375,25 @@ class Scalar:
         return None
 
     def __add__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = other if other.__class__ is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        if _polynomial(self, o):
-            return _over_one(self.num + o.num, o.var)
-        return Scalar(self.num * o.den + o.num * self.den, self.den * o.den)
+        a, b = self.num, o.num
+        if len(self.den._ints) != 1 or len(o.den._ints) != 1:
+            return Scalar(a * o.den + b * self.den, self.den * o.den)
+        return _poly_result(self, o, *_ints_sum(a._ints, a._den, b._ints, b._den))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = other if other.__class__ is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        if _polynomial(self, o):
-            return _over_one(self.num - o.num, o.var)
-        return Scalar(self.num * o.den - o.num * self.den, self.den * o.den)
+        a, b = self.num, o.num
+        if len(self.den._ints) != 1 or len(o.den._ints) != 1:
+            return Scalar(a * o.den - b * self.den, self.den * o.den)
+        neg = [-c for c in b._ints]
+        return _poly_result(self, o, *_ints_sum(a._ints, a._den, neg, b._den))
 
     def __rsub__(self, other) -> "Scalar":
         o = self._coerce(other)
@@ -385,17 +402,19 @@ class Scalar:
         return o - self
 
     def __neg__(self) -> "Scalar":
-        if self.is_polynomial():
-            return _over_one(-self.num, self.var)
-        return Scalar(-self.num, self.den)
+        n = self.num
+        if len(self.den._ints) != 1:
+            return Scalar(-n, self.den)
+        return _poly_result(self, self, [-c for c in n._ints], n._den)
 
     def __mul__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = other if other.__class__ is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        if _polynomial(self, o):
-            return _over_one(self.num * o.num, o.var)
-        return Scalar(self.num * o.num, self.den * o.den)
+        a, b = self.num, o.num
+        if len(self.den._ints) != 1 or len(o.den._ints) != 1:
+            return Scalar(a * b, self.den * o.den)
+        return _poly_result(self, o, _ints_product(a._ints, b._ints), a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -455,27 +474,41 @@ class Scalar:
         return {"var": self.var, "num": self.num.to_json(), "den": self.den.to_json()}
 
 
-def _polynomial(a: Scalar, b: Scalar) -> bool:
-    """True iff both denominators are 1 (a monic constant is 1)."""
-    return len(a.den._ints) == 1 and len(b.den._ints) == 1
-
-
 @lru_cache(maxsize=64)
 def _unit(var: str) -> UniPoly:
     return UniPoly.const(1, var)
 
 
-def _over_one(num: UniPoly, right_var: str) -> Scalar:
-    """num/1 from an operation on two polynomial scalars, without a gcd.
-
-    num/1 is already canonical.  The variable is the one the constructor
-    would pick for the same operation: a constant result takes the right
-    operand's, whose denominator it inherits; any other keeps num's own.
-    """
-    var = right_var if len(num._ints) <= 1 else num.var
+def _over(num: UniPoly, den: UniPoly) -> Scalar:
+    """num/den from parts that are already canonical, in one variable."""
     out = Scalar.__new__(Scalar)
-    out.num = num if num.var == var else UniPoly._raw(num._ints, num._den, var)
-    out.den = _unit(var)
+    out.num, out.den = num, den
+    return out
+
+
+def _poly_result(a: Scalar, b: Scalar, ints: list[int], den: int) -> Scalar:
+    """ints/den over 1, computed from polynomial scalars a and b, without Euclid.
+
+    Trailing zeros and the content common to den are removed here.  The
+    variable is the one the constructor would pick: a constant result takes
+    b's, whose denominator it shares; any other its nonconstant operand's.
+    Nonconstant operands in two variables raise ValueError, as in `UniPoly`.
+    """
+    x, y = a.num, b.num
+    if len(x._ints) > 1 < len(y._ints) and x.var != y.var:
+        raise ValueError(f"cannot mix variables {x.var!r} and {y.var!r}")
+    while ints and not ints[-1]:
+        ints.pop()
+    if den != 1:
+        g = gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    src = b if len(ints) <= 1 or len(y._ints) > 1 else a
+    num = UniPoly.__new__(UniPoly)
+    num._ints, num._den, num.var = tuple(ints), den, src.num.var
+    out = Scalar.__new__(Scalar)
+    out.num, out.den = num, src.den
     return out
 
 
@@ -509,16 +542,23 @@ def interpolate_band(points: Sequence[tuple[Rational, Rational]],
 
 def _lagrange(xs: Sequence[Rational], ys: Sequence[Rational], var: str) -> UniPoly:
     total = UniPoly((), var)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        basis = UniPoly.const(yi, var)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * UniPoly([-xj, 1], var).scale(1 / (xi - xj))
-        total = total + basis
+    for basis, yi in zip(_lagrange_basis(tuple(xs), var), ys):
+        if yi:
+            total = total + basis.scale(yi)
     return total
+
+
+@lru_cache(maxsize=64)
+def _lagrange_basis(xs: tuple[Rational, ...], var: str) -> tuple[UniPoly, ...]:
+    """The polynomials that are 1 at one node of xs and 0 at the others."""
+    out = []
+    for i, xi in enumerate(xs):
+        basis = UniPoly.const(1, var)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = basis * UniPoly([-xj, 1], var).scale(1 / (xi - xj))
+        out.append(basis)
+    return tuple(out)
 
 
 class ScalarMatrix:

@@ -32,7 +32,7 @@ from .limitmap import SampleSet, _ms_since, verify_counterexample
 from .pbw import (B, B_lambda, B_q, PBWPresentation, Usl2, check_pbw_overlaps,
                   commutator, growth_dimensions, growth_slope,
                   presentation_from_json)
-from .poisson import PoissonAlgebra, poisson_bracket, semiclassical_limit
+from .poisson import B1, PoissonAlgebra, poisson_bracket, semiclassical_limit
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,7 +66,7 @@ def _load_presentation(algebra: Optional[str], path: Optional[str]) -> PBWPresen
 
 def _limit_algebra(algebra: Optional[str], path: Optional[str]) -> PoissonAlgebra:
     if path is None and (algebra is None or algebra == "B1"):
-        return semiclassical_limit(B())
+        return B1()
     return semiclassical_limit(_load_presentation(algebra, path))
 
 
@@ -153,7 +153,7 @@ def _order_from_args(args, variables) -> MonomialOrder:
 
 
 def _cmd_closure(args) -> int:
-    algebra = semiclassical_limit(B())
+    algebra = B1()
     variables = algebra.variables
     gens = [parse_cpoly(text, variables) for text in _split_polys(args.ideal)]
     ideal = CommIdeal(variables, gens, _order_from_args(args, variables))

@@ -36,7 +36,7 @@ from .ideals import (CommIdeal, is_poisson_ideal, membership,
 from .pbw import (B, B_q, NCPoly, PBWPresentation, SwapRule, casimir,
                   commutator, is_central, multiply, sl2_representation,
                   annihilates)
-from .poisson import CPoly, semiclassical_limit
+from .poisson import B1, CPoly
 
 
 class SampleSet:
@@ -100,18 +100,37 @@ class FamilyElement:
         return out
 
 
+# Entries a fiber cache holds before it is emptied.
+_MAX_FIBERS = 64
+
+# Fibers by (id(p), value).  An entry holds p itself, so no other object can
+# take p's id while the entry lives; a presentation is fixed once
+# constructed, so its fiber at a value never changes.
+_fibers_by_presentation: dict[tuple[int, Rational],
+                              tuple[PBWPresentation, PBWPresentation]] = {}
+
+
 def specialize_presentation(p: PBWPresentation, value: Rational) -> PBWPresentation:
     """Fiber of a parametric presentation at a fixed parameter value.
 
-    Fibers are memoized by the presentation's structure and the value, so
-    each distinct fiber is built, and gets its overlap certificate, once.
+    Fibers are memoized by the presentation and the value, and behind that by
+    the presentation's structure, so each distinct fiber is built, and gets
+    its overlap certificate, once.
     """
     if not p.has_symbolic_parameter():
         raise ValueError(f"{p.name} has no symbolic parameter")
-    return _fiber(p.name, p.parameter, p._signature(), _as_rational(value))
+    value = _as_rational(value)
+    key = (id(p), value)
+    entry = _fibers_by_presentation.get(key)
+    if entry is None:
+        if len(_fibers_by_presentation) >= _MAX_FIBERS:
+            _fibers_by_presentation.clear()
+        entry = (p, _fiber(p.name, p.parameter, p._signature(), value))
+        _fibers_by_presentation[key] = entry
+    return entry[1]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_MAX_FIBERS)
 def _fiber(name: str, parameter: str, signature, value: Rational) -> PBWPresentation:
     # `PBWPresentation` is unhashable; its signature (generators, parameter
     # value, rules) holds everything a fiber is built from.
@@ -215,7 +234,7 @@ def gamma_hat_via_family(z: NCPoly, samples: SampleSet,
             degrees.append(max(c.num.degree, 0))
         band = (0, max(degrees, default=0))
     family = gamma_eval(z, samples)
-    reconstructed = gamma_inverse(family, band, parent=B())
+    reconstructed = gamma_inverse(family, band, parent=z.presentation)
     return specialize_at_one(reconstructed)
 
 
@@ -314,7 +333,7 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
 
     # (c) images in the limit, direct and via sampling
     started = time.perf_counter()
-    b1 = semiclassical_limit(B())
+    b1 = B1()
     expected_power = CPoly.monomial((n, 0, 0), 1, b1.variables)
     expected_central = (CPoly.monomial((1, 1, 0), 4, b1.variables)
                         + CPoly.monomial((0, 0, 2), 1, b1.variables))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -227,26 +228,30 @@ class PBWPresentation:
         return out
 
     def _monomial_product(self, a: Exponents, b: Exponents) -> dict[Exponents, Scalar]:
-        """Normal form of a·b: b's generators enter one at a time, lowest first."""
+        """Normal form of a·b: b's generators enter one at a time, lowest first.
+
+        When no generator of a lies above b's lowest one, a·b is already
+        ordered and is the single monomial a + b with coefficient `_one`.
+        """
         word = _exponents_to_word(b)
+        if not word or not any(a[word[0] + 1:]):
+            return {tuple(map(operator.add, a, b)): self._one}
         active: set[tuple[Exponents, int]] = set()
-        if word and any(a[word[0] + 1:]):
-            # The table's entry itself: callers only read it.
-            terms, word = self._times(a, word[0], active), word[1:]
-        else:
-            terms = {a: self._one}
-        for g in word:
+        # The table's entry itself: callers only read it.
+        terms = self._times(a, word[0], active)
+        for g in word[1:]:
             terms = self._apply(terms, g, active)
         return terms
 
     def _apply(self, terms: Mapping[Exponents, Scalar], g: int,
                active: set) -> dict[Exponents, Scalar]:
         """The sum of c·(u·x_g) over the terms u -> c."""
+        one = self._one
         out: dict[Exponents, Scalar] = {}
         for u, c in terms.items():
             if any(u[g + 1:]):
                 for v, cv in self._times(u, g, active).items():
-                    _accumulate(out, v, c * cv)
+                    _accumulate(out, v, c if cv is one else c * cv)
             else:
                 _accumulate(out, _bump(u, g), c)
         return out
@@ -535,11 +540,12 @@ def multiply(a: NCPoly, b: NCPoly) -> NCPoly:
     a._check_compatible(b)
     p = a.presentation
     out: dict[Exponents, Scalar] = {}
+    one = p._one
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
             factor = ca * cb
             for em, cm in p._monomial_product(ea, eb).items():
-                _accumulate(out, em, factor * cm)
+                _accumulate(out, em, factor if cm is one else factor * cm)
     return a._new(out)
 
 

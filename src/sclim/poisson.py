@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .arith import Rational, Scalar, _as_rational
 from .errors import NotCommutativeAtOne, PoleAtPoint
-from .pbw import (PBWPresentation, SparsePoly, _accumulate, _format_terms,
+from .pbw import (B, PBWPresentation, SparsePoly, _accumulate, _format_terms,
                   commutator)
 
 Exponents = tuple[int, ...]
@@ -257,3 +258,9 @@ def semiclassical_limit(p: PBWPresentation) -> PoissonAlgebra:
                 entry = entry + CPoly.monomial(exps, value, p.generators)
             table[(p.generators[i], p.generators[j])] = entry
     return PoissonAlgebra(p.generators, table)
+
+
+@lru_cache(maxsize=None)
+def B1() -> PoissonAlgebra:
+    """sl2* with its linear bracket: the semiclassical limit of B, built once."""
+    return semiclassical_limit(B())

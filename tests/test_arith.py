@@ -526,3 +526,58 @@ class TestHashAndConstants:
         assert calls == []
         assert products == [Fraction(-35, 3), Fraction(49, 9), 2]
         assert halved == Scalar(UniPoly([Fraction(1, 2), Fraction(3, 2)], "t"))
+
+
+@st.composite
+def polynomial_scalars_with_constants(draw):
+    """Polynomial scalars in t or q; about half are constants, zero included."""
+    var = draw(st.sampled_from(("t", "q")))
+    size = draw(st.sampled_from((0, 1, 1, 1, 2, 3, 4)))
+    coeffs = draw(st.lists(oracle_coefficients, min_size=size, max_size=size))
+    return Scalar(UniPoly(coeffs, var))
+
+
+SYMPY_OPS = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+             "mul": lambda x, y: x * y, "neg": lambda x, y: -x}
+
+
+class TestPolynomialScalarsAgainstSympy:
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(a=polynomial_scalars_with_constants(), b=polynomial_scalars_with_constants(),
+           op=st.sampled_from(sorted(SYMPY_OPS)))
+    def test_operations_on_the_ints(self, a, b, op):
+        if op == "neg":
+            b = a
+        if not a.is_constant() and not b.is_constant() and a.var != b.var:
+            with pytest.raises(ValueError, match="cannot mix variables"):
+                FAST[op](a, b)
+            with pytest.raises(ValueError, match="cannot mix variables"):
+                GENERAL[op](a, b)
+            return
+        result = FAST[op](a, b)
+        # A constant result takes the right operand's variable, any other
+        # the variable of its nonconstant operand.
+        if result.is_constant():
+            var = b.var
+        else:
+            var = a.var if b.is_constant() else b.var
+        assert result.var == result.num.var == result.den.var == var
+        assert result.is_polynomial() and result.den == UniPoly([1], var)
+        assert outcome(FAST[op], a, b) == outcome(GENERAL[op], a, b)
+        assert result == Scalar(result.num, result.den)
+        expected = SYMPY_OPS[op](to_sympy(a.num, var), to_sympy(b.num, var))
+        assert shape(result.num) == shape(expected)
+
+    @pytest.mark.parametrize("op", sorted(SYMPY_OPS))
+    def test_constants_in_another_variable_on_either_side(self, op):
+        t_poly, q_const = Scalar(UniPoly([1, 2], "t")), Scalar.of(Fraction(-3, 2), "q")
+        for a, b in [(t_poly, q_const), (q_const, t_poly), (q_const, Scalar.of(3, "t")),
+                     (Scalar.of(0, "q"), t_poly), (t_poly, Scalar.of(0, "q"))]:
+            result = FAST[op](a, b)
+            assert outcome(FAST[op], a, b) == outcome(GENERAL[op], a, b)
+            if op == "neg":
+                assert result.var == a.var
+            elif result.is_constant():
+                assert result.var == b.var
+            else:
+                assert result.var == "t"

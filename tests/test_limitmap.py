@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_ncpoly
-from sclim.arith import Scalar, UniPoly
+from sclim import arith, cli, limitmap, poisson
+from sclim.arith import Scalar, UniPoly, interpolate_band
 from sclim.errors import (InconsistentFamily, InsufficientSamples, PoleAtOne,
                           PoleAtSample)
 from sclim.limitmap import (FamilyElement, SampleSet, gamma_eval, gamma_hat,
                             gamma_hat_via_family, gamma_inverse,
                             specialize_at_one, specialize_presentation,
                             verify_counterexample)
-from sclim.pbw import B, B_lambda, B_q, casimir, commutator, multiply
+from sclim.pbw import (B, B_lambda, B_q, casimir, commutator, multiply,
+                       presentation_from_json)
 from sclim.poisson import CPoly, poisson_bracket, semiclassical_limit
 
 VARS = ("e", "f", "h")
@@ -95,6 +97,14 @@ class TestGammaEval:
         assert specialize_presentation(B(), 5) is first.fiber(5).presentation
         assert specialize_presentation(B_q(), 5) is not first.fiber(5).presentation
         assert specialize_presentation(B_q(), 5) == B_lambda(5)
+
+    def test_fiber_caches_are_bounded(self):
+        b = B()
+        fibers = [specialize_presentation(b, node) for node in range(2, 202)]
+        assert len(limitmap._fibers_by_presentation) <= limitmap._MAX_FIBERS == 64
+        assert limitmap._fiber.cache_info().currsize <= 64
+        # An evicted fiber is built again, equal to the one it replaces.
+        assert specialize_presentation(b, 2) == fibers[0] == B_lambda(2)
 
 
 class TestGammaInverse:
@@ -221,6 +231,54 @@ class TestSpecializeAtOne:
         for _ in range(25):
             z = random_ncpoly(rng, bq, max_degree=2, coeff_degree=2)
             assert gamma_hat_via_family(z, nodes) == gamma_hat(z)
+
+    def test_composite_route_stays_in_the_element_algebra(self):
+        # y x = q x y: at 1 the generators commute, so both routes send
+        # y*x to x*y in the commutative ring on x, y.
+        p = presentation_from_json({
+            "name": "quantum_plane", "generators": ["x", "y"],
+            "parameter": {"symbol": "q", "value": None},
+            "relations": [{"lhs": ["y", "x"], "coeff": "q", "rhs": []}]})
+        yx = multiply(p.gen("y"), p.gen("x"))
+        expected = CPoly.monomial((1, 1), 1, ("x", "y"))
+        assert gamma_hat(yx) == expected
+        assert gamma_hat_via_family(yx, SampleSet.integers(4)) == expected
+
+
+class TestInterpolationBasis:
+    def test_basis_is_cached_per_node_tuple_and_bounded(self):
+        arith._lagrange_basis.cache_clear()
+        for start in range(2, 202):
+            nodes = [start, start + 1, start + 2]
+            s = interpolate_band([(x, x * x) for x in nodes], 0)
+            assert s == Scalar(UniPoly([0, 0, 1]))
+        info = arith._lagrange_basis.cache_info()
+        assert info.currsize <= info.maxsize == 64
+        interpolate_band([(2, 1), (3, 5), (4, 7)])
+        interpolate_band([(2, -1), (3, 0), (4, 9)])
+        assert arith._lagrange_basis.cache_info().hits == info.hits + 1
+
+
+class TestLimitAlgebraIsBuiltOnce:
+    def test_one_semiclassical_limit_of_b(self, monkeypatch, capsys):
+        calls = []
+        original = poisson.semiclassical_limit
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(poisson, "semiclassical_limit", counted)
+        poisson.B1.cache_clear()
+        try:
+            for n in (2, 3):
+                assert verify_counterexample(n, SampleSet([2, 3, 5])).passed
+            assert cli.main(["closure", "--ideal", "e^2"]) == 0
+            assert cli.main(["bracket", "e", "f"]) == 0
+        finally:
+            poisson.B1.cache_clear()
+        capsys.readouterr()
+        assert calls == [B()]
 
 
 class TestVerifyCounterexample:

@@ -155,6 +155,40 @@ class TestProductEngine:
             assert len(p._table) <= cap
             assert got.terms == terms
 
+    @pytest.mark.parametrize("name", ["B", "B_q", "Usl2", "B_lambda(3/2)", "Q4"])
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_products_match_word_rewriting_term_by_term(self, name, data):
+        # Constant terms and unit coefficients are common, so the
+        # exponent-sum and unit-coefficient shortcuts are taken often.
+        p = ENGINE_ALGEBRAS[name]()
+        n, var = len(p.generators), p.coeff_var
+        exps = st.one_of(st.just((0,) * n), st.tuples(*[st.integers(0, 2)] * n))
+        coeffs = st.one_of(
+            st.just(p._one), st.just(Scalar.of(1, var)),
+            st.builds(lambda c: Scalar.of(c, var),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=2)),
+            st.builds(lambda c0, c1: Scalar(UniPoly([c0, c1], var)),
+                      st.integers(-2, 2), st.integers(-2, 2)))
+        polys = st.dictionaries(exps, coeffs, max_size=3).map(lambda t: NCPoly(p, t))
+        a, b = data.draw(polys), data.draw(polys)
+        expected = p.zero()
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                word = _exponents_to_word(ea) + _exponents_to_word(eb)
+                terms = p._word_normal_form(word)
+                expected = expected + NCPoly(p, terms).scale(ca * cb)
+        assert multiply(a, b) == expected
+
+    def test_ordered_pairs_add_exponents(self):
+        p = copy_of(B())
+        for a, b in [((0, 0, 0), (2, 1, 0)), ((1, 2, 0), (0, 0, 0)),
+                     ((2, 0, 0), (1, 0, 3)), ((1, 1, 0), (0, 2, 1))]:
+            product = p._monomial_product(a, b)
+            assert product == {tuple(x + y for x, y in zip(a, b)): p._one}
+            assert product[tuple(x + y for x, y in zip(a, b))] is p._one
+        assert p._table == {}
+
     def test_looping_rules_raise(self):
         one = Scalar.of(1, "t")
         p = PBWPresentation("loop", ("x", "y", "z"), {
