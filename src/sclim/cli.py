@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -37,8 +36,6 @@ from .poisson import B1, PoissonAlgebra, poisson_bracket, semiclassical_limit
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
-
-SAMPLES_ENV_VAR = "SCLIM_SAMPLES"
 
 _BUILTIN_ALGEBRAS = ("B", "B_q", "Usl2", "B_lambda:<value>")
 
@@ -205,14 +202,11 @@ def _cmd_overlaps(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    samples_default = os.environ.get(SAMPLES_ENV_VAR)
-    samples = args.samples if args.samples is not None else \
-        int(samples_default) if samples_default else 5
     if not 2 <= args.n_min <= args.n_max:
         raise ValueError("need 2 <= n-min <= n-max")
-    if samples < 3:
+    if args.samples < 3:
         raise ValueError("need at least 3 samples")
-    nodes = SampleSet.integers(samples)
+    nodes = SampleSet.integers(args.samples)
     checks = []
     all_passed = True
     for n in range(args.n_min, args.n_max + 1):
@@ -222,7 +216,7 @@ def _cmd_verify(args) -> int:
             checks.append(_timed_check(f"n={n}:{sub.name}", sub.passed,
                                        sub.details, sub.ms))
     config = {"command": "verify-paper", "n_min": args.n_min,
-              "n_max": args.n_max, "samples": samples,
+              "n_max": args.n_max, "samples": args.samples,
               "nodes": [str(x) for x in nodes]}
     print(_render(_make_report(config, checks, all_passed), args.format))
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
@@ -299,8 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the full verification pipeline per n")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--samples", type=int, default=None,
-                   help=f"sample node count (default 5, or ${SAMPLES_ENV_VAR})")
+    p.add_argument("--samples", type=int, default=5,
+                   help="sample node count (default 5)")
     p.add_argument("--format", default="json", choices=("json", "markdown"))
     p.set_defaults(handler=_cmd_verify)
 

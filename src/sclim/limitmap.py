@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .arith import Rational, Scalar, _as_rational, interpolate_band
@@ -33,9 +32,9 @@ from .errors import (InconsistentFamily, InsufficientSamples, PoleAtOne,
                      PoleAtPoint, PoleAtSample)
 from .ideals import (CommIdeal, is_poisson_ideal, membership,
                      nilpotent_nonprime_witness, poisson_closure)
-from .pbw import (B, B_q, NCPoly, PBWPresentation, SwapRule, casimir,
+from .pbw import (B, B_q, NCPoly, PBWPresentation, annihilates, casimir,
                   commutator, is_central, multiply, sl2_representation,
-                  annihilates)
+                  specialize_presentation)
 from .poisson import B1, CPoly
 
 
@@ -98,50 +97,6 @@ class FamilyElement:
         for fib in self.fibers:
             out.update(fib.terms)
         return out
-
-
-# Entries a fiber cache holds before it is emptied.
-_MAX_FIBERS = 64
-
-# Fibers by (id(p), value).  An entry holds p itself, so no other object can
-# take p's id while the entry lives; a presentation is fixed once
-# constructed, so its fiber at a value never changes.
-_fibers_by_presentation: dict[tuple[int, Rational],
-                              tuple[PBWPresentation, PBWPresentation]] = {}
-
-
-def specialize_presentation(p: PBWPresentation, value: Rational) -> PBWPresentation:
-    """Fiber of a parametric presentation at a fixed parameter value.
-
-    Fibers are memoized by the presentation and the value, and behind that by
-    the presentation's structure, so each distinct fiber is built, and gets
-    its overlap certificate, once.
-    """
-    if not p.has_symbolic_parameter():
-        raise ValueError(f"{p.name} has no symbolic parameter")
-    value = _as_rational(value)
-    key = (id(p), value)
-    entry = _fibers_by_presentation.get(key)
-    if entry is None:
-        if len(_fibers_by_presentation) >= _MAX_FIBERS:
-            _fibers_by_presentation.clear()
-        entry = (p, _fiber(p.name, p.parameter, p._signature(), value))
-        _fibers_by_presentation[key] = entry
-    return entry[1]
-
-
-@lru_cache(maxsize=_MAX_FIBERS)
-def _fiber(name: str, parameter: str, signature, value: Rational) -> PBWPresentation:
-    # `PBWPresentation` is unhashable; its signature (generators, parameter
-    # value, rules) holds everything a fiber is built from.
-    generators, _, rules = signature
-    fiber_rules = {
-        pair: SwapRule(Scalar.of(coeff.evaluate(value), parameter),
-                       {exps: Scalar.of(c.evaluate(value), parameter)
-                        for exps, c in tail})
-        for pair, coeff, tail in rules}
-    return PBWPresentation(f"{name}_fiber", generators, fiber_rules,
-                           parameter=parameter, parameter_value=value)
 
 
 def gamma_eval(b: NCPoly, samples: SampleSet) -> FamilyElement:
@@ -361,21 +316,22 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
         f"closure bracket-stable: {closure_stable}; "
         f"closure basis: {closure.basis_strings()}", _ms_since(started)))
 
-    # (e) sampled ideal elements land in the closure
+    # (e) sampled ideal elements land in the closure; e^n and the central
+    # generator keep their images from (c)
     started = time.perf_counter()
-    qm1 = q - 1
-    ideal_elements = [
-        ("e^n", gen_power),
-        ("central generator", gen_central),
-        ("(q-1)^-1 [e^n, f]", commutator(gen_power, f).scale(qm1.inverse())),
-        ("(q-1)^-1 [e^n, h]", commutator(gen_power, h).scale(qm1.inverse())),
-        ("(q-1)^-1 [central, f]", commutator(gen_central, f).scale(qm1.inverse())),
-    ]
+    qm1_inverse = (q - 1).inverse()
+    images = [("e^n", image_power, sampled_power),
+              ("central generator", image_central, sampled_central)]
+    for label, element in [
+            ("(q-1)^-1 [e^n, f]", commutator(gen_power, f)),
+            ("(q-1)^-1 [e^n, h]", commutator(gen_power, h)),
+            ("(q-1)^-1 [central, f]", commutator(gen_central, f))]:
+        element = element.scale(qm1_inverse)
+        images.append((label, gamma_hat(element),
+                       gamma_hat_via_family(element, samples)))
     element_reports = []
     all_in = True
-    for label, element in ideal_elements:
-        image = gamma_hat(element)
-        sampled = gamma_hat_via_family(element, samples)
+    for label, image, sampled in images:
         inside, _ = membership(image, closure)
         agrees = sampled == image
         all_in = all_in and inside and agrees

@@ -45,6 +45,9 @@ _MAX_REWRITE_STEPS = 2_000_000
 # Entries a presentation's product table holds before it is emptied.
 _MAX_TABLE_ENTRIES = 20_000
 
+# Entries a presentation's fiber memo holds before it is emptied.
+_MAX_FIBERS = 64
+
 
 class SwapRule:
     """x_j * x_i  ->  coeff * x_i * x_j + tail  (tail: exponents -> Scalar)."""
@@ -68,11 +71,13 @@ class SwapRule:
 class PBWPresentation:
     """Ordered generators plus swap rules.
 
-    Fixed once constructed, except the product table `_table`: normal
-    monomial m and generator index i -> the normal form of m·x_i, for every
-    such product with a generator of m above i.  It gains an entry for each
-    product not seen before, is written without a lock, and is emptied when
-    it holds `_MAX_TABLE_ENTRIES` entries.
+    Fixed once constructed, except two memos, each written without a lock
+    and emptied when full.  The product table `_table` maps a normal monomial
+    m and a generator index i to the normal form of m·x_i, for every such
+    product with a generator of m above i; it gains an entry for each product
+    not seen before and holds at most `_MAX_TABLE_ENTRIES`.  `_fibers` maps a
+    parameter value to the fiber at that value (see
+    `specialize_presentation`) and holds at most `_MAX_FIBERS`.
     """
 
     def __init__(self, name: str, generators: Sequence[str],
@@ -96,6 +101,7 @@ class PBWPresentation:
             self._validate_tail(j, i, rule)
         self._one = Scalar.of(1, self.coeff_var)
         self._table: dict[tuple[Exponents, int], dict[Exponents, Scalar]] = {}
+        self._fibers: dict[Rational, PBWPresentation] = {}
         # Confluence certificate, computed once here so shared presentations
         # never race on it.
         self._overlap_report = check_pbw_overlaps(self)
@@ -586,17 +592,6 @@ class OverlapReport:
     def failures(self) -> list[OverlapCheck]:
         return [c for c in self.checks if not c.ok]
 
-    def to_json(self) -> dict:
-        return {
-            "presentation": self.presentation_name,
-            "passed": self.passed,
-            "triples": [
-                {"triple": list(c.triple), "ok": c.ok,
-                 "left": str(c.left), "right": str(c.right)}
-                for c in self.checks
-            ],
-        }
-
 
 def check_pbw_overlaps(p: PBWPresentation) -> OverlapReport:
     """Reduce x_k x_j x_i both ways for every triple k > j > i and compare.
@@ -825,12 +820,9 @@ def sl2_representation(n: int) -> Representation:
 # -- built-in presentations -----------------------------------------------------
 
 
-def _deformation_rules(var: str, value: Optional[Rational]) -> dict[tuple[int, int], SwapRule]:
+def _deformation_rules(var: str) -> dict[tuple[int, int], SwapRule]:
     """Swap rules for generators e < f < h with commutators scaled by (par-1)."""
-    if value is None:
-        scale = Scalar(UniPoly([-1, 1], var))          # par - 1
-    else:
-        scale = Scalar.of(_as_rational(value) - 1, var)
+    scale = Scalar(UniPoly([-1, 1], var))          # par - 1
     one = Scalar.of(1, var)
     return {
         # f*e = e*f - (par-1) h
@@ -845,27 +837,46 @@ def _deformation_rules(var: str, value: Optional[Rational]) -> dict[tuple[int, i
 @lru_cache(maxsize=None)
 def B() -> PBWPresentation:
     """The parametric algebra on e < f < h over the Laurent ring in t."""
-    return PBWPresentation("B", ("e", "f", "h"), _deformation_rules("t", None),
+    return PBWPresentation("B", ("e", "f", "h"), _deformation_rules("t"),
                            parameter="t")
 
 
 @lru_cache(maxsize=None)
 def B_q() -> PBWPresentation:
     """The same family with symbolic parameter q."""
-    return PBWPresentation("B_q", ("e", "f", "h"), _deformation_rules("q", None),
+    return PBWPresentation("B_q", ("e", "f", "h"), _deformation_rules("q"),
                            parameter="q")
 
 
+def specialize_presentation(p: PBWPresentation, value: Rational) -> PBWPresentation:
+    """Fiber of a parametric presentation at a fixed parameter value.
+
+    Every coefficient and tail of p's swap rules is evaluated at `value`; the
+    fiber is named `<p.name>_lambda`.  It is memoized in `p._fibers`, so each
+    fiber of p is built, and gets its overlap certificate, once.
+    """
+    if not p.has_symbolic_parameter():
+        raise ValueError(f"{p.name} has no symbolic parameter")
+    value = _as_rational(value)
+    fiber = p._fibers.get(value)
+    if fiber is None:
+        var = p.parameter
+        rules = {
+            pair: SwapRule(Scalar.of(rule.coeff.evaluate(value), var),
+                           {exps: Scalar.of(c.evaluate(value), var)
+                            for exps, c in rule.tail.items()})
+            for pair, rule in p.swap_rules.items()}
+        fiber = PBWPresentation(f"{p.name}_lambda", p.generators, rules,
+                                parameter=var, parameter_value=value)
+        if len(p._fibers) >= _MAX_FIBERS:
+            p._fibers.clear()
+        p._fibers[value] = fiber
+    return fiber
+
+
 def B_lambda(lam) -> PBWPresentation:
-    """The fiber at a fixed numeric parameter value."""
-    return _b_lambda_cached(_as_rational(lam))
-
-
-@lru_cache(maxsize=64)
-def _b_lambda_cached(lam: Rational) -> PBWPresentation:
-    return PBWPresentation("B_lambda", ("e", "f", "h"),
-                           _deformation_rules("t", lam),
-                           parameter="t", parameter_value=lam)
+    """The fiber of `B` at a fixed numeric parameter value."""
+    return specialize_presentation(B(), lam)
 
 
 @lru_cache(maxsize=None)
@@ -933,9 +944,14 @@ def presentation_from_json(data: dict) -> PBWPresentation:
     symbol = None
     value = None
     if parameter is not None:
-        symbol = parameter["symbol"]
-        raw = parameter.get("value")
-        value = None if raw is None else Fraction(raw)
+        try:
+            symbol = parameter["symbol"]
+            raw = parameter.get("value")
+            value = None if raw is None else Fraction(raw)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad parameter entry: {exc}") from exc
+    if not isinstance(relations, list):
+        raise ParseError("relations must be a list")
     var = symbol if symbol is not None else "t"
     index = {g: k for k, g in enumerate(generators)}
     rules: dict[tuple[int, int], SwapRule] = {}
@@ -950,7 +966,7 @@ def presentation_from_json(data: dict) -> PBWPresentation:
                 for gen_name, e in term["monomial"].items():
                     exps[index[gen_name]] += int(e)
                 tail[tuple(exps)] = parse_scalar(term["coeff"], var)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad relation entry: {exc}") from exc
         if j <= i:
             raise ParseError(f"relation lhs [{gj}, {gi}] is not an out-of-order pair")

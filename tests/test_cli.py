@@ -163,12 +163,6 @@ class TestCommands:
         assert "| check | status |" in out
         assert "verdict: **pass**" in out
 
-    def test_samples_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCLIM_SAMPLES", "3")
-        assert main(["verify-paper", "--n-min", "2", "--n-max", "2"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["config"]["samples"] == 3
-
 
 def _strip_timings(record):
     if isinstance(record, dict):
@@ -201,6 +195,24 @@ class TestExitCodeCorpus:
         path = tmp_path / "broken.json"
         path.write_text("{ this is not json")
         assert main(["overlaps", "--file", str(path)]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("parameter", {"value": "2"}),
+        ("parameter", "t"),
+        ("relations", 5),
+        ("monomial", 5),
+    ])
+    def test_malformed_presentation_exits_two(self, tmp_path, capsys, field, value):
+        data = presentation_to_json(B())
+        if field == "monomial":
+            data["relations"][0]["rhs"][0]["monomial"] = value
+        else:
+            data[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert main(["nf", "--file", str(path), "e"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_expression_exits_two(self):
         assert main(["nf", "--algebra", "B", "e +"]) == 2

@@ -437,11 +437,16 @@ class TestRepresentations:
 
 class TestBLambdaCache:
     def test_bounded_and_shared(self):
-        from sclim.pbw import _b_lambda_cached
         for k in range(100):
             B_lambda(Fraction(1000 + k, 7))
-        assert _b_lambda_cached.cache_info().currsize <= 64
+        assert len(B()._fibers) <= pbw._MAX_FIBERS == 64
         assert B_lambda(2) is B_lambda(2)
+
+    @pytest.mark.parametrize("lam", ["2", "3", "1/2", "-1", "5/2", "3/4", "-2", "4/3"])
+    def test_is_the_fiber_of_B(self, lam):
+        fiber = B_lambda(Fraction(lam))
+        assert fiber is pbw.specialize_presentation(B(), Fraction(lam))
+        assert fiber.name == "B_lambda"
 
 
 class TestProperties:
