@@ -284,10 +284,6 @@ class UniPoly:
     def __repr__(self) -> str:
         return f"UniPoly({self})"
 
-    def to_json(self) -> dict:
-        """Exponent-to-coefficient map with string keys and `p/q` values."""
-        return {str(i): str(c) for i, c in enumerate(self.coeffs) if c != 0}
-
 
 class Scalar:
     """Reduced rational function num/den with a monic denominator.
@@ -469,9 +465,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-    def to_json(self) -> dict:
-        return {"var": self.var, "num": self.num.to_json(), "den": self.den.to_json()}
 
 
 @lru_cache(maxsize=64)

@@ -10,8 +10,10 @@ mathematical check failed (the report says which), 2 bad input (parse errors,
 malformed files, invalid configuration).
 
 Reports are emitted as JSON (default) or as a Markdown rendering of the same
-record.  Reruns with identical configuration produce byte-identical JSON
-apart from the per-check `timing` fields (milliseconds).
+record.  This module alone knows that schema: the kernel returns plain
+results, and `_timed_check`/`_make_report` turn them into the record.
+Reruns with identical configuration produce byte-identical JSON apart from
+the per-check `timing` fields (milliseconds).
 """
 
 from __future__ import annotations

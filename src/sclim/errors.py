@@ -8,7 +8,7 @@ mathematical obstruction it reports.
 
 
 class KernelError(Exception):
-    """Base class for all kernel-level failures."""
+    """Base class for all kernel-level errors."""
 
 
 class ZeroDenominator(KernelError):

@@ -49,10 +49,8 @@ from .poisson import CPoly, PoissonAlgebra
 
 Exponents = tuple[int, ...]
 
-# Passes of either closure route.  For linear brackets each breadth-first
-# level adds at least one vector, so the level count is bounded by the
-# dimension of the ad-stable span; the paper's ideal for e^n needs about
-# 2n+1 levels.
+# Rounds of `_closure_by_rounds`, whose ascending chain of ideals has no
+# bound known in advance.  The span route of `poisson_closure` needs no cap.
 _MAX_CLOSURE_ROUNDS = 1000
 
 
@@ -81,10 +79,6 @@ class MonomialOrder:
                 ordered = [exps[p] for p in positions]
                 return (sum(exps), tuple(-x for x in reversed(ordered)))
         return key
-
-
-def leading_term(p: CPoly, key) -> tuple[Exponents, Fraction]:
-    return _entry(p.terms, key)[:2]
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
@@ -337,8 +331,10 @@ def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
     fully reduced row echelon of M so far; the closure is then the reduced
     Groebner basis of M in the ideal's order.  M starts from the generators,
     not the reduced basis, whose ring multiples (e^(n-1)h^2 and the like)
-    would make it far larger.  Other tables go to `_closure_by_rounds`.  A
-    level counts as a round against `_MAX_CLOSURE_ROUNDS`.
+    would make it far larger.  Other tables go to `_closure_by_rounds`.
+    Linear brackets never raise degree, so M lies in the polynomials of
+    degree at most the generators' top degree; each level adds at least one
+    dimension to M, so the levels end without a cap.
     """
     if ideal.variables != algebra.variables:
         raise ValueError("ideal is not over the algebra's variables")
@@ -366,17 +362,15 @@ def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
         return work
 
     level = [r for g in ideal.generators if (r := insert(g.terms))]
-    for depth in range(_MAX_CLOSURE_ROUNDS):
+    spanned = len(rows)
+    while level:
         level = [r for t in level for k in range(n)
                  if (r := insert(algebra.ad(t, k)))]
-        if not level:
-            if depth == 0:  # the generators span an ad-stable space
-                return ideal
-            zero = CPoly.zero(ideal.variables)
-            return CommIdeal(ideal.variables, [zero._new(t) for t in rows.values()],
-                             ideal.order)
-    raise BudgetExceeded(
-        f"poisson closure did not stabilize within {_MAX_CLOSURE_ROUNDS} rounds")
+    if len(rows) == spanned:  # the generators span an ad-stable space
+        return ideal
+    zero = CPoly.zero(ideal.variables)
+    return CommIdeal(ideal.variables, [zero._new(t) for t in rows.values()],
+                     ideal.order)
 
 
 def _closure_by_rounds(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
@@ -426,13 +420,6 @@ class PrimalityCertificate:
                 raise ValueError("witness lies in the ideal")
             if not self.ideal.contains(self.witness ** self.power):
                 raise ValueError("witness power does not lie in the ideal")
-
-    def to_json(self) -> dict:
-        out = {"verdict": self.verdict}
-        if self.verdict == "NotPrime":
-            out["witness"] = str(self.witness)
-            out["power"] = self.power
-        return out
 
 
 def nilpotent_nonprime_witness(ideal: CommIdeal, g: CPoly,

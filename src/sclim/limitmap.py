@@ -8,9 +8,9 @@ Four maps are implemented, all exact:
   Laurent polynomials inside a caller-supplied band, by per-monomial
   interpolation; surplus nodes re-verify the fit and turn a wrong band or a
   tampered family into an explicit `InconsistentFamily` error.
-* `specialize_at_one` (alias `gamma_hat`) evaluates every coefficient at 1 and
-  reads the ordered monomials as commutative ones, landing in the limit ring.
-  Its domain is the set of elements whose coefficients are regular at 1.
+* `gamma_hat` evaluates every coefficient at 1 and reads the ordered
+  monomials as commutative ones, landing in the limit ring.  Its domain is
+  the set of elements whose coefficients are regular at 1.
 * `gamma_hat_via_family` is the composite sample-evaluate / reconstruct /
   specialize route to the same value, used by the verification pipeline to
   exercise the construction end to end.
@@ -150,11 +150,11 @@ def gamma_inverse(family: FamilyElement, band: tuple[int, int],
     return NCPoly(parent, terms)
 
 
-def specialize_at_one(b: NCPoly) -> CPoly:
-    """Evaluate every coefficient at 1 and drop to the commutative limit.
+def gamma_hat(b: NCPoly) -> CPoly:
+    """The natural map into the limit: evaluate every coefficient at 1.
 
-    Defined exactly on elements whose coefficients are regular at 1; a pole
-    raises `PoleAtOne`.
+    Ordered monomials are read as commutative ones.  Defined exactly on
+    elements whose coefficients are regular at 1; a pole raises `PoleAtOne`.
     """
     p = b.presentation
     if not p.has_symbolic_parameter():
@@ -167,10 +167,6 @@ def specialize_at_one(b: NCPoly) -> CPoly:
             raise PoleAtOne(f"coefficient {c} of {exps} has a pole at 1") from exc
         out = out + CPoly.monomial(exps, value, p.generators)
     return out
-
-
-# The natural map into the limit: evaluate the parameter at 1.
-gamma_hat = specialize_at_one
 
 
 def gamma_hat_via_family(z: NCPoly, samples: SampleSet,
@@ -190,7 +186,7 @@ def gamma_hat_via_family(z: NCPoly, samples: SampleSet,
         band = (0, max(degrees, default=0))
     family = gamma_eval(z, samples)
     reconstructed = gamma_inverse(family, band, parent=z.presentation)
-    return specialize_at_one(reconstructed)
+    return gamma_hat(reconstructed)
 
 
 # -- the end-to-end certificate -------------------------------------------------
@@ -208,14 +204,9 @@ class CheckResult:
     # Wall time of this check alone; not part of the certificate.
     ms: float = field(default=0.0, compare=False)
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
-
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    n: int
-    nodes: tuple[Rational, ...]
     checks: tuple[CheckResult, ...]
     witness: Optional[tuple[str, int]]
     closure_basis: tuple[str, ...]
@@ -223,17 +214,6 @@ class CounterexampleReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "nodes": [str(x) for x in self.nodes],
-            "checks": [c.to_json() for c in self.checks],
-            "witness": None if self.witness is None else
-                       {"element": self.witness[0], "power": self.witness[1]},
-            "closure_basis": list(self.closure_basis),
-            "passed": self.passed,
-        }
 
 
 def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
@@ -246,7 +226,7 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
     (e) images of further ideal elements land in the closure; (f) the
     closure admits the nilpotent witness (e, n), hence is not prime.
 
-    Sub-check failures are recorded in the report, never skipped.  Each
+    A failed sub-check is recorded in the report, never skipped.  Each
     check records its own wall time in `ms`; building e^n and the central
     element beforehand belongs to no check.
     """
@@ -355,8 +335,6 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
     checks.append(CheckResult("nilpotent_witness", ok, detail, _ms_since(started)))
 
     return CounterexampleReport(
-        n=n,
-        nodes=samples.nodes,
         checks=tuple(checks),
         witness=witness,
         closure_basis=tuple(closure.basis_strings()),

@@ -582,15 +582,11 @@ class OverlapCheck:
 
 @dataclass(frozen=True)
 class OverlapReport:
-    presentation_name: str
     checks: tuple[OverlapCheck, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[OverlapCheck]:
-        return [c for c in self.checks if not c.ok]
 
 
 def check_pbw_overlaps(p: PBWPresentation) -> OverlapReport:
@@ -609,7 +605,7 @@ def check_pbw_overlaps(p: PBWPresentation) -> OverlapReport:
         right = _reduce_after_first_step(p, (k, j, i), left_first=False)
         checks.append(OverlapCheck((k, j, i), left == right, left, right,
                                    (time.perf_counter() - started) * 1000))
-    return OverlapReport(p.name, tuple(checks))
+    return OverlapReport(tuple(checks))
 
 
 def _reduce_after_first_step(p: PBWPresentation, word: tuple[int, int, int],
@@ -950,6 +946,9 @@ def presentation_from_json(data: dict) -> PBWPresentation:
             value = None if raw is None else Fraction(raw)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad parameter entry: {exc}") from exc
+        if not isinstance(symbol, str) or symbol in generators:
+            raise ParseError(f"parameter symbol {symbol!r} must be a string "
+                             f"that names no generator")
     if not isinstance(relations, list):
         raise ParseError("relations must be a list")
     var = symbol if symbol is not None else "t"

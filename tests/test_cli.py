@@ -12,12 +12,12 @@ from pathlib import Path
 import pytest
 
 from helpers import random_cpoly, random_ncpoly
-from sclim import ideals
+from sclim import ideals, pbw
 from sclim.cli import main
 from sclim.errors import BudgetExceeded, ParseError
 from sclim.exprs import parse_cpoly, parse_expression, parse_scalar
-from sclim.pbw import (B, B_q, PBWPresentation, SwapRule, casimir, multiply,
-                       presentation_to_json)
+from sclim.pbw import (B, B_q, PBWPresentation, SwapRule, Usl2, casimir,
+                       multiply, presentation_to_json)
 from sclim.arith import Scalar
 
 
@@ -201,18 +201,25 @@ class TestExitCodeCorpus:
         ("parameter", "t"),
         ("relations", 5),
         ("monomial", 5),
+        ("symbol", "E"),
+        ("symbol", 5),
     ])
     def test_malformed_presentation_exits_two(self, tmp_path, capsys, field, value):
-        data = presentation_to_json(B())
+        # Usl2's coefficients are constants, so a bad symbol is its only fault.
+        data = presentation_to_json(Usl2() if field == "symbol" else B())
         if field == "monomial":
             data["relations"][0]["rhs"][0]["monomial"] = value
+        elif field == "symbol":
+            data["parameter"] = {"symbol": value, "value": None}
         else:
             data[field] = value
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(data))
-        assert main(["nf", "--file", str(path), "e"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        for argv in (["nf", "--file", str(path), data["generators"][0]],
+                     ["overlaps", "--file", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_expression_exits_two(self):
         assert main(["nf", "--algebra", "B", "e +"]) == 2
@@ -229,15 +236,27 @@ class TestExitCodeCorpus:
         assert main(["no-such-command"]) == 2
         capsys.readouterr()
 
-    def test_kernel_cap_exits_two(self, capsys, monkeypatch):
-        # The closure of n=3 needs more than two rounds.
-        monkeypatch.setattr(ideals, "_MAX_CLOSURE_ROUNDS", 2)
-        assert main(["verify-paper", "--n-min", "3", "--n-max", "3",
-                     "--samples", "3"]) == 2
+    def test_kernel_cap_exits_two(self, tmp_path, capsys, monkeypatch):
+        # A file builds a fresh presentation, whose overlap check rewrites
+        # words, so a cap of no rewrite steps is reached at once.
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(presentation_to_json(B())))
+        monkeypatch.setattr(pbw, "_MAX_REWRITE_STEPS", 0)
+        assert main(["overlaps", "--file", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "within 2 rounds" in err
-        assert "Traceback" not in err
+        assert err.startswith("error: ") and "within 0 steps" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert issubclass(BudgetExceeded, RuntimeError)
+
+    def test_span_closure_ignores_the_rounds_cap(self, capsys, monkeypatch):
+        # The closure of n=3 takes 2n+1 = 7 breadth-first levels; the rounds
+        # cap bounds only the closure of a table with an entry of degree >= 2.
+        argv = ["verify-paper", "--n-min", "3", "--n-max", "3", "--samples", "3"]
+        assert main(argv) == 0
+        expected = _strip_timings(json.loads(capsys.readouterr().out))
+        monkeypatch.setattr(ideals, "_MAX_CLOSURE_ROUNDS", 2)
+        assert main(argv) == 0
+        assert _strip_timings(json.loads(capsys.readouterr().out)) == expected
 
     def test_large_n_runs(self, capsys):
         # The closure of e^50 takes more than 100 bracket passes.

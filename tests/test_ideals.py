@@ -8,8 +8,9 @@ import pytest
 
 from helpers import degree_slice_basis, random_cpoly
 from sclim import ideals
+from sclim.errors import BudgetExceeded
 from sclim.ideals import (CommIdeal, MonomialOrder, groebner, ideal_equal,
-                          is_poisson_ideal, leading_term, membership,
+                          is_poisson_ideal, membership,
                           nilpotent_nonprime_witness, poisson_closure,
                           reduce_poly, s_polynomial)
 from sclim.pbw import B
@@ -60,7 +61,7 @@ class TestGroebner:
         key = MonomialOrder(precedence=VARS).key_for(VARS)
         gb = groebner(DEG2_MONOMIALS, variables=VARS)
         expected = sorted(DEG2_MONOMIALS,
-                          key=lambda g: key(leading_term(g, key)[0]))
+                          key=lambda g: key(max(g.terms, key=key)))
         assert gb == expected
 
     def test_frozen_golden_value(self):
@@ -102,7 +103,7 @@ class TestGroebner:
             CommIdeal(VARS, [mono((12, 0, 0)),
                              4 * mono((1, 1, 0)) + mono((0, 0, 2))]), b1())
         key = closure._key
-        gens = sorted(closure.generators, key=lambda g: key(leading_term(g, key)[0]))
+        gens = sorted(closure.generators, key=lambda g: key(max(g.terms, key=key)))
         s_terms, counts, bases = ideals._s_terms, [], []
         for ordered in (gens, gens[::-1]):
             calls = []
@@ -264,6 +265,14 @@ class TestClosureRoutes:
             assert closure.reduced_gb == by_rounds(ideal, algebra).reduced_gb
             assert is_poisson_ideal(closure, algebra)
         assert len(rounds) == (20 if name == "quadratic" else 0)
+
+    def test_rounds_cap(self, monkeypatch):
+        # {x + z, y} = xy - yz is -2yz modulo x + z, so one round adds it and
+        # the closure is not reached within one round.
+        monkeypatch.setattr(ideals, "_MAX_CLOSURE_ROUNDS", 1)
+        algebra = TABLES["quadratic"]()
+        with pytest.raises(BudgetExceeded, match="within 1 rounds"):
+            poisson_closure(CommIdeal(algebra, [xyz("x") + xyz("z")]), algebra)
 
 
 class TestWitness:
