@@ -10,8 +10,8 @@ Grammar (whitespace insensitive)::
 
 Products need an explicit '*'; '^' takes a non-negative integer literal.
 Rational literals are just division of integers ("3/4"), so '/' doubles as
-the division operator; dividing by anything that is not an invertible scalar
-in the target ring is a parse error.
+the division operator; dividing by anything but a nonzero constant of the
+target ring is a parse error.
 
 The same parser serves three targets: noncommutative elements over a
 presentation, commutative polynomials over a variable list, and bare
@@ -21,11 +21,12 @@ value.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .arith import Scalar
 from .errors import ParseError, ZeroDenominator
+from .pbw import NCPoly, PBWPresentation, SparsePoly
+from .poisson import CPoly
 
 _OPERATORS = set("+-*/^()")
 
@@ -161,63 +162,43 @@ class _ScalarContext:
             raise ParseError(str(exc), pos) from exc
 
 
-class _NCPolyContext:
-    def __init__(self, presentation):
-        self.presentation = presentation
+class _RingContext:
+    """A polynomial ring (`NCPoly` or `CPoly`): its unit and its named atoms."""
 
-    def const(self, n: int):
-        return self.presentation.scalar(n)
+    def __init__(self, one: SparsePoly, atoms: dict[str, SparsePoly]):
+        self.one = one
+        self.atoms = atoms
 
-    def atom(self, name: str, pos: int):
-        p = self.presentation
-        if name in p.generators:
-            return p.gen(name)
-        if p.parameter is not None and name == p.parameter:
-            return p.scalar(p.parameter_scalar())
-        raise ParseError(f"unknown symbol {name!r}", pos)
+    def const(self, n: int) -> SparsePoly:
+        return self.one._const(n)
 
-    def divide(self, a, b, pos: int):
-        unit = (0,) * len(self.presentation.generators)
-        if set(b.terms) - {unit}:
-            raise ParseError("can only divide by a scalar", pos)
-        coeff = b.terms.get(unit)
-        if coeff is None:
+    def atom(self, name: str, pos: int) -> SparsePoly:
+        if name not in self.atoms:
+            raise ParseError(f"unknown symbol {name!r}", pos)
+        return self.atoms[name]
+
+    def divide(self, a: SparsePoly, b: SparsePoly, pos: int) -> SparsePoly:
+        if b.degree() > 0:
+            raise ParseError("can only divide by a constant", pos)
+        if b.is_zero():
             raise ParseError("division by zero", pos)
-        return a.scale(coeff.inverse())
+        (coeff,) = b.terms.values()
+        return a.scale(1 / coeff)
 
 
-class _CPolyContext:
-    def __init__(self, variables: Sequence[str]):
-        self.variables = tuple(variables)
-
-    def const(self, n: int):
-        from .poisson import CPoly
-        return CPoly.const(n, self.variables)
-
-    def atom(self, name: str, pos: int):
-        from .poisson import CPoly
-        if name in self.variables:
-            return CPoly.variable(name, self.variables)
-        raise ParseError(f"unknown symbol {name!r}", pos)
-
-    def divide(self, a, b, pos: int):
-        unit = (0,) * len(self.variables)
-        if set(b.terms) - {unit}:
-            raise ParseError("can only divide by a rational constant", pos)
-        coeff = b.terms.get(unit)
-        if not coeff:
-            raise ParseError("division by zero", pos)
-        return a.scale(Fraction(1) / coeff)
-
-
-def parse_expression(text: str, presentation) -> "NCPoly":
+def parse_expression(text: str, presentation: PBWPresentation) -> NCPoly:
     """Parse an element of a PBW algebra; products are normalized."""
-    return _Parser(text, _NCPolyContext(presentation)).parse()
+    p = presentation
+    # A generator named like the parameter shadows it.
+    atoms = {} if p.parameter is None else {p.parameter: p.scalar(p.parameter_scalar())}
+    atoms.update((g, p.gen(g)) for g in p.generators)
+    return _Parser(text, _RingContext(p.one(), atoms)).parse()
 
 
-def parse_cpoly(text: str, variables: Sequence[str]) -> "CPoly":
+def parse_cpoly(text: str, variables: Sequence[str]) -> CPoly:
     """Parse a commutative polynomial over the given variables."""
-    return _Parser(text, _CPolyContext(variables)).parse()
+    atoms = {v: CPoly.variable(v, variables) for v in variables}
+    return _Parser(text, _RingContext(CPoly.const(1, variables), atoms)).parse()
 
 
 def parse_scalar(text: str, var: str) -> Scalar:

@@ -8,8 +8,9 @@ precedence; lexicographic is available.
 
 Pairs wait in a heap and follow Buchberger's normal selection strategy:
 smallest lcm first and, among equal lcms, the newest pair.  Each basis
-element's leading term is found once, when it enters the basis, and
-reduction works on one mutable term dict.  The engine only ever extends a
+element is split once, when it enters the basis, into its leading term and
+its tail; reduction works on one mutable term dict and adds only tails, so
+no leading term is added just to cancel.  The engine only ever extends a
 reduced basis: `groebner` extends the empty one by its generators, and
 `CommIdeal.with_extra_generators` extends the ideal's own.  Only pairs with
 at least one new element are formed.  Pairs of two old elements would be
@@ -39,12 +40,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded
-from .pbw import _accumulate
+from .pbw import _add_scaled, _add_shifted
 from .poisson import CPoly, PoissonAlgebra
 
 Exponents = tuple[int, ...]
@@ -68,7 +70,8 @@ class MonomialOrder:
     def key_for(self, variables: Sequence[str]):
         """Sort key on exponent vectors over `variables`; larger = bigger."""
         precedence = self.precedence or tuple(variables)
-        if set(precedence) != set(variables):
+        if (len(set(precedence)) != len(precedence)
+                or sorted(precedence) != sorted(variables)):
             raise ValueError("precedence list must mention every variable once")
         positions = [variables.index(v) for v in precedence]
         if self.kind == "lex":
@@ -89,28 +92,35 @@ def _lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _shift(a: Exponents, b: Exponents) -> Exponents:
+    """The exponents of x^a / x^b, for b dividing a."""
+    return tuple(map(operator.sub, a, b))
+
+
 # The engine works on term dicts.  A basis element is kept as an entry
-# (leading exponents, leading coefficient, terms), its leading term found
-# once, when it enters the basis.
+# (leading exponents, leading coefficient, tail), split once, when it enters
+# the basis; the tail holds every other term.
 Terms = dict[Exponents, Fraction]
 Entry = tuple[Exponents, Fraction, Terms]
+_ONE = Fraction(1)
 
 
 def _entry(terms: Terms, key) -> Entry:
     lead = max(terms, key=key)
-    return lead, terms[lead], terms
+    tail = dict(terms)
+    return lead, tail.pop(lead), tail
 
 
 def _polys(variables: Sequence[str], basis: Sequence[Entry]) -> list[CPoly]:
     zero = CPoly.zero(variables)
-    return [zero._new(terms) for _, _, terms in basis]
+    return [zero._new({lead: coeff, **tail}) for lead, coeff, tail in basis]
 
 
 def _monic_entry(terms: Terms, key) -> Entry:
-    lead, c, terms = _entry(terms, key)
+    lead, c, tail = _entry(terms, key)
     if c != 1:
-        terms = {e: x / c for e, x in terms.items()}
-    return lead, Fraction(1), terms
+        tail = {e: x / c for e, x in tail.items()}
+    return lead, _ONE, tail
 
 
 def _reduce(terms: Terms, basis: Sequence[Entry], key) -> Terms:
@@ -120,14 +130,9 @@ def _reduce(terms: Terms, basis: Sequence[Entry], key) -> Terms:
     while work:
         exps = max(work, key=key)
         coeff = work.pop(exps)
-        for gexps, gcoeff, gterms in basis:
+        for gexps, gcoeff, gtail in basis:
             if _divides(gexps, exps):
-                factor = coeff / gcoeff
-                shift = tuple(x - y for x, y in zip(exps, gexps))
-                for e, c in gterms.items():
-                    if e != gexps:  # the leading term cancels exactly
-                        _accumulate(work, tuple(x + y for x, y in zip(e, shift)),
-                                    -factor * c)
+                _add_shifted(work, gtail, -coeff / gcoeff, _shift(exps, gexps))
                 break
         else:
             remainder[exps] = coeff
@@ -135,16 +140,12 @@ def _reduce(terms: Terms, basis: Sequence[Entry], key) -> Terms:
 
 
 def _s_terms(f: Entry, g: Entry) -> Terms:
-    """S-polynomial of two entries; the leading terms cancel and are skipped."""
+    """S-polynomial of two entries, from their tails: the leading terms cancel."""
     (fe, fc, ft), (ge, gc, gt) = f, g
     lcm = _lcm(fe, ge)
     out: Terms = {}
-    for lead, coeff, terms, sign in ((fe, fc, ft, 1), (ge, gc, gt, -1)):
-        shift = tuple(x - y for x, y in zip(lcm, lead))
-        scale = sign / coeff
-        for e, c in terms.items():
-            if e != lead:
-                _accumulate(out, tuple(x + y for x, y in zip(e, shift)), c * scale)
+    _add_shifted(out, ft, 1 / fc, _shift(lcm, fe))
+    _add_shifted(out, gt, -1 / gc, _shift(lcm, ge))
     return out
 
 
@@ -209,12 +210,8 @@ def _interreduce(basis: Sequence[Entry], key) -> list[Entry]:
     minimal = [g for i, g in enumerate(basis)
                if not any(_divides(h[0], g[0]) and (h[0] != g[0] or k < i)
                           for k, h in enumerate(basis) if k != i)]
-    reduced = []
-    for i, (lead, coeff, terms) in enumerate(minimal):
-        tail = {e: c for e, c in terms.items() if e != lead}
-        tail = _reduce(tail, minimal[:i] + minimal[i + 1:], key)
-        tail[lead] = coeff
-        reduced.append((lead, coeff, tail))
+    reduced = [(lead, coeff, _reduce(tail, minimal[:i] + minimal[i + 1:], key))
+               for i, (lead, coeff, tail) in enumerate(minimal)]
     return sorted(reduced, key=lambda g: key(g[0]))
 
 
@@ -342,24 +339,23 @@ def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
         return _closure_by_rounds(ideal, algebra)
     n = len(algebra.variables)
     key = ideal._key
-    rows: dict[Exponents, Terms] = {}  # pivot -> row, 1 there, 0 at other pivots
+    # pivot -> tail of the monic row with that pivot; no tail holds a pivot.
+    rows: dict[Exponents, Terms] = {}
 
     def insert(terms: Terms) -> Terms:
         """Remainder of `terms` modulo the rows, added to them when nonzero."""
         work = dict(terms)
         for pivot in [e for e in work if e in rows]:
-            c = work[pivot]
-            for e, x in rows[pivot].items():
-                _accumulate(work, e, -c * x)
-        if work:
-            pivot, _, work = _monic_entry(work, key)
-            for row in rows.values():
-                c = row.get(pivot)
-                if c:
-                    for e, x in work.items():
-                        _accumulate(row, e, -c * x)
-            rows[pivot] = dict(work)  # later inserts reduce rows in place
-        return work
+            _add_scaled(work, rows[pivot], -work.pop(pivot))
+        if not work:
+            return work
+        pivot, _, tail = _monic_entry(work, key)
+        for row in rows.values():
+            c = row.pop(pivot, None)
+            if c:
+                _add_scaled(row, tail, -c)
+        rows[pivot] = tail
+        return {pivot: _ONE, **tail}
 
     level = [r for g in ideal.generators if (r := insert(g.terms))]
     spanned = len(rows)
@@ -368,9 +364,8 @@ def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
                  if (r := insert(algebra.ad(t, k)))]
     if len(rows) == spanned:  # the generators span an ad-stable space
         return ideal
-    zero = CPoly.zero(ideal.variables)
-    return CommIdeal(ideal.variables, [zero._new(t) for t in rows.values()],
-                     ideal.order)
+    basis = [(pivot, _ONE, tail) for pivot, tail in rows.items()]
+    return CommIdeal(ideal.variables, _polys(ideal.variables, basis), ideal.order)
 
 
 def _closure_by_rounds(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:

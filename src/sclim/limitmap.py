@@ -159,14 +159,13 @@ def gamma_hat(b: NCPoly) -> CPoly:
     p = b.presentation
     if not p.has_symbolic_parameter():
         raise ValueError(f"{p.name} has no symbolic parameter")
-    out = CPoly.zero(p.generators)
+    terms = {}
     for exps, c in b.terms.items():
         try:
-            value = c.evaluate(1)
+            terms[exps] = c.evaluate(1)
         except PoleAtPoint as exc:
             raise PoleAtOne(f"coefficient {c} of {exps} has a pole at 1") from exc
-        out = out + CPoly.monomial(exps, value, p.generators)
-    return out
+    return CPoly(p.generators, terms)
 
 
 def gamma_hat_via_family(z: NCPoly, samples: SampleSet,
@@ -209,7 +208,6 @@ class CheckResult:
 class CounterexampleReport:
     checks: tuple[CheckResult, ...]
     witness: Optional[tuple[str, int]]
-    closure_basis: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -334,8 +332,4 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
         detail = "no nilpotent witness found"
     checks.append(CheckResult("nilpotent_witness", ok, detail, _ms_since(started)))
 
-    return CounterexampleReport(
-        checks=tuple(checks),
-        witness=witness,
-        closure_basis=tuple(closure.basis_strings()),
-    )
+    return CounterexampleReport(checks=tuple(checks), witness=witness)

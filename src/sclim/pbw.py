@@ -256,8 +256,7 @@ class PBWPresentation:
         out: dict[Exponents, Scalar] = {}
         for u, c in terms.items():
             if any(u[g + 1:]):
-                for v, cv in self._times(u, g, active).items():
-                    _accumulate(out, v, c if cv is one else c * cv)
+                _add_scaled(out, self._times(u, g, active), c, one)
             else:
                 _accumulate(out, _bump(u, g), c)
         return out
@@ -311,8 +310,7 @@ class PBWPresentation:
                     part = {power(b - 1): self._one}
                 for g in word:
                     part = self._apply(part, g, active)
-                for v, c in part.items():
-                    _accumulate(out, v, tc * c)
+                _add_scaled(out, part, tc, self._one)
             terms = out
         active.discard(key)
         if len(table) >= _MAX_TABLE_ENTRIES:
@@ -353,7 +351,8 @@ def _accumulate(table: dict, key, value) -> None:
     """Add `value` into table[key], dropping the entry when the sum is zero.
 
     The only place a term is added into a term dict; coefficients are
-    `Scalar` or `Fraction`, both false exactly when zero.
+    `Scalar` or `Fraction`, both false exactly when zero.  `_add_scaled` and
+    `_add_shifted` add whole term dicts through it.
     """
     cur = table.get(key)
     total = value if cur is None else cur + value
@@ -361,6 +360,18 @@ def _accumulate(table: dict, key, value) -> None:
         table[key] = total
     else:
         table.pop(key, None)
+
+
+def _add_scaled(out: dict, terms: Mapping, factor, one=None) -> None:
+    """Add factor·terms into `out`; a coefficient that is `one` is not multiplied."""
+    for e, c in terms.items():
+        _accumulate(out, e, factor if c is one else factor * c)
+
+
+def _add_shifted(out: dict, terms: Mapping, factor, shift: Exponents) -> None:
+    """Add factor·x^shift·terms into `out`, for commuting monomials."""
+    for e, c in terms.items():
+        _accumulate(out, tuple(map(operator.add, e, shift)), factor * c)
 
 
 class SparsePoly:
@@ -546,12 +557,9 @@ def multiply(a: NCPoly, b: NCPoly) -> NCPoly:
     a._check_compatible(b)
     p = a.presentation
     out: dict[Exponents, Scalar] = {}
-    one = p._one
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
-            factor = ca * cb
-            for em, cm in p._monomial_product(ea, eb).items():
-                _accumulate(out, em, factor if cm is one else factor * cm)
+            _add_scaled(out, p._monomial_product(ea, eb), ca * cb, p._one)
     return a._new(out)
 
 
@@ -621,8 +629,7 @@ def _reduce_after_first_step(p: PBWPresentation, word: tuple[int, int, int],
         seeds += [((k,) + _exponents_to_word(te), tc) for te, tc in rule.tail.items()]
     out: dict[Exponents, Scalar] = {}
     for w, c in seeds:
-        for em, cm in p._word_normal_form(w).items():
-            _accumulate(out, em, c * cm)
+        _add_scaled(out, p._word_normal_form(w), c, p._one)
     return NCPoly(p, out)
 
 
@@ -776,8 +783,7 @@ class Representation:
                 images = self.actions[self.presentation.generators[g]]
                 moved: dict[int, Scalar] = {}
                 for i, a in vec.items():
-                    for j, b in images[i].items():
-                        _accumulate(moved, j, b * a)
+                    _add_scaled(moved, images[i], a)
                 vec = moved
             for j, a in vec.items():
                 _accumulate(out, j, a)

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .arith import Rational, Scalar, _as_rational
 from .errors import NotCommutativeAtOne, PoleAtPoint
-from .pbw import (B, PBWPresentation, SparsePoly, _accumulate, _format_terms,
+from .pbw import (B, PBWPresentation, SparsePoly, _add_shifted, _format_terms,
                   commutator)
 
 Exponents = tuple[int, ...]
@@ -96,8 +96,7 @@ class CPoly(SparsePoly):
         self._check_compatible(other)
         out: dict[Exponents, Rational] = {}
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                _accumulate(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            _add_shifted(out, other.terms, ca, ea)
         return self._new(out)
 
     def __hash__(self) -> int:
@@ -136,10 +135,10 @@ class PoissonAlgebra:
         for i in range(n):
             for j in range(i + 1, n):
                 self._table.setdefault((i, j), zero)
-        # Per k, the triples (i, b - u_i, c) over the terms c x^b of {x_i, x_k}.
+        # Per k, the pairs (i, terms of {x_i, x_k}) over the nonzero entries.
         self._derivations = [
-            [(i, tuple(x - (m == i) for m, x in enumerate(b)), c)
-             for i in range(n) for b, c in self.bracket_entry(i, k).terms.items()]
+            [(i, entry.terms) for i in range(n)
+             if (entry := self.bracket_entry(i, k)).terms]
             for k in range(n)]
         self.jacobi_certificate = tuple(jacobi_residuals(self))
 
@@ -165,10 +164,9 @@ class PoissonAlgebra:
         """{p, x_k} as a term dict, p given by its term dict."""
         out: dict[Exponents, Rational] = {}
         for a, c in terms.items():
-            for i, shift, b in self._derivations[k]:
-                if a[i]:
-                    _accumulate(out, tuple(x + y for x, y in zip(a, shift)),
-                                c * a[i] * b)
+            for i, entry in self._derivations[k]:
+                if a[i]:  # a_i x^(a - u_i) {x_i, x_k}
+                    _add_shifted(out, entry, c * a[i], a[:i] + (a[i] - 1,) + a[i + 1:])
         return out
 
     def bracket_of(self, a: str, b: str) -> CPoly:
@@ -205,11 +203,8 @@ def poisson_bracket(algebra: PoissonAlgebra, a: CPoly, b: CPoly) -> CPoly:
         ad_k = algebra.ad(a.terms, k)
         for eb, cb in b.terms.items():
             if eb[k]:
-                shift = eb[:k] + (eb[k] - 1,) + eb[k + 1:]
-                factor = cb * eb[k]
-                for ea, ca in ad_k.items():
-                    _accumulate(out, tuple(x + y for x, y in zip(ea, shift)),
-                                ca * factor)
+                _add_shifted(out, ad_k, cb * eb[k],
+                             eb[:k] + (eb[k] - 1,) + eb[k + 1:])
     return a._new(out)
 
 
@@ -243,7 +238,7 @@ def semiclassical_limit(p: PBWPresentation) -> PoissonAlgebra:
     for i in range(n):
         for j in range(i + 1, n):
             cm = commutator(p.generator(i), p.generator(j))
-            entry = CPoly.zero(p.generators)
+            entry: dict[Exponents, Rational] = {}
             for exps, c in cm.terms.items():
                 try:
                     at_one = c.evaluate(1)
@@ -254,9 +249,8 @@ def semiclassical_limit(p: PBWPresentation) -> PoissonAlgebra:
                     raise NotCommutativeAtOne(
                         f"[{p.generators[i]},{p.generators[j]}] does not vanish at 1: "
                         f"coefficient {c} of {exps}")
-                value = (c / shift).evaluate(1)
-                entry = entry + CPoly.monomial(exps, value, p.generators)
-            table[(p.generators[i], p.generators[j])] = entry
+                entry[exps] = (c / shift).evaluate(1)
+            table[(p.generators[i], p.generators[j])] = CPoly(p.generators, entry)
     return PoissonAlgebra(p.generators, table)
 
 

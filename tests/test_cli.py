@@ -224,6 +224,23 @@ class TestExitCodeCorpus:
     def test_bad_expression_exits_two(self):
         assert main(["nf", "--algebra", "B", "e +"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["nf", "e/f"], "can only divide by a constant"),
+        (["nf", "e/(t-t)"], "division by zero"),
+        (["member", "--ideal", "e", "--poly", "e/h"], "can only divide by a constant"),
+        (["member", "--ideal", "e", "--poly", "e/0"], "division by zero"),
+    ])
+    def test_division_rule_exits_two(self, capsys, argv, message):
+        # One rule for both polynomial rings: divide only by a nonzero constant.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message} ") and err.count("\n") == 1
+
+    def test_repeated_variable_exits_two(self, capsys):
+        assert main(["member", "--vars", "e,e", "--ideal", "e", "--poly", "e"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_config_exits_two(self):
         assert main(["verify-paper", "--n-min", "1", "--n-max", "2"]) == 2
         assert main(["verify-paper", "--n-min", "2", "--n-max", "2",

@@ -1,7 +1,9 @@
 """The Groebner engine and the bracket against routes that share no code with them.
 
 `sympy.groebner` is a test-only oracle: on seeded random ideals in both
-orders its reduced basis must be the engine's, and a closure loop written
+orders its reduced basis must be the engine's.  sympy's `reduced` and an
+S-polynomial built in sympy check division by non-monic divisors that are
+not a Groebner basis, in both orders.  A closure loop written
 here on sympy polynomials must give `poisson_closure`'s basis.  A sympy
 biderivation built from a bracket table checks `poisson_bracket` over four
 tables, and the closure of the one quadratic table in both orders.
@@ -17,8 +19,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_cpoly
-from sclim.ideals import CommIdeal, MonomialOrder, groebner, poisson_closure
+from helpers import nonzero, random_cpoly
+from sclim.ideals import (CommIdeal, MonomialOrder, groebner, poisson_closure,
+                          reduce_poly, s_polynomial)
 from sclim.pbw import B
 from sclim.poisson import CPoly, PoissonAlgebra, poisson_bracket, semiclassical_limit
 
@@ -138,6 +141,51 @@ class TestAgainstSympy:
             gens = [g for g in gens if not g.is_zero()]
             closure = poisson_closure(CommIdeal(b1, gens), b1)
             assert set(closure.reduced_gb) == sympy_closure(gens)
+
+
+def non_monic(rng, key, max_degree):
+    """A random nonzero polynomial whose leading coefficient is not 1."""
+    g = nonzero(rng, lambda r: random_cpoly(r, VARS, max_degree=max_degree,
+                                            max_terms=3))
+    return g if g.terms[max(g.terms, key=key)] != 1 else g * Fraction(-3, 2)
+
+
+def sympy_s_polynomial(f, g, kind: str):
+    order = SYMPY_ORDER[kind]
+    fx, gx = to_sympy(f).as_expr(), to_sympy(g).as_expr()
+    lcm = sympy.lcm(sympy.LM(fx, *SYMBOLS, order=order),
+                    sympy.LM(gx, *SYMBOLS, order=order))
+    return sympy.expand(lcm / sympy.LT(fx, *SYMBOLS, order=order) * fx
+                        - lcm / sympy.LT(gx, *SYMBOLS, order=order) * gx)
+
+
+class TestDivisionAgainstSympy:
+    """Divisors that are neither monic nor a Groebner basis.
+
+    The remainder then depends on the divisors' order.  The engine and
+    sympy's `reduced` both cancel the largest remaining term with the first
+    divisor whose leading monomial divides it, so they must agree exactly.
+    """
+
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    def test_reduce_poly(self, kind):
+        rng = random.Random(f"division-{kind}")
+        key = MonomialOrder(kind, VARS).key_for(VARS)
+        for _ in range(40):
+            p = random_cpoly(rng, VARS, max_degree=5, max_terms=6)
+            divisors = [non_monic(rng, key, 3) for _ in range(rng.randint(1, 3))]
+            _, remainder = sympy.reduced(
+                to_sympy(p).as_expr(), [to_sympy(g).as_expr() for g in divisors],
+                *SYMBOLS, order=SYMPY_ORDER[kind], domain="QQ")
+            assert reduce_poly(p, divisors, key) == from_sympy(remainder)
+
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    def test_s_polynomial(self, kind):
+        rng = random.Random(f"s-polynomial-{kind}")
+        key = MonomialOrder(kind, VARS).key_for(VARS)
+        for _ in range(40):
+            f, g = non_monic(rng, key, 4), non_monic(rng, key, 4)
+            assert s_polynomial(f, g, key) == from_sympy(sympy_s_polynomial(f, g, kind))
 
 
 class TestBracketAgainstSympy:

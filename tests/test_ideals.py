@@ -52,6 +52,16 @@ class TestOrder:
         key = MonomialOrder(precedence=VARS).key_for(VARS)
         assert key((0, 0, 3)) > key((1, 1, 0))
 
+    @pytest.mark.parametrize("precedence", [("e", "f", "h", "e"), ("e", "f"),
+                                            ("e", "f", "x")])
+    def test_precedence_must_be_a_permutation(self, precedence):
+        with pytest.raises(ValueError, match="every variable once"):
+            MonomialOrder(precedence=precedence).key_for(VARS)
+
+    def test_variables_must_be_distinct(self):
+        with pytest.raises(ValueError, match="every variable once"):
+            MonomialOrder().key_for(("e", "e"))
+
 
 class TestGroebner:
     def test_principal(self):
