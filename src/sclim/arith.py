@@ -39,7 +39,12 @@ Rational = Fraction
 
 
 def _as_rational(value: int | str | Rational) -> Rational:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ZeroDenominator(f"zero denominator in {value!r}") from None
 
 
 def _join_vars(a: "UniPoly", b: "UniPoly") -> str:
@@ -557,9 +562,9 @@ def _lagrange_basis(xs: tuple[Rational, ...], var: str) -> tuple[UniPoly, ...]:
 class ScalarMatrix:
     """Dense matrix of scalars, row-major.
 
-    No kernel code uses it, and it keeps only what its tests use.  It stays
-    because the benchmark's tracer (`perfbench/tracer.py`) targets
-    `ScalarMatrix.__mul__`; see the FOUND line about it in CHANGES.md.
+    No kernel code uses it.  It keeps only its input-checking constructor
+    and `__mul__`, which the benchmark's tracer (`perfbench/tracer.py`)
+    targets; see the FOUND line about it in CHANGES.md.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -573,22 +578,6 @@ class ScalarMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "ScalarMatrix":
-        flat = [x for row in rows for x in row]
-        return cls(len(rows), len(rows[0]), flat)
-
-    @classmethod
-    def identity(cls, n: int, var: str = "t") -> "ScalarMatrix":
-        z, one = Scalar.of(0, var), Scalar.of(1, var)
-        return cls(n, n, [one if i == j else z for i in range(n) for j in range(n)])
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.entries)
 
     def __mul__(self, other):
         if isinstance(other, ScalarMatrix):
@@ -611,24 +600,3 @@ class ScalarMatrix:
                 out.extend(zero if x is None else x for x in row)
             return ScalarMatrix(self.rows, m, out)
         return NotImplemented
-
-    def __pow__(self, exponent: int) -> "ScalarMatrix":
-        if self.rows != self.cols:
-            raise ValueError("can only raise square matrices to powers")
-        if exponent < 0:
-            raise ValueError("negative matrix power")
-        var = self.entries[0].var if self.entries else "t"
-        result = ScalarMatrix.identity(self.rows, var)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def _check_shape(self, other: "ScalarMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shapes do not match")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScalarMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and \
-            self.entries == other.entries

@@ -22,7 +22,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
@@ -30,9 +29,8 @@ from .errors import KernelError, NotCommutativeAtOne, ParseError
 from .exprs import parse_cpoly, parse_expression
 from .ideals import CommIdeal, MonomialOrder, membership, poisson_closure
 from .limitmap import SampleSet, _ms_since, verify_counterexample
-from .pbw import (B, B_lambda, B_q, PBWPresentation, Usl2, check_pbw_overlaps,
-                  commutator, growth_dimensions, growth_slope,
-                  presentation_from_json)
+from .pbw import (B, B_lambda, B_q, PBWPresentation, Usl2, commutator,
+                  growth_dimensions, growth_slope, presentation_from_json)
 from .poisson import B1, PoissonAlgebra, poisson_bracket, semiclassical_limit
 
 EXIT_OK = 0
@@ -58,7 +56,7 @@ def _load_presentation(algebra: Optional[str], path: Optional[str]) -> PBWPresen
     if name == "Usl2":
         return Usl2()
     if name.startswith("B_lambda:"):
-        return B_lambda(Fraction(name.split(":", 1)[1]))
+        return B_lambda(name.split(":", 1)[1])
     raise ParseError(
         f"unknown algebra {name!r}; builtins: {', '.join(_BUILTIN_ALGEBRAS)}")
 
@@ -189,7 +187,7 @@ def _cmd_gk(args) -> int:
 
 def _cmd_overlaps(args) -> int:
     presentation = _load_presentation(args.algebra, args.file)
-    report = check_pbw_overlaps(presentation)
+    report = presentation.overlap_report
     checks = [
         _timed_check(f"overlap_{'_'.join(presentation.generators[g] for g in c.triple)}",
                      c.ok,

@@ -10,12 +10,9 @@ Pairs wait in a heap and follow Buchberger's normal selection strategy:
 smallest lcm first and, among equal lcms, the newest pair.  Each basis
 element is split once, when it enters the basis, into its leading term and
 its tail; reduction works on one mutable term dict and adds only tails, so
-no leading term is added just to cancel.  The engine only ever extends a
-reduced basis: `groebner` extends the empty one by its generators, and
-`CommIdeal.with_extra_generators` extends the ideal's own.  Only pairs with
-at least one new element are formed.  Pairs of two old elements would be
-wasted work, because the S-polynomial of two elements of a Groebner basis
-reduces to zero modulo that basis, and so modulo any larger set.
+no leading term is added just to cancel.  The engine computes the reduced
+basis of a list of generators and nothing else; `CommIdeal.__init__` is the
+only way to build an ideal, and every ideal gets its basis from `groebner`.
 
 On top of membership sit the Poisson-theoretic operations: `is_poisson_ideal`
 tests bracket stability on basis elements against generators (enough, by
@@ -161,20 +158,17 @@ def s_polynomial(f: CPoly, g: CPoly, key) -> CPoly:
     return f._new(_s_terms(_entry(f.terms, key), _entry(g.terms, key)))
 
 
-def _extend(basis: Sequence[Entry], new: Iterable[Terms], key) -> list[Entry]:
-    """Reduced Groebner basis of the ideal of a reduced basis plus `new`.
+def _extend(new: Iterable[Terms], key) -> list[Entry]:
+    """Reduced Groebner basis of the ideal generated by `new`.
 
     Buchberger with B. Buchberger's normal selection strategy: pending pairs
     sit in a heap keyed by (key(lcm), -insertion number), so the smallest
     lcm is taken first and, among equal lcms, the newest pair.  Pairs with
     coprime leading terms are never queued: their S-polynomials reduce to
-    zero.  Pairs of two elements of `basis` are never formed either: `basis`
-    is a Groebner basis, so their S-polynomials already reduce to zero
-    modulo it, and a fortiori modulo any larger set, which is all
-    Buchberger's criterion asks of a pair.  `new` is taken smallest leading
-    term first, by a stable sort, so the work does not depend on its order.
+    zero.  `new` is taken smallest leading term first, by a stable sort, so
+    the work does not depend on its order.
     """
-    basis = list(basis)
+    basis: list[Entry] = []
     heap: list = []
     seq = itertools.count()
 
@@ -217,17 +211,14 @@ def _interreduce(basis: Sequence[Entry], key) -> list[Entry]:
 
 def groebner(gens: Iterable[CPoly], order: MonomialOrder | None = None,
              variables: Sequence[str] | None = None) -> list[CPoly]:
-    """Reduced Groebner basis; deterministic for fixed input and order.
-
-    The empty basis extended by the generators.
-    """
+    """Reduced Groebner basis; deterministic for fixed input and order."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
     variables = tuple(variables or gens[0].variables)
     order = order or MonomialOrder(precedence=variables)
     key = order.key_for(variables)
-    return _polys(gens[0].variables, _extend([], [g.terms for g in gens], key))
+    return _polys(gens[0].variables, _extend([g.terms for g in gens], key))
 
 
 class CommIdeal:
@@ -241,18 +232,11 @@ class CommIdeal:
         else:
             self.variables = tuple(ambient)
         self.generators = tuple(generators)
-        self._check_variables(self.generators)
+        if any(g.variables != self.variables for g in self.generators):
+            raise ValueError("generator over the wrong variable list")
         self.order = order or MonomialOrder(precedence=self.variables)
         self._key = self.order.key_for(self.variables)
-        self._set_basis(groebner(self.generators, self.order, self.variables))
-
-    def _check_variables(self, polys: Iterable[CPoly]) -> None:
-        for g in polys:
-            if g.variables != self.variables:
-                raise ValueError("generator over the wrong variable list")
-
-    def _set_basis(self, basis: Iterable[CPoly]) -> None:
-        self.reduced_gb = tuple(basis)
+        self.reduced_gb = tuple(groebner(self.generators, self.order, self.variables))
         self._basis = [_entry(g.terms, self._key) for g in self.reduced_gb]
 
     def reduce(self, p: CPoly) -> CPoly:
@@ -269,17 +253,6 @@ class CommIdeal:
     def is_trivial(self) -> bool:
         """True iff the ideal is the whole ring."""
         return any(g.degree() == 0 for g in self.reduced_gb)
-
-    def with_extra_generators(self, extra: Iterable[CPoly]) -> "CommIdeal":
-        """The ideal plus `extra`, extending this ideal's reduced basis."""
-        extra = tuple(extra)
-        self._check_variables(extra)
-        out = CommIdeal.__new__(CommIdeal)
-        out.variables, out.order, out._key = self.variables, self.order, self._key
-        out.generators = self.reduced_gb + extra
-        basis = _extend(self._basis, [g.terms for g in extra], self._key)
-        out._set_basis(_polys(self.variables, basis))
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommIdeal):
@@ -369,14 +342,15 @@ def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
 
 
 def _closure_by_rounds(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
-    """Poisson closure for any bracket table, by rounds of extension.
+    """Poisson closure for any bracket table, by rounds of new bases.
 
     Each round brackets the remainders the round before added (at first, the
-    ideal's generators) with every variable, and extends the reduced basis
-    by the remainders of those brackets.  Earlier generators need no new
-    bracket: theirs lie in the current ideal already.  So the round that
-    adds nothing leaves an ideal whose generators all bracket into it, which
-    by Leibniz is Poisson.  The ascending chain of ideals stabilizes.
+    ideal's generators) with every variable, and takes the ideal generated
+    by the current reduced basis and the remainders of those brackets.
+    Earlier generators need no new bracket: theirs lie in the current ideal
+    already.  So the round that adds nothing leaves an ideal whose
+    generators all bracket into it, which by Leibniz is Poisson.  The
+    ascending chain of ideals stabilizes.
     """
     zero = CPoly.zero(ideal.variables)
     n = len(algebra.variables)
@@ -387,7 +361,8 @@ def _closure_by_rounds(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
                                   current._key))]
         if not fresh:
             return current
-        current = current.with_extra_generators(fresh)
+        current = CommIdeal(current.variables, current.reduced_gb + tuple(fresh),
+                            current.order)
     raise BudgetExceeded(
         f"poisson closure did not stabilize within {_MAX_CLOSURE_ROUNDS} rounds")
 

@@ -109,9 +109,10 @@ def gamma_eval(b: NCPoly, samples: SampleSet) -> FamilyElement:
         fiber_presentation = specialize_presentation(p, node)
         terms = {}
         for exps, c in b.terms.items():
-            if not c.is_regular_at(node):
-                raise PoleAtSample(f"coefficient {c} has a pole at node {node}")
-            terms[exps] = Scalar.of(c.evaluate(node), p.coeff_var)
+            try:
+                terms[exps] = Scalar.of(c.evaluate(node), p.coeff_var)
+            except PoleAtPoint as exc:
+                raise PoleAtSample(f"coefficient {c} has a pole at node {node}") from exc
         fibers.append(NCPoly(fiber_presentation, terms))
     return FamilyElement(samples.nodes, tuple(fibers))
 
@@ -123,7 +124,9 @@ def gamma_inverse(family: FamilyElement, band: tuple[int, int],
     `band` = (m_min, m_max) bounds the exponent range of each coefficient.
     Interpolation uses the first m_max - m_min + 1 nodes; every node is then
     re-checked, so families outside the image at this band raise
-    `InconsistentFamily`.
+    `InconsistentFamily`.  The preimage lies in `parent`, by default the
+    `family` of the first fiber's presentation, or `B` for a fiber that
+    `specialize_presentation` did not build.
     """
     m_min, m_max = band
     if m_max < m_min:
@@ -133,7 +136,7 @@ def gamma_inverse(family: FamilyElement, band: tuple[int, int],
         raise InsufficientSamples(
             f"band of width {width} needs at least {width} nodes, "
             f"got {len(family.nodes)}")
-    parent = parent or B()
+    parent = parent or family.fibers[0].presentation.family or B()
     var = parent.coeff_var
     terms = {}
     for exps in sorted(family.support()):

@@ -102,9 +102,12 @@ class PBWPresentation:
         self._one = Scalar.of(1, self.coeff_var)
         self._table: dict[tuple[Exponents, int], dict[Exponents, Scalar]] = {}
         self._fibers: dict[Rational, PBWPresentation] = {}
+        # The parametric presentation whose fiber this is, set only by
+        # `specialize_presentation` before the fiber is handed out.
+        self.family: Optional[PBWPresentation] = None
         # Confluence certificate, computed once here so shared presentations
         # never race on it.
-        self._overlap_report = check_pbw_overlaps(self)
+        self.overlap_report = check_pbw_overlaps(self)
 
     def _validate_tail(self, j: int, i: int, rule: SwapRule) -> None:
         for exps, _ in rule.tail.items():
@@ -192,7 +195,7 @@ class PBWPresentation:
 
     @property
     def is_confluent(self) -> bool:
-        return self._overlap_report.passed
+        return self.overlap_report.passed
 
     # -- rewriting engine ----------------------------------------------------
 
@@ -269,10 +272,11 @@ class PBWPresentation:
 
             (m0 x_k^b)·x_i = c·((m0 x_k^(b-1))·x_i)·x_k + (m0 x_k^(b-1))·tail.
 
-        The loop starts from the highest b whose product the table holds, or
-        from m0·x_i, so the recursion only ever moves to another generator
-        and its depth does not grow with a.  `active` holds the products
-        being built; meeting one of them again means the rules loop.
+        The loop starts from b = a when the table holds (m0 x_k^(a-1))·x_i,
+        and from m0·x_i otherwise, so the recursion only ever moves to
+        another generator and its depth does not grow with a.  `active`
+        holds the products being built; meeting one of them again means the
+        rules loop.
         """
         table = self._table
         key = (m, i)
@@ -292,10 +296,8 @@ class PBWPresentation:
 
         b = m[k] - 1
         terms = table.get((power(b), i))
-        while terms is None and b:
-            b -= 1
-            terms = table.get((power(b), i))
         if terms is None:
+            b = 0
             terms = self._apply({power(0): self._one}, i, active)
         for b in range(b + 1, m[k] + 1):
             out = self._apply(terms, k, active)
@@ -854,8 +856,9 @@ def specialize_presentation(p: PBWPresentation, value: Rational) -> PBWPresentat
     """Fiber of a parametric presentation at a fixed parameter value.
 
     Every coefficient and tail of p's swap rules is evaluated at `value`; the
-    fiber is named `<p.name>_lambda`.  It is memoized in `p._fibers`, so each
-    fiber of p is built, and gets its overlap certificate, once.
+    fiber is named `<p.name>_lambda` and records p as its `family`.  It is
+    memoized in `p._fibers`, so each fiber of p is built, and gets its
+    overlap certificate, once.
     """
     if not p.has_symbolic_parameter():
         raise ValueError(f"{p.name} has no symbolic parameter")
@@ -870,6 +873,7 @@ def specialize_presentation(p: PBWPresentation, value: Rational) -> PBWPresentat
             for pair, rule in p.swap_rules.items()}
         fiber = PBWPresentation(f"{p.name}_lambda", p.generators, rules,
                                 parameter=var, parameter_value=value)
+        fiber.family = p
         if len(p._fibers) >= _MAX_FIBERS:
             p._fibers.clear()
         p._fibers[value] = fiber
@@ -934,7 +938,7 @@ def presentation_to_json(p: PBWPresentation) -> dict:
 def presentation_from_json(data: dict) -> PBWPresentation:
     """Inverse of `presentation_to_json`; validates the schema."""
     from .exprs import parse_scalar  # local import to avoid a cycle
-    from .errors import ParseError
+    from .errors import ParseError, ZeroDenominator
 
     try:
         name = data["name"]
@@ -949,8 +953,8 @@ def presentation_from_json(data: dict) -> PBWPresentation:
         try:
             symbol = parameter["symbol"]
             raw = parameter.get("value")
-            value = None if raw is None else Fraction(raw)
-        except (KeyError, TypeError, ValueError) as exc:
+            value = None if raw is None else _as_rational(raw)
+        except (KeyError, TypeError, ValueError, ZeroDenominator) as exc:
             raise ParseError(f"bad parameter entry: {exc}") from exc
         if not isinstance(symbol, str) or symbol in generators:
             raise ParseError(f"parameter symbol {symbol!r} must be a string "
@@ -959,6 +963,8 @@ def presentation_from_json(data: dict) -> PBWPresentation:
         raise ParseError("relations must be a list")
     var = symbol if symbol is not None else "t"
     index = {g: k for k, g in enumerate(generators)}
+    if len(index) != len(generators):
+        raise ParseError("generator names must be distinct")
     rules: dict[tuple[int, int], SwapRule] = {}
     for rel in relations:
         try:

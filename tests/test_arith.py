@@ -166,15 +166,7 @@ class TestScalarMatrix:
         b = ScalarMatrix(2, 1, [one, one])
         assert (a * b).entries == (Scalar.of(2),)
         with pytest.raises(ValueError):
-            b._check_shape(a)
-        with pytest.raises(ValueError):
             _ = a * a
-
-    def test_identity_and_powers(self):
-        m = ScalarMatrix.from_rows([[Scalar.of(0), Scalar.of(1)],
-                                    [Scalar.of(0), Scalar.of(0)]])
-        assert (m ** 2).is_zero()
-        assert m ** 0 == ScalarMatrix.identity(2)
 
 
 # -- the sparse matrix product against a dense reference ----------------------------
@@ -216,7 +208,7 @@ def naive_product(a, b):
         for j in range(b.cols):
             acc = Scalar.of(0, "q")
             for k in range(a.cols):
-                acc = acc + a.entry(i, k) * b.entry(k, j)
+                acc = acc + a.entries[i * a.cols + k] * b.entries[k * b.cols + j]
             out.append(acc)
     return out
 

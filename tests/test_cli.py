@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers import random_cpoly, random_ncpoly
-from sclim import ideals, pbw
+from sclim import cli, ideals, pbw
 from sclim.cli import main
 from sclim.errors import BudgetExceeded, ParseError
 from sclim.exprs import parse_cpoly, parse_expression, parse_scalar
@@ -220,6 +220,43 @@ class TestExitCodeCorpus:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fault, message", [
+        ("algebra", "zero denominator in '1/0'"),
+        ("value", "bad parameter entry: zero denominator in '1/0'"),
+        ("generators", "generator names must be distinct"),
+    ])
+    def test_zero_denominator_or_repeated_generator_exits_two(
+            self, tmp_path, capsys, fault, message):
+        data = presentation_to_json(B())
+        if fault == "value":
+            data["parameter"]["value"] = "1/0"
+        elif fault == "generators":
+            data["generators"] = ["e", "f", "e"]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        argv = (["nf", "--algebra", "B_lambda:1/0", "e"] if fault == "algebra"
+                else ["nf", "--file", str(path), "e"])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_overlaps_certifies_once(self, tmp_path, capsys, monkeypatch):
+        # `overlaps` prints the certificate the presentation was built with.
+        calls = []
+        original = pbw.check_pbw_overlaps
+
+        def counted(p):
+            calls.append(p.name)
+            return original(p)
+
+        monkeypatch.setattr(pbw, "check_pbw_overlaps", counted)
+        # Count calls made through a name `cli` imports, too.
+        monkeypatch.setattr(cli, "check_pbw_overlaps", counted, raising=False)
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(presentation_to_json(B())))
+        assert main(["overlaps", "--file", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+        assert calls == ["B"]
 
     def test_bad_expression_exits_two(self):
         assert main(["nf", "--algebra", "B", "e +"]) == 2

@@ -7,8 +7,6 @@ not a Groebner basis, in both orders.  A closure loop written
 here on sympy polynomials must give `poisson_closure`'s basis.  A sympy
 biderivation built from a bracket table checks `poisson_bracket` over four
 tables, and the closure of the one quadratic table in both orders.
-Hypothesis properties check that extending a reduced basis gives the basis
-computed from scratch.
 """
 
 import random
@@ -16,8 +14,6 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import nonzero, random_cpoly
 from sclim.ideals import (CommIdeal, MonomialOrder, groebner, poisson_closure,
@@ -218,24 +214,3 @@ class TestBracketAgainstSympy:
             closure = poisson_closure(CommIdeal(algebra, gens, order), algebra)
             assert set(closure.reduced_gb) == table_closure(table, gens, kind)
 
-
-# -- incremental extension ------------------------------------------------------------
-
-# Total degree at most 2 keeps every lex basis small; at degree 6, random
-# lex bases run for minutes.
-fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-quadratic_exponents = st.sampled_from(
-    [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2])
-polys = st.builds(lambda terms: CPoly(VARS, terms),
-                  st.dictionaries(quadratic_exponents, fractions, max_size=3))
-orders = st.sampled_from(["degrevlex", "lex"]).map(lambda k: MonomialOrder(k, VARS))
-
-
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(st.lists(polys, max_size=3), st.lists(polys, max_size=3), orders)
-def test_extension_equals_basis_from_scratch(gens, extra, order):
-    ideal = CommIdeal(VARS, gens, order)
-    extended = ideal.with_extra_generators(extra)
-    assert extended.reduced_gb == tuple(groebner(list(ideal.reduced_gb) + extra,
-                                                 order, VARS))
-    assert extended.generators == ideal.reduced_gb + tuple(extra)

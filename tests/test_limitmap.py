@@ -148,6 +148,14 @@ class TestGammaInverse:
         family = gamma_eval(z, SampleSet([2, 3, 5]))
         assert gamma_inverse(family, (-1, 0)) == z
 
+    def test_default_parent_is_the_sampled_family(self):
+        # Fibers of B_q reconstruct into B_q, not into B.
+        bq = B_q()
+        q = bq.parameter_scalar()
+        z = bq.generator(0).scale(q * q + 1)
+        back = gamma_inverse(gamma_eval(z, SampleSet.integers(4)), (0, 2))
+        assert back.presentation is bq and back == z
+
     def test_homomorphism_fiberwise(self):
         rng = random.Random(502)
         b = B()
