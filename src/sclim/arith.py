@@ -15,8 +15,8 @@ Canonical forms:
   on ints, with one `math.gcd` per result whose denominator is not 1.
 * `Scalar` keeps numerator and denominator coprime with a monic denominator,
   so zero tests and equality are cheap and exact.  Sums, differences,
-  products and negatives of polynomial scalars (denominator 1, constants
-  included) run on the operands' ints and build num/1 with no `UniPoly` op.
+  products, negatives and quotients by a nonzero constant of polynomial
+  scalars (denominator 1) run on the ints and build num/1 with no `UniPoly` op.
 
 A scalar whose denominator is a power of the variable is "Laurent"; one whose
 denominator does not vanish at a point is "regular" there and can be
@@ -63,9 +63,11 @@ def _ints_sum(x: Sequence[int], dx: int, y: Sequence[int],
     """x/dx + y/dy as (ints, den); trailing zeros and common content stay."""
     if dx != dy:
         g = gcd(dx, dy)
-        x = [c * (dy // g) for c in x]
-        y = [c * (dx // g) for c in y]
-        dx *= dy // g
+        if dy != g:
+            x = [c * (dy // g) for c in x]
+            dx *= dy // g
+        if dx != dy:
+            y = [c * (dx // dy) for c in y]
     if len(x) == 1 == len(y):
         return [x[0] + y[0]], dx
     if len(x) < len(y):
@@ -296,8 +298,8 @@ class Scalar:
     Every scalar is canonical, so two scalars are equal in the
     rational-function field iff their stored parts are identical.  The
     constructor canonicalizes through a gcd when the denominator is not
-    constant; `Scalar.of` and `+ - *` and negation of polynomials
-    (denominator 1) build num/1 directly, which already is.
+    constant; `Scalar.of`, and `+ - * neg` of polynomials (denominator 1)
+    and their `/` by a nonzero constant, build num/1 directly, which already is.
     """
 
     __slots__ = ("num", "den")
@@ -425,7 +427,13 @@ class Scalar:
             return NotImplemented
         if o.is_zero():
             raise ZeroDenominator(f"division of {self} by zero")
-        return Scalar(self.num * o.den, self.den * o.num)
+        a, b = self.num, o.num
+        if len(b._ints) == 1 == len(o.den._ints) == len(self.den._ints):
+            # A polynomial over the constant n/d: times d/n on the ints.
+            n = b._ints[0]
+            d = b._den if n > 0 else -b._den
+            return _poly_result(self, o, [c * d for c in a._ints], a._den * abs(n))
+        return Scalar(a * o.den, self.den * b)
 
     def __rtruediv__(self, other) -> "Scalar":
         o = self._coerce(other)
@@ -441,9 +449,11 @@ class Scalar:
     def __pow__(self, exponent: int) -> "Scalar":
         if exponent < 0:
             return self.inverse() ** (-exponent)
+        # Square and multiply over the bits, highest first; canonical forms
+        # make the result equal to that of repeated products.
         result = Scalar.of(1, self.var)
-        for _ in range(exponent):
-            result = result * self
+        for bit in bin(exponent)[2:]:
+            result = result * result if bit == "0" else result * result * self
         return result
 
     def __eq__(self, other: object) -> bool:

@@ -21,6 +21,7 @@ value.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .arith import Scalar
@@ -163,42 +164,50 @@ class _ScalarContext:
 
 
 class _RingContext:
-    """A polynomial ring (`NCPoly` or `CPoly`): its unit and its named atoms."""
+    """A polynomial ring (`NCPoly` or `CPoly`): its coefficients and named atoms.
 
-    def __init__(self, one: SparsePoly, atoms: dict[str, SparsePoly]):
-        self.one = one
+    A subexpression with no generator stays a coefficient (`const` makes one
+    from an int).  It becomes a ring element when it meets one, through
+    `SparsePoly`'s scalar coercion, or by `lift` at the end of `parse`.
+    """
+
+    def __init__(self, const, lift, atoms: dict):
+        self.const = const
+        self.lift = lift
         self.atoms = atoms
 
-    def const(self, n: int) -> SparsePoly:
-        return self.one._const(n)
+    def parse(self, text: str) -> SparsePoly:
+        value = _Parser(text, self).parse()
+        return value if isinstance(value, SparsePoly) else self.lift(value)
 
-    def atom(self, name: str, pos: int) -> SparsePoly:
+    def atom(self, name: str, pos: int):
         if name not in self.atoms:
             raise ParseError(f"unknown symbol {name!r}", pos)
         return self.atoms[name]
 
-    def divide(self, a: SparsePoly, b: SparsePoly, pos: int) -> SparsePoly:
-        if b.degree() > 0:
-            raise ParseError("can only divide by a constant", pos)
-        if b.is_zero():
+    def divide(self, a, b, pos: int):
+        if isinstance(b, SparsePoly):
+            if b.degree() > 0:
+                raise ParseError("can only divide by a constant", pos)
+            b = next(iter(b.terms.values()), 0)
+        if not b:
             raise ParseError("division by zero", pos)
-        (coeff,) = b.terms.values()
-        return a.scale(1 / coeff)
+        return a.scale(1 / b) if isinstance(a, SparsePoly) else a / b
 
 
 def parse_expression(text: str, presentation: PBWPresentation) -> NCPoly:
     """Parse an element of a PBW algebra; products are normalized."""
     p = presentation
     # A generator named like the parameter shadows it.
-    atoms = {} if p.parameter is None else {p.parameter: p.scalar(p.parameter_scalar())}
+    atoms = {} if p.parameter is None else {p.parameter: p.parameter_scalar()}
     atoms.update((g, p.gen(g)) for g in p.generators)
-    return _Parser(text, _RingContext(p.one(), atoms)).parse()
+    return _RingContext(lambda n: Scalar.of(n, p.coeff_var), p.scalar, atoms).parse(text)
 
 
 def parse_cpoly(text: str, variables: Sequence[str]) -> CPoly:
     """Parse a commutative polynomial over the given variables."""
     atoms = {v: CPoly.variable(v, variables) for v in variables}
-    return _Parser(text, _RingContext(CPoly.const(1, variables), atoms)).parse()
+    return _RingContext(Fraction, lambda c: CPoly.const(c, variables), atoms).parse(text)
 
 
 def parse_scalar(text: str, var: str) -> Scalar:

@@ -34,7 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from .arith import Rational, Scalar, UniPoly, _as_rational
+from .arith import (Rational, Scalar, UniPoly, _as_rational, _canonical,
+                    _ints_product, _ints_sum, _over, _unit)
 from .errors import BudgetExceeded, MixedPresentations
 
 Exponents = tuple[int, ...]
@@ -354,7 +355,7 @@ def _accumulate(table: dict, key, value) -> None:
 
     The only place a term is added into a term dict; coefficients are
     `Scalar` or `Fraction`, both false exactly when zero.  `_add_scaled` and
-    `_add_shifted` add whole term dicts through it.
+    `_add_shifted` add whole term dicts through it, `_sum_products` its groups.
     """
     cur = table.get(key)
     total = value if cur is None else cur + value
@@ -374,6 +375,49 @@ def _add_shifted(out: dict, terms: Mapping, factor, shift: Exponents) -> None:
     """Add factor·x^shift·terms into `out`, for commuting monomials."""
     for e, c in terms.items():
         _accumulate(out, tuple(map(operator.add, e, shift)), factor * c)
+
+
+def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping) -> dict:
+    """Σ c_a·c_b·c over the term pairs c_a·e_a, c_b·e_b and the terms c·m of
+    the normal form of e_a·e_b; a c that is `p._one` is not multiplied in.
+
+    Numerators multiply and add as ints, grouped by monomial, denominator and
+    variable (see `_parts`); each group is made canonical once, by arith's
+    `_canonical`, and the groups of one monomial are joined with `Scalar +`.
+    """
+    groups: dict[tuple, tuple] = {}
+    one, product = p._one, p._monomial_product
+    b_parts = [(eb, _parts(cb)) for eb, cb in b_terms.items()]
+    for ea, ca in a_terms.items():
+        pa = _parts(ca)
+        for eb, pb in b_parts:
+            f = _parts_product(pa, pb)
+            for m, c in product(ea, eb).items():
+                x, d, r, v = f if c is one else _parts_product(f, _parts(c))
+                g = groups.get(key := (m, r, v))
+                groups[key] = (x, d) if g is None else _ints_sum(*g, x, d)
+    out: dict[Exponents, Scalar] = {}
+    for (m, r, v), (x, d) in groups.items():
+        num = _canonical(x, d, v or p.coeff_var)
+        _accumulate(out, m, _over(num, _unit(num.var)) if r is None else Scalar(num, r))
+    return out
+
+
+def _parts(c: Scalar) -> tuple:
+    """(numerator ints, their int denominator, denominator, variable) of c; the
+    denominator is None for a polynomial and the variable None for a constant."""
+    n, d = c.num, c.den
+    if len(d._ints) == 1:
+        return n._ints, n._den, None, n.var if len(n._ints) > 1 else None
+    return n._ints, n._den, d, n.var
+
+
+def _parts_product(p: tuple, q: tuple) -> tuple:
+    """The `_parts` of a product; nonconstant factors in two variables raise."""
+    (x, d, r, v), (y, e, s, w) = p, q
+    if v and w and v != w:
+        raise ValueError(f"cannot mix variables {v!r} and {w!r}")
+    return _ints_product(x, y), d * e, s if r is None else r if s is None else r * s, v or w
 
 
 class SparsePoly:
@@ -557,12 +601,7 @@ def _format_terms(terms: Mapping[Exponents, object], names: Sequence[str],
 def multiply(a: NCPoly, b: NCPoly) -> NCPoly:
     """Normal form of the product a * b."""
     a._check_compatible(b)
-    p = a.presentation
-    out: dict[Exponents, Scalar] = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            _add_scaled(out, p._monomial_product(ea, eb), ca * cb, p._one)
-    return a._new(out)
+    return a._new(_sum_products(a.presentation, a.terms, b.terms))
 
 
 def commutator(a: NCPoly, b: NCPoly) -> NCPoly:
@@ -962,6 +1001,8 @@ def presentation_from_json(data: dict) -> PBWPresentation:
     if not isinstance(relations, list):
         raise ParseError("relations must be a list")
     var = symbol if symbol is not None else "t"
+    if not all(isinstance(g, str) for g in generators):
+        raise ParseError("generator names must be strings")
     index = {g: k for k, g in enumerate(generators)}
     if len(index) != len(generators):
         raise ParseError("generator names must be distinct")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import nonzero, random_fraction, random_scalar, random_unipoly
@@ -134,6 +134,19 @@ class TestScalarField:
         assert s * s.inverse() == Scalar(poly(1))
         with pytest.raises(ZeroDenominator):
             Scalar(poly()).inverse()
+
+    @pytest.mark.parametrize("s", [
+        Scalar.of(Fraction(-3, 2), "q"), Scalar(poly(-1, 2, Fraction(1, 3))),
+        Scalar(poly(1, 0, 1), poly(2, 1)), Scalar(poly(1), poly(-1, 1))])
+    def test_power_is_repeated_multiplication(self, s):
+        product = Scalar.of(1, s.var)
+        for k in range(13):
+            power = s ** k
+            assert power == product and power.var == product.var
+            assert s ** -k == product.inverse()
+            product = product * s
+        with pytest.raises(ZeroDenominator):
+            Scalar.of(0, "t") ** -1
 
     def test_laurent_predicate(self):
         assert Scalar(poly(1), poly(0, 0, 1)).is_laurent()
@@ -560,6 +573,28 @@ class TestPolynomialScalarsAgainstSympy:
         assert result == Scalar(result.num, result.den)
         expected = SYMPY_OPS[op](to_sympy(a.num, var), to_sympy(b.num, var))
         assert shape(result.num) == shape(expected)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(a=polynomial_scalars_with_constants(), c=oracle_coefficients,
+           var=st.sampled_from(("t", "q")))
+    @example(a=Scalar(UniPoly([1, 2], "t")), c=Fraction(0), var="t")
+    @example(a=Scalar(UniPoly([1, 2], "t")), c=Fraction(-3, 2), var="q")
+    @example(a=Scalar.of(5, "t"), c=Fraction(-5, 3), var="q")
+    def test_division_by_a_constant(self, a, c, var):
+        b = Scalar.of(c, var)
+        if not c:
+            with pytest.raises(ZeroDenominator):
+                a / b
+            return
+        result = a / b
+        assert result.var == result.num.var == result.den.var == (
+            b.var if result.is_constant() else a.var)
+        assert result.is_polynomial() and result.den == UniPoly([1], result.var)
+        assert outcome(lambda x, y: x / y, a, b) == outcome(
+            lambda x, y: Scalar(x.num * y.den, x.den * y.num), a, b)
+        expected = to_sympy(a.num, a.var) * sympy.Rational(c.denominator, c.numerator)
+        assert shape(result.num)[0] == shape(expected)[0]
+        assert 1 / b == b.inverse()
 
     @pytest.mark.parametrize("op", sorted(SYMPY_OPS))
     def test_constants_in_another_variable_on_either_side(self, op):

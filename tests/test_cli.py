@@ -2,14 +2,18 @@
 
 import ast
 import json
+import operator
 import os
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_cpoly, random_ncpoly
 from sclim import cli, ideals, pbw
@@ -19,6 +23,7 @@ from sclim.exprs import parse_cpoly, parse_expression, parse_scalar
 from sclim.pbw import (B, B_q, PBWPresentation, SwapRule, Usl2, casimir,
                        multiply, presentation_to_json)
 from sclim.arith import Scalar
+from sclim.poisson import CPoly
 
 
 class TestParsing:
@@ -99,6 +104,112 @@ class TestRoundTrip:
     def test_zero_prints_and_parses(self):
         assert str(B().zero()) == "0"
         assert parse_expression("0", B()).is_zero()
+
+
+# The oracle for the parser lifts every literal and the parameter into the
+# ring first, and divides by a constant ring element by scaling with its
+# inverse.  Trees print fully parenthesized, so each '/' knows its position.
+
+PARSER_RINGS = {"B": B, "B_q": B_q, "Usl2": Usl2,
+                "B_lambda(3/2)": lambda: pbw.B_lambda(Fraction(3, 2)), "CPoly": None}
+
+
+def _ring(name):
+    """(atom names -> ring elements, literal -> ring element, parse function)."""
+    if name == "CPoly":
+        variables = ("e", "f", "h")
+        atoms = {v: CPoly.variable(v, variables) for v in variables}
+        return atoms, lambda n: CPoly.const(n, variables), \
+            lambda text: parse_cpoly(text, variables)
+    p = PARSER_RINGS[name]()
+    atoms = {g: p.gen(g) for g in p.generators}
+    if p.parameter is not None:
+        atoms[p.parameter] = p.scalar(p.parameter_scalar())
+    return atoms, p.scalar, lambda text: parse_expression(text, p)
+
+
+def _expression_trees(names):
+    leaves = st.one_of(st.integers(0, 4).map(lambda n: ("int", n)),
+                       st.sampled_from(names).map(lambda n: ("name", n)))
+
+    def extend(children):
+        return st.one_of(st.tuples(st.sampled_from("+-*/"), children, children),
+                         st.tuples(st.just("neg"), children),
+                         st.tuples(st.just("^"), children, st.integers(0, 2)))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _text(tree) -> str:
+    """The fully parenthesized text of a tree."""
+    kind = tree[0]
+    if kind in ("int", "name"):
+        return str(tree[1])
+    if kind == "neg":
+        return f"-({_text(tree[1])})"
+    if kind == "^":
+        return f"({_text(tree[1])})^{tree[2]}"
+    return f"({_text(tree[1])}){kind}({_text(tree[2])})"
+
+
+def _lifted(tree, atoms, lift, start=0):
+    """Value of a tree printed at `start`; a bad division raises ParseError at its '/'."""
+    kind = tree[0]
+    if kind == "int":
+        return lift(tree[1])
+    if kind == "name":
+        return atoms[tree[1]]
+    if kind == "neg":
+        return -_lifted(tree[1], atoms, lift, start + 2)
+    if kind == "^":
+        return _lifted(tree[1], atoms, lift, start + 1) ** tree[2]
+    a = _lifted(tree[1], atoms, lift, start + 1)
+    pos = start + len(_text(tree[1])) + 2
+    b = _lifted(tree[2], atoms, lift, pos + 2)
+    if kind != "/":
+        return {"+": operator.add, "-": operator.sub, "*": operator.mul}[kind](a, b)
+    if b.degree() > 0:
+        raise ParseError("can only divide by a constant", pos)
+    if b.is_zero():
+        raise ParseError("division by zero", pos)
+    (c,) = b.terms.values()
+    return a.scale(1 / c)
+
+
+class TestParserOracle:
+    @pytest.mark.parametrize("name", sorted(PARSER_RINGS))
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_literals_as_coefficients_match_lifting_them_first(self, name, data):
+        atoms, lift, parse = _ring(name)
+        tree = data.draw(_expression_trees(sorted(atoms)))
+        text = _text(tree)
+        try:
+            expected = _lifted(tree, atoms, lift)
+        except ParseError as exc:
+            expected = (str(exc), exc.position)
+        try:
+            got = parse(text)
+        except ParseError as exc:
+            got = (str(exc), exc.position)
+        assert got == expected, text
+        if not isinstance(got, tuple):
+            assert str(got) == str(expected)
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("e/(t-t)", "division by zero", 1),
+        ("e/f", "can only divide by a constant", 1),
+        ("3/0", "division by zero", 1),
+        ("(2)/(t-t)", "division by zero", 3),
+        ("e/(e-e)", "division by zero", 1),
+        ("e/(e-e+f)", "can only divide by a constant", 1),
+    ])
+    def test_division_errors(self, text, message, position):
+        with pytest.raises(ParseError) as excinfo:
+            parse_expression(text, B())
+        assert excinfo.value.position == position
+        assert str(excinfo.value) == f"{message} (at position {position})"
+
 
 
 class TestCommands:
@@ -203,6 +314,7 @@ class TestExitCodeCorpus:
         ("monomial", 5),
         ("symbol", "E"),
         ("symbol", 5),
+        ("generators", [["e"], "f", "h"]),
     ])
     def test_malformed_presentation_exits_two(self, tmp_path, capsys, field, value):
         # Usl2's coefficients are constants, so a bad symbol is its only fault.
@@ -215,7 +327,7 @@ class TestExitCodeCorpus:
             data[field] = value
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(data))
-        for argv in (["nf", "--file", str(path), data["generators"][0]],
+        for argv in (["nf", "--file", str(path), data["generators"][-1]],
                      ["overlaps", "--file", str(path)]):
             assert main(argv) == 2
             err = capsys.readouterr().err

@@ -86,9 +86,21 @@ def quadratic_tail() -> PBWPresentation:
     return PBWPresentation("T", ("x", "y", "z"), rules, parameter="t")
 
 
+def scaled_sl2_file() -> PBWPresentation:
+    """sl2 with its brackets scaled by -1/(t-1), read from a presentation file."""
+    rhs = {("f", "e"): ("1/(t-1)", "h"), ("h", "e"): ("-2/(t-1)", "e"),
+           ("h", "f"): ("2/(t-1)", "f")}
+    return presentation_from_json({
+        "name": "S", "generators": ["e", "f", "h"],
+        "parameter": {"symbol": "t", "value": None},
+        "relations": [{"lhs": list(lhs), "coeff": "1",
+                       "rhs": [{"coeff": c, "monomial": {g: 1}}]}
+                      for lhs, (c, g) in rhs.items()]})
+
+
 ENGINE_ALGEBRAS = {"B": B, "B_q": B_q, "Usl2": Usl2,
                    "B_lambda(3/2)": lambda: B_lambda(Fraction(3, 2)),
-                   "Q4": quantum_space, "T": quadratic_tail}
+                   "Q4": quantum_space, "T": quadratic_tail, "S": scaled_sl2_file}
 
 
 def copy_of(p: PBWPresentation) -> PBWPresentation:
@@ -155,7 +167,7 @@ class TestProductEngine:
             assert len(p._table) <= cap
             assert got.terms == terms
 
-    @pytest.mark.parametrize("name", ["B", "B_q", "Usl2", "B_lambda(3/2)", "Q4"])
+    @pytest.mark.parametrize("name", ["B", "B_q", "Usl2", "B_lambda(3/2)", "Q4", "S"])
     @settings(max_examples=30, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_products_match_word_rewriting_term_by_term(self, name, data):
@@ -169,7 +181,11 @@ class TestProductEngine:
             st.builds(lambda c: Scalar.of(c, var),
                       st.fractions(min_value=-3, max_value=3, max_denominator=2)),
             st.builds(lambda c0, c1: Scalar(UniPoly([c0, c1], var)),
-                      st.integers(-2, 2), st.integers(-2, 2)))
+                      st.integers(-2, 2), st.integers(-2, 2)),
+            # 1/t, 1/(t-1) and (t^2+1)/(t+2): sums over unequal denominators.
+            st.sampled_from([Scalar(UniPoly([1], var), UniPoly(d, var))
+                             for d in ([0, 1], [-1, 1])]
+                            + [Scalar(UniPoly([1, 0, 1], var), UniPoly([2, 1], var))]))
         polys = st.dictionaries(exps, coeffs, max_size=3).map(lambda t: NCPoly(p, t))
         a, b = data.draw(polys), data.draw(polys)
         expected = p.zero()
