@@ -507,17 +507,8 @@ def _poly_result(a: Scalar, b: Scalar, ints: list[int], den: int) -> Scalar:
         raise ValueError(f"cannot mix variables {x.var!r} and {y.var!r}")
     while ints and not ints[-1]:
         ints.pop()
-    if den != 1:
-        g = gcd(den, *ints)
-        if g != 1:
-            ints = [c // g for c in ints]
-            den //= g
     src = b if len(ints) <= 1 or len(y._ints) > 1 else a
-    num = UniPoly.__new__(UniPoly)
-    num._ints, num._den, num.var = tuple(ints), den, src.num.var
-    out = Scalar.__new__(Scalar)
-    out.num, out.den = num, src.den
-    return out
+    return _over(_canonical(ints, den, src.num.var), src.den)
 
 
 def _eval_poly_at_scalar(p: UniPoly, point: Scalar) -> Scalar:

@@ -13,10 +13,16 @@ Rational literals are just division of integers ("3/4"), so '/' doubles as
 the division operator; dividing by anything but a nonzero constant of the
 target ring is a parse error.
 
-The same parser serves three targets: noncommutative elements over a
-presentation, commutative polynomials over a variable list, and bare
-coefficient scalars.  Printing (`str`) of any of these re-parses to an equal
-value.
+The parser reads a token list closed by an "end" token.  One precedence loop
+handles every binary operator: '+' and '-' bind at level 1, '*' and '/' at
+level 2, and all four associate to the left, so the loop recurses only for a
+right operand, at one level above its operator.  One operand routine reads
+the unary signs, an atom or a parenthesized expression, and '^ INTEGER'.
+
+The same parser and one context class serve three targets: noncommutative
+elements over a presentation, commutative polynomials over a variable list,
+and bare coefficient scalars (a ring whose only atom is the variable).
+Printing (`str`) of any of these re-parses to an equal value.
 """
 
 from __future__ import annotations
@@ -25,14 +31,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import Scalar
-from .errors import ParseError, ZeroDenominator
+from .errors import ParseError
 from .pbw import NCPoly, PBWPresentation, SparsePoly
 from .poisson import CPoly
 
 _OPERATORS = set("+-*/^()")
+# The level each binary operator binds at; all associate to the left.
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then an "end" token where the last one ends."""
     tokens = []
     k = 0
     while k < len(text):
@@ -58,113 +67,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("name", text[start:k], start))
             continue
         raise ParseError(f"unexpected character {ch!r}", k)
+    end = tokens[-1][2] + len(tokens[-1][1]) if tokens else 0
+    tokens.append(("end", "", end))
     return tokens
 
 
-class _Parser:
-    """Recursive descent over a token list, building into a ring context."""
-
-    def __init__(self, text: str, context):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.context = context
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, kind: str | None = None):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression",
-                             len_hint(self.tokens))
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        value = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
-        return value
-
-    def expr(self):
-        value = self.term()
-        while (tok := self.peek()) and tok[0] in "+-":
-            self.take()
-            rhs = self.term()
-            value = value + rhs if tok[0] == "+" else value - rhs
-        return value
-
-    def term(self):
-        value = self.factor()
-        while (tok := self.peek()) and tok[0] in "*/":
-            self.take()
-            rhs = self.factor()
-            if tok[0] == "*":
-                value = value * rhs
-            else:
-                value = self.context.divide(value, rhs, tok[2])
-        return value
-
-    def factor(self):
-        tok = self.peek()
-        if tok and tok[0] in "+-":
-            self.take()
-            inner = self.factor()
-            return inner if tok[0] == "+" else -inner
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if (tok := self.peek()) and tok[0] == "^":
-            self.take()
-            exp_tok = self.take("int")
-            return base ** int(exp_tok[1])
-        return base
-
-    def atom(self):
-        tok = self.take()
-        kind, text, pos = tok
-        if kind == "int":
-            return self.context.const(int(text))
-        if kind == "name":
-            return self.context.atom(text, pos)
-        if kind == "(":
-            value = self.expr()
-            closing = self.take()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", closing[2])
-            return value
-        raise ParseError(f"unexpected {text!r}", pos)
-
-
-def len_hint(tokens) -> int:
-    return tokens[-1][2] + len(tokens[-1][1]) if tokens else 0
-
-
-class _ScalarContext:
-    def __init__(self, var: str):
-        self.var = var
-
-    def const(self, n: int) -> Scalar:
-        return Scalar.of(n, self.var)
-
-    def atom(self, name: str, pos: int) -> Scalar:
-        if name != self.var:
-            raise ParseError(f"unknown symbol {name!r}", pos)
-        return Scalar.variable(self.var)
-
-    def divide(self, a: Scalar, b: Scalar, pos: int) -> Scalar:
-        try:
-            return a / b
-        except ZeroDenominator as exc:
-            raise ParseError(str(exc), pos) from exc
+def _unexpected(token, message: str) -> ParseError:
+    """`message` at a token; running into the end token has its own message."""
+    kind, _, pos = token
+    return ParseError("unexpected end of expression" if kind == "end" else message, pos)
 
 
 class _RingContext:
-    """A polynomial ring (`NCPoly` or `CPoly`): its coefficients and named atoms.
+    """A target ring (`NCPoly`, `CPoly` or `Scalar`): its coefficients and named atoms.
 
     A subexpression with no generator stays a coefficient (`const` makes one
     from an int).  It becomes a ring element when it meets one, through
@@ -176,16 +91,59 @@ class _RingContext:
         self.lift = lift
         self.atoms = atoms
 
-    def parse(self, text: str) -> SparsePoly:
-        value = _Parser(text, self).parse()
+    def parse(self, text: str):
+        tokens = _tokenize(text)
+        value, k = self._expr(tokens, 0, 1)
+        kind, word, pos = tokens[k]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing {word!r}", pos)
         return value if isinstance(value, SparsePoly) else self.lift(value)
 
-    def atom(self, name: str, pos: int):
-        if name not in self.atoms:
-            raise ParseError(f"unknown symbol {name!r}", pos)
-        return self.atoms[name]
+    def _expr(self, tokens, k: int, floor: int):
+        """Operands joined by operators of level `floor` or above: (value, next index)."""
+        value, k = self._operand(tokens, k)
+        while (level := _BINARY.get(tokens[k][0], 0)) >= floor:
+            op, _, pos = tokens[k]
+            rhs, k = self._expr(tokens, k + 1, level + 1)
+            if op == "+":
+                value = value + rhs
+            elif op == "-":
+                value = value - rhs
+            elif op == "*":
+                value = value * rhs
+            else:
+                value = self._divide(value, rhs, pos)
+        return value, k
 
-    def divide(self, a, b, pos: int):
+    def _operand(self, tokens, k: int):
+        """Unary signs, an atom or '(' expr ')', then '^ INTEGER': (value, next index)."""
+        negate = False
+        while tokens[k][0] in ("+", "-"):
+            negate ^= tokens[k][0] == "-"
+            k += 1
+        kind, word, pos = tokens[k]
+        if kind == "int":
+            value = self.const(int(word))
+        elif kind == "name":
+            if word not in self.atoms:
+                raise ParseError(f"unknown symbol {word!r}", pos)
+            value = self.atoms[word]
+        elif kind == "(":
+            value, k = self._expr(tokens, k + 1, 1)
+            if tokens[k][0] != ")":
+                raise _unexpected(tokens[k], "expected ')'")
+        else:
+            raise _unexpected(tokens[k], f"unexpected {word!r}")
+        if tokens[k + 1][0] == "^":
+            exponent = tokens[k + 2]
+            if exponent[0] != "int":
+                raise _unexpected(exponent, f"expected int, found {exponent[1]!r}")
+            value = value ** int(exponent[1])
+            k += 2
+        return (-value if negate else value), k + 1
+
+    @staticmethod
+    def _divide(a, b, pos: int):
         if isinstance(b, SparsePoly):
             if b.degree() > 0:
                 raise ParseError("can only divide by a constant", pos)
@@ -212,4 +170,5 @@ def parse_cpoly(text: str, variables: Sequence[str]) -> CPoly:
 
 def parse_scalar(text: str, var: str) -> Scalar:
     """Parse a rational function in the single variable `var`."""
-    return _Parser(text, _ScalarContext(var)).parse()
+    return _RingContext(lambda n: Scalar.of(n, var), lambda c: c,
+                        {var: Scalar.variable(var)}).parse(text)

@@ -33,7 +33,7 @@ from .errors import (InconsistentFamily, InsufficientSamples, PoleAtOne,
 from .ideals import (CommIdeal, is_poisson_ideal, membership,
                      nilpotent_nonprime_witness, poisson_closure)
 from .pbw import (B, B_q, NCPoly, PBWPresentation, annihilates, casimir,
-                  commutator, is_central, multiply, sl2_representation,
+                  commutator, is_central, sl2_representation,
                   specialize_presentation)
 from .poisson import B1, CPoly
 
@@ -85,12 +85,6 @@ class FamilyElement:
 
     def fiber(self, node: int | Rational) -> NCPoly:
         return self.fibers[self.nodes.index(_as_rational(node))]
-
-    def __mul__(self, other: "FamilyElement") -> "FamilyElement":
-        if self.nodes != other.nodes:
-            raise ValueError("families over different node sets")
-        return FamilyElement(self.nodes, tuple(
-            multiply(a, b) for a, b in zip(self.fibers, other.fibers)))
 
     def support(self) -> set[tuple[int, ...]]:
         out: set[tuple[int, ...]] = set()

@@ -570,7 +570,7 @@ class NCPoly(SparsePoly):
 def _scalar_coeff_str(c: Scalar) -> tuple[str, bool]:
     """Render a coefficient; second value says whether it needs parentheses."""
     s = str(c)
-    atomic = c.is_polynomial() and len([x for x in c.num.coeffs if x != 0]) <= 1
+    atomic = c.is_polynomial() and len([x for x in c.num._ints if x]) <= 1
     return s, not atomic
 
 

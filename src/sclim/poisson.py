@@ -100,6 +100,9 @@ class CPoly(SparsePoly):
         return self._new(out)
 
     def __hash__(self) -> int:
+        # A constant hashes as the Fraction it equals, as `Scalar` does.
+        if self.degree() <= 0:
+            return hash(next(iter(self.terms.values()), 0))
         return hash((self.variables, tuple(sorted(self.terms.items()))))
 
     def __str__(self) -> str:

@@ -79,6 +79,8 @@ class TestParsing:
         assert parse_scalar("-2*(t-1)", "t") == -2 * (Scalar.variable("t") - 1)
         assert parse_scalar("1/(q-1)", "q") == \
             (Scalar.variable("q") - 1).inverse()
+        with pytest.raises(ParseError, match=r"^division by zero \(at position 5\)$"):
+            parse_scalar("(t+1)/(t-t)", "t")
 
 
 class TestRoundTrip:
@@ -108,10 +110,12 @@ class TestRoundTrip:
 
 # The oracle for the parser lifts every literal and the parameter into the
 # ring first, and divides by a constant ring element by scaling with its
-# inverse.  Trees print fully parenthesized, so each '/' knows its position.
+# inverse.  Trees print with only the parentheses that precedence and
+# left-associativity need, and each '/' knows its position in the text.
 
 PARSER_RINGS = {"B": B, "B_q": B_q, "Usl2": Usl2,
-                "B_lambda(3/2)": lambda: pbw.B_lambda(Fraction(3, 2)), "CPoly": None}
+                "B_lambda(3/2)": lambda: pbw.B_lambda(Fraction(3, 2)), "CPoly": None,
+                "Scalar": None}
 
 
 def _ring(name):
@@ -121,6 +125,9 @@ def _ring(name):
         atoms = {v: CPoly.variable(v, variables) for v in variables}
         return atoms, lambda n: CPoly.const(n, variables), \
             lambda text: parse_cpoly(text, variables)
+    if name == "Scalar":
+        return {"t": Scalar.variable("t")}, lambda n: Scalar.of(n, "t"), \
+            lambda text: parse_scalar(text, "t")
     p = PARSER_RINGS[name]()
     atoms = {g: p.gen(g) for g in p.generators}
     if p.parameter is not None:
@@ -140,16 +147,30 @@ def _expression_trees(names):
     return st.recursive(leaves, extend, max_leaves=8)
 
 
+# How tightly each node binds: a child binding looser than its slot needs
+# parentheses.  A right operand needs them at its operator's own level too,
+# since every binary operator associates to the left.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "int": 5, "name": 5}
+
+
+def _child(tree, floor: int, start: int):
+    """(text, start of the child's own text) of a child printed at `start`."""
+    if _BINDING[tree[0]] >= floor:
+        return _text(tree), start
+    return f"({_text(tree)})", start + 1
+
+
 def _text(tree) -> str:
-    """The fully parenthesized text of a tree."""
+    """The text of a tree, with only the parentheses it needs."""
     kind = tree[0]
     if kind in ("int", "name"):
         return str(tree[1])
     if kind == "neg":
-        return f"-({_text(tree[1])})"
+        return "-" + _child(tree[1], 3, 0)[0]
     if kind == "^":
-        return f"({_text(tree[1])})^{tree[2]}"
-    return f"({_text(tree[1])}){kind}({_text(tree[2])})"
+        return f"{_child(tree[1], 5, 0)[0]}^{tree[2]}"
+    level = _BINDING[kind]
+    return _child(tree[1], level, 0)[0] + kind + _child(tree[2], level + 1, 0)[0]
 
 
 def _lifted(tree, atoms, lift, start=0):
@@ -160,20 +181,54 @@ def _lifted(tree, atoms, lift, start=0):
     if kind == "name":
         return atoms[tree[1]]
     if kind == "neg":
-        return -_lifted(tree[1], atoms, lift, start + 2)
+        return -_lifted(tree[1], atoms, lift, _child(tree[1], 3, start + 1)[1])
     if kind == "^":
-        return _lifted(tree[1], atoms, lift, start + 1) ** tree[2]
-    a = _lifted(tree[1], atoms, lift, start + 1)
-    pos = start + len(_text(tree[1])) + 2
-    b = _lifted(tree[2], atoms, lift, pos + 2)
+        return _lifted(tree[1], atoms, lift, _child(tree[1], 5, start)[1]) ** tree[2]
+    level = _BINDING[kind]
+    left, left_start = _child(tree[1], level, start)
+    a = _lifted(tree[1], atoms, lift, left_start)
+    pos = start + len(left)
+    b = _lifted(tree[2], atoms, lift, _child(tree[2], level + 1, pos + 1)[1])
     if kind != "/":
         return {"+": operator.add, "-": operator.sub, "*": operator.mul}[kind](a, b)
+    if isinstance(b, Scalar):
+        if not b:
+            raise ParseError("division by zero", pos)
+        return a / b
     if b.degree() > 0:
         raise ParseError("can only divide by a constant", pos)
     if b.is_zero():
         raise ParseError("division by zero", pos)
     (c,) = b.terms.values()
     return a.scale(1 / c)
+
+
+def _precedence_cases():
+    """(tree over names a, b, c, its text) pairs."""
+    a, b, c = (("name", x) for x in "abc")
+    return [
+        (("-", ("-", a, b), c), "a-b-c"),
+        (("-", a, ("-", b, c)), "a-(b-c)"),
+        (("/", ("/", a, ("int", 2)), ("int", 3)), "a/2/3"),
+        (("/", a, ("/", ("int", 2), ("int", 3))), "a/(2/3)"),
+        (("neg", ("^", a, 2)), "-a^2"),
+        (("^", ("neg", a), 2), "(-a)^2"),
+        (("*", ("int", 2), ("neg", a)), "2*-a"),
+        (("+", a, ("*", b, c)), "a+b*c"),
+        (("*", ("+", a, b), c), "(a+b)*c"),
+        (("-", ("neg", a), ("neg", ("int", 3))), "-a--3"),
+        (("neg", ("*", a, b)), "-(a*b)"),
+    ]
+
+
+PRECEDENCE_CASES = _precedence_cases()
+
+
+def _renamed(tree, names):
+    """The tree with each name leaf renamed through `names`."""
+    if tree[0] == "name":
+        return ("name", names[tree[1]])
+    return (tree[0], *(_renamed(x, names) if isinstance(x, tuple) else x for x in tree[1:]))
 
 
 class TestParserOracle:
@@ -196,6 +251,19 @@ class TestParserOracle:
         if not isinstance(got, tuple):
             assert str(got) == str(expected)
 
+    @pytest.mark.parametrize("tree, text", PRECEDENCE_CASES)
+    def test_printer_writes_only_needed_parentheses(self, tree, text):
+        assert _text(tree) == text
+
+    @pytest.mark.parametrize("name", sorted(PARSER_RINGS))
+    def test_precedence_and_left_associativity(self, name):
+        atoms, lift, parse = _ring(name)
+        names = sorted(atoms)
+        placeholders = {x: names[k % len(names)] for k, x in enumerate("abc")}
+        for tree, _ in PRECEDENCE_CASES:
+            tree = _renamed(tree, placeholders)
+            assert parse(_text(tree)) == _lifted(tree, atoms, lift), _text(tree)
+
     @pytest.mark.parametrize("text, message, position", [
         ("e/(t-t)", "division by zero", 1),
         ("e/f", "can only divide by a constant", 1),
@@ -210,6 +278,29 @@ class TestParserOracle:
         assert excinfo.value.position == position
         assert str(excinfo.value) == f"{message} (at position {position})"
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("", "unexpected end of expression", 0),
+        ("e+", "unexpected end of expression", 2),
+        ("e +  ", "unexpected end of expression", 3),
+        ("(", "unexpected end of expression", 1),
+        ("(e", "unexpected end of expression", 2),
+        ("e^", "unexpected end of expression", 2),
+        ("e)", "unexpected trailing ')'", 1),
+        ("e^2^3", "unexpected trailing '^'", 3),
+        ("(e f", "expected ')'", 3),
+        ("e^f", "expected int, found 'f'", 2),
+        (")", "unexpected ')'", 0),
+        ("e + $", "unexpected character '$'", 4),
+    ])
+    @pytest.mark.parametrize("target", ["NCPoly", "CPoly", "Scalar"])
+    def test_syntax_errors(self, target, text, message, position):
+        parse = {"NCPoly": lambda s: parse_expression(s, B()),
+                 "CPoly": lambda s: parse_cpoly(s, ("e", "f", "h")),
+                 "Scalar": lambda s: parse_scalar(s, "e")}[target]
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert excinfo.value.position == position
+        assert str(excinfo.value) == f"{message} (at position {position})"
 
 
 class TestCommands:
@@ -336,6 +427,7 @@ class TestExitCodeCorpus:
     @pytest.mark.parametrize("fault, message", [
         ("algebra", "zero denominator in '1/0'"),
         ("value", "bad parameter entry: zero denominator in '1/0'"),
+        ("relation", "division by zero (at position 1)"),
         ("generators", "generator names must be distinct"),
     ])
     def test_zero_denominator_or_repeated_generator_exits_two(
@@ -343,6 +435,8 @@ class TestExitCodeCorpus:
         data = presentation_to_json(B())
         if fault == "value":
             data["parameter"]["value"] = "1/0"
+        elif fault == "relation":
+            data["relations"][0]["coeff"] = "1/0"
         elif fault == "generators":
             data["generators"] = ["e", "f", "e"]
         path = tmp_path / "malformed.json"

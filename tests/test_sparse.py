@@ -137,3 +137,9 @@ def test_cpoly_hash_agrees_with_equality(data):
     if a == b:
         assert hash(a) == hash(b)
     assert len({a, (a + b) - b, CPoly(VARS, dict(a.terms))}) == 1
+    # A constant equals, so hashes as, the number it holds.
+    for value in (0, 3, data.draw(fractions)):
+        const = CPoly.const(value, VARS)
+        assert const == value and const == Fraction(value)
+        assert hash(const) == hash(value)
+        assert len({const, value, Fraction(value)}) == 1
