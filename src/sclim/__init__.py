@@ -8,10 +8,3 @@ prime ideals.  See README.md for the module map and the CLI.
 """
 
 __version__ = "0.1.0"
-
-from .arith import Rational, Scalar, ScalarMatrix, UniPoly  # noqa: F401
-from .ideals import CommIdeal, MonomialOrder, PrimalityCertificate  # noqa: F401
-from .limitmap import CounterexampleReport, FamilyElement, SampleSet  # noqa: F401
-from .pbw import (B, B_lambda, B_q, NCPoly, PBWPresentation,  # noqa: F401
-                  Representation, SwapRule, Usl2)
-from .poisson import CPoly, PoissonAlgebra  # noqa: F401

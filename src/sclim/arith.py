@@ -45,6 +45,8 @@ def _as_rational(value: int | str | Rational) -> Rational:
         return Fraction(value)
     except ZeroDivisionError:
         raise ZeroDenominator(f"zero denominator in {value!r}") from None
+    except ValueError:
+        raise ValueError(f"not a rational number: {value!r}") from None
 
 
 def _join_vars(a: "UniPoly", b: "UniPoly") -> str:

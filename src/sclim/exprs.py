@@ -28,12 +28,14 @@ Printing (`str`) of any of these re-parses to an equal value.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .arith import Scalar
 from .errors import ParseError
 from .pbw import NCPoly, PBWPresentation, SparsePoly
-from .poisson import CPoly
+
+if TYPE_CHECKING:
+    from .poisson import CPoly
 
 _OPERATORS = set("+-*/^()")
 # The level each binary operator binds at; all associate to the left.
@@ -129,7 +131,10 @@ class _RingContext:
                 raise ParseError(f"unknown symbol {word!r}", pos)
             value = self.atoms[word]
         elif kind == "(":
-            value, k = self._expr(tokens, k + 1, 1)
+            try:
+                value, k = self._expr(tokens, k + 1, 1)
+            except RecursionError:
+                raise ParseError("expression nested too deeply", pos) from None
             if tokens[k][0] != ")":
                 raise _unexpected(tokens[k], "expected ')'")
         else:
@@ -164,6 +169,7 @@ def parse_expression(text: str, presentation: PBWPresentation) -> NCPoly:
 
 def parse_cpoly(text: str, variables: Sequence[str]) -> CPoly:
     """Parse a commutative polynomial over the given variables."""
+    from .poisson import CPoly  # here, so that `nf` never loads poisson
     atoms = {v: CPoly.variable(v, variables) for v in variables}
     return _RingContext(Fraction, lambda c: CPoly.const(c, variables), atoms).parse(text)
 

@@ -29,7 +29,6 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
@@ -619,23 +618,27 @@ def is_central(z: NCPoly) -> bool:
 # -- diamond-lemma overlap check ---------------------------------------------
 
 
-@dataclass(frozen=True)
+# Plain slotted classes: `dataclasses` would cost every cold `nf` process the
+# import of `inspect`, `ast` and `dis`.
 class OverlapCheck:
-    triple: tuple[int, int, int]        # generator indices k > j > i
-    ok: bool
-    left: "NCPoly"
-    right: "NCPoly"
-    # Wall time of this triple's two reductions; not part of the certificate.
-    ms: float = field(default=0.0, compare=False)
+    __slots__ = ("triple", "ok", "left", "right", "ms")
+
+    def __init__(self, triple: tuple[int, int, int], ok: bool, left: NCPoly,
+                 right: NCPoly, ms: float):
+        self.triple = triple    # generator indices k > j > i
+        self.ok = ok
+        self.left = left
+        self.right = right
+        # Wall time of this triple's two reductions; not part of the certificate.
+        self.ms = ms
 
 
-@dataclass(frozen=True)
 class OverlapReport:
-    checks: tuple[OverlapCheck, ...]
+    __slots__ = ("checks", "passed")
 
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+    def __init__(self, checks: tuple[OverlapCheck, ...]):
+        self.checks = checks
+        self.passed = all(c.ok for c in checks)
 
 
 def check_pbw_overlaps(p: PBWPresentation) -> OverlapReport:

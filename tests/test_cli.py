@@ -429,22 +429,44 @@ class TestExitCodeCorpus:
         ("value", "bad parameter entry: zero denominator in '1/0'"),
         ("relation", "division by zero (at position 1)"),
         ("generators", "generator names must be distinct"),
+        ("algebra abc", "not a rational number: 'abc'"),
+        ("value abc", "bad parameter entry: not a rational number: 'abc'"),
     ])
     def test_zero_denominator_or_repeated_generator_exits_two(
             self, tmp_path, capsys, fault, message):
+        # A fault names the entry it damages and, after a space, the literal
+        # written there (default "1/0").
+        fault, _, literal = fault.partition(" ")
+        literal = literal or "1/0"
         data = presentation_to_json(B())
         if fault == "value":
-            data["parameter"]["value"] = "1/0"
+            data["parameter"]["value"] = literal
         elif fault == "relation":
             data["relations"][0]["coeff"] = "1/0"
         elif fault == "generators":
             data["generators"] = ["e", "f", "e"]
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(data))
-        argv = (["nf", "--algebra", "B_lambda:1/0", "e"] if fault == "algebra"
+        argv = (["nf", "--algebra", f"B_lambda:{literal}", "e"] if fault == "algebra"
                 else ["nf", "--file", str(path), "e"])
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_nesting_past_the_recursion_limit_exits_two(self, tmp_path, capsys):
+        # Each '(' takes at least one interpreter frame.
+        depth = sys.getrecursionlimit()
+        data = presentation_to_json(B())
+        data["relations"][0]["coeff"] = "(" * depth + "1" + ")" * depth
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(data))
+        for argv in (["nf", "--algebra", "B", "(" * depth + "e" + ")" * depth],
+                     ["nf", "--file", str(path), "e"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: expression nested too deeply (at position ")
+            assert err.count("\n") == 1
+        assert main(["nf", "--algebra", "B", "(" * 400 + "e" + ")" * 400]) == 0
+        assert capsys.readouterr().out == "e\n"
 
     def test_overlaps_certifies_once(self, tmp_path, capsys, monkeypatch):
         # `overlaps` prints the certificate the presentation was built with.
@@ -589,11 +611,65 @@ def _two_copies_of_b() -> PBWPresentation:
     return PBWPresentation("B2", ("e", "f", "h", "E", "F", "H"), rules, parameter="t")
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run `python *args` in a new interpreter that imports sclim from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def _without_timings(out: str):
+    try:
+        return _strip_timings(json.loads(out))
+    except json.JSONDecodeError:
+        return out
+
+
 class TestModuleEntry:
     def test_python_dash_m_runs_the_cli(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run([sys.executable, "-m", "sclim", "nf", "--algebra", "B", "f*e"],
-                              capture_output=True, text=True, env=env, timeout=60)
+        done = _fresh_python("-m", "sclim", "nf", "--algebra", "B", "f*e")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "e*f + (-t+1)*h"
+
+    # In-process tests run after every module is imported; a fresh
+    # interpreter loads only what the command's handler imports.
+    @pytest.mark.parametrize("argv", [
+        ["nf", "--algebra", "B", "f*e"],
+        ["comm", "--algebra", "B_q", "h", "e"],
+        ["bracket", "e", "f"],
+        ["limit", "--algebra", "B"],
+        ["closure", "--ideal", "e^2"],
+        ["member", "--ideal", "e,f", "--poly", "e*f + h"],
+        ["gk", "--algebra", "B", "--dmax", "6"],
+        ["overlaps", "--algebra", "B"],
+        ["verify-paper", "--n-min", "2", "--n-max", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_each_command_matches_in_process(self, capsys, argv):
+        done = _fresh_python("-m", "sclim", *argv)
+        code = main(argv)
+        assert done.returncode == code, done.stderr
+        assert _without_timings(done.stdout) == _without_timings(capsys.readouterr().out)
+
+    def test_cold_import_loads_only_what_it_runs(self):
+        code = "\n".join([
+            "import contextlib, io, json, sys",
+            "def loaded(): return sorted(m for m in sys.modules if m.startswith('sclim'))",
+            "before = set(sys.modules)",
+            "import sclim",
+            "package = loaded()",
+            "import sclim.cli",
+            "cli = loaded()",
+            "dataclasses = 'dataclasses' in set(sys.modules) - before",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    sclim.cli.main(['closure', '--ideal', 'e^2'])",
+            "print(json.dumps([package, cli, dataclasses, loaded()]))",
+        ])
+        done = _fresh_python("-c", code)
+        assert done.returncode == 0, done.stderr
+        package, cli_modules, dataclasses, after_closure = json.loads(done.stdout)
+        assert package == ["sclim"]
+        assert cli_modules == ["sclim", "sclim.arith", "sclim.cli", "sclim.errors",
+                               "sclim.exprs", "sclim.pbw"]
+        assert not dataclasses
+        assert {"sclim.ideals", "sclim.poisson"} <= set(after_closure)
