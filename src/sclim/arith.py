@@ -266,29 +266,24 @@ class UniPoly:
         return hash((self._ints, self._den))
 
     def __str__(self) -> str:
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
-        parts: list[str] = []
-        for exp in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[exp]
-            if c == 0:
+        # Each coefficient ints[k]/den, reduced by one gcd, prints as a Fraction.
+        den, parts = self._den, []
+        for exp in range(len(self._ints) - 1, -1, -1):
+            x = self._ints[exp]
+            if not x:
                 continue
-            if exp == 0:
-                body = str(c)
-            else:
+            g = gcd(x, den)
+            body = str(x // g) if g == den else f"{x // g}/{den // g}"
+            if exp:
                 head = self.var if exp == 1 else f"{self.var}^{exp}"
-                if c == 1:
+                if body == "1":
                     body = head
-                elif c == -1:
+                elif body == "-1":
                     body = f"-{head}"
                 else:
-                    body = f"{c}*{head}"
-            if parts and not body.startswith("-"):
-                parts.append("+" + body)
-            else:
-                parts.append(body)
-        return "".join(parts)
+                    body = f"{body}*{head}"
+            parts.append("+" + body if parts and body[0] != "-" else body)
+        return "".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"

@@ -33,8 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from .arith import (Rational, Scalar, UniPoly, _as_rational, _canonical,
-                    _ints_product, _ints_sum, _over, _unit)
+from .arith import Rational, Scalar, UniPoly, _as_rational, _canonical, _over, _unit
 from .errors import BudgetExceeded, MixedPresentations
 
 Exponents = tuple[int, ...]
@@ -346,7 +345,7 @@ def _word_to_exponents(word: tuple[int, ...], n: int) -> Exponents:
 
 
 def _exponents_to_word(exps: Exponents) -> tuple[int, ...]:
-    return tuple(g for g, e in enumerate(exps) for _ in range(e))
+    return sum([(g,) * e for g, e in enumerate(exps) if e], ())
 
 
 def _accumulate(table: dict, key, value) -> None:
@@ -380,43 +379,89 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping) -> d
     """Σ c_a·c_b·c over the term pairs c_a·e_a, c_b·e_b and the terms c·m of
     the normal form of e_a·e_b; a c that is `p._one` is not multiplied in.
 
-    Numerators multiply and add as ints, grouped by monomial, denominator and
-    variable (see `_parts`); each group is made canonical once, by arith's
-    `_canonical`, and the groups of one monomial are joined with `Scalar +`.
+    Numerators over common denominators D_a, D_b, D_c of a, b and the products
+    are packed into ints at 2^w (Kronecker substitution, D. Harvey, JSC 2009),
+    so a pair's product and each sum into a group (monomial, denominator,
+    variable: `_part`) is one int operation.  A group unpacks once into
+    balanced base-2^w digits, its ints over D_a·D_b·D_c, exactly: with N_a,
+    N_b the sums of a's and b's numerator L1 norms and C the largest such sum
+    in one product (`p._one` counts as D_c), each int is at most N_a·N_b·C,
+    below 2^(w-2) as w = bit_length(N_a·N_b·C) + 2, since a product has one
+    coefficient per monomial and L1 norms are submultiplicative; balanced
+    digits in [-2^(w-1), 2^(w-1)) are unique.  Constants need no width: w = 0.
     """
-    groups: dict[tuple, tuple] = {}
     one, product = p._one, p._monomial_product
-    b_parts = [(eb, _parts(cb)) for eb, cb in b_terms.items()]
-    for ea, ca in a_terms.items():
-        pa = _parts(ca)
-        for eb, pb in b_parts:
-            f = _parts_product(pa, pb)
-            for m, c in product(ea, eb).items():
-                x, d, r, v = f if c is one else _parts_product(f, _parts(c))
-                g = groups.get(key := (m, r, v))
-                groups[key] = (x, d) if g is None else _ints_sum(*g, x, d)
+    prods = list(itertools.starmap(product, itertools.product(a_terms, b_terms)))
+    da, na, wa = _norm([a_terms])
+    db, nb, wb = _norm([b_terms])
+    dc, cn, wc = _norm(prods)
+    w = (na * nb * cn).bit_length() + 2 if wa or wb or wc else 0
+    groups: dict[tuple, int] = {}
+    prods = iter(prods)
+    for ca in a_terms.values():
+        fa, ra, va = _part(ca, w, da)
+        for cb in b_terms.values():
+            fb, r, v = _part(cb, w, db, ra, va)
+            f = fa * fb
+            for m, c in next(prods).items():
+                if c is one:
+                    key, y = (m, r, v), f * dc
+                else:
+                    x, rc, vc = _part(c, w, dc, r, v)
+                    key, y = (m, rc, vc), f * x
+                groups[key] = groups.get(key, 0) + y
     out: dict[Exponents, Scalar] = {}
-    for (m, r, v), (x, d) in groups.items():
-        num = _canonical(x, d, v or p.coeff_var)
+    for (m, r, v), x in groups.items():
+        num = _canonical(_unpack(x, w) if w else [x], da * db * dc, v or p.coeff_var)
         _accumulate(out, m, _over(num, _unit(num.var)) if r is None else Scalar(num, r))
     return out
 
 
-def _parts(c: Scalar) -> tuple:
-    """(numerator ints, their int denominator, denominator, variable) of c; the
-    denominator is None for a polynomial and the variable None for a constant."""
-    n, d = c.num, c.den
-    if len(d._ints) == 1:
-        return n._ints, n._den, None, n.var if len(n._ints) > 1 else None
-    return n._ints, n._den, d, n.var
+def _part(c: Scalar, w: int, den: int, r=None, v=None) -> tuple:
+    """c's numerator over `den` packed at 2^w, and the denominator (None if 1)
+    and variable (None if constant) of c times r, v; mixed variables raise."""
+    x, s = c.num._ints, c.den
+    u = c.num.var if len(s._ints) != 1 or len(x) > 1 else None
+    if v and u and v != u:
+        raise ValueError(f"cannot mix variables {v!r} and {u!r}")
+    if len(s._ints) != 1:
+        r = s if r is None else r * s
+    return (_pack(x, w) if len(x) > 1 else x[0]) * (den // c.num._den), r, v or u
 
 
-def _parts_product(p: tuple, q: tuple) -> tuple:
-    """The `_parts` of a product; nonconstant factors in two variables raise."""
-    (x, d, r, v), (y, e, s, w) = p, q
-    if v and w and v != w:
-        raise ValueError(f"cannot mix variables {v!r} and {w!r}")
-    return _ints_product(x, y), d * e, s if r is None else r if s is None else r * s, v or w
+def _norm(term_dicts: Sequence[Mapping]) -> tuple[int, int, bool]:
+    """The lcm L of the coefficients' int denominators, the largest sum over
+    one dict of numerator L1 norms over L, and whether one is nonconstant."""
+    lcm, top, wide = 1, 0, False
+    for terms in term_dicts:
+        norm = 0
+        for c in terms.values():
+            x, d = c.num._ints, c.num._den
+            if d != lcm:
+                new = math.lcm(lcm, d)
+                norm, top, lcm = norm * (new // lcm), top * (new // lcm), new
+            norm += sum(map(abs, x)) * (lcm // d)
+            wide = wide or len(x) > 1
+        top = norm if norm > top else top
+    return lcm, top, wide
+
+
+def _pack(ints: Sequence[int], w: int) -> int:
+    """The int polynomial `ints` (constant term first) evaluated at 2^w."""
+    x = 0
+    for c in reversed(ints):
+        x = (x << w) + c
+    return x
+
+
+def _unpack(x: int, w: int) -> list[int]:
+    """`_pack` inverted: x's balanced base-2^w digits (w >= 2), lowest first."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = []
+    while x:
+        out.append(((x + half) & mask) - half)
+        x = (x - out[-1]) >> w
+    return out
 
 
 class SparsePoly:

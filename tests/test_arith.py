@@ -387,6 +387,43 @@ class TestUniPolyArithmetic:
         assert all(isinstance(c, Fraction) for c in (a + b).coeffs + (a * b).coeffs)
 
 
+def fraction_str(p):
+    """Reference printer: each coefficient as a reduced Fraction, compared
+    with 0, 1 and -1, highest power first."""
+    parts = []
+    for exp in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[exp]
+        if c == 0:
+            continue
+        head = p.var if exp == 1 else f"{p.var}^{exp}"
+        body = str(c) if exp == 0 else head if c == 1 else f"-{head}" if c == -1 \
+            else f"{c}*{head}"
+        parts.append("+" + body if parts and not body.startswith("-") else body)
+    return "".join(parts) or "0"
+
+
+class TestUniPolyPrinting:
+    def test_pinned_forms(self):
+        assert str(UniPoly([], "t")) == "0"
+        assert str(UniPoly([0, 1], "q")) == "q"
+        assert str(UniPoly([1, -1], "t")) == "-t+1"
+        assert str(UniPoly([Fraction(-1, 2), 0, Fraction(3, 4)], "t")) == "3/4*t^2-1/2"
+        assert str(UniPoly([Fraction(7, 10 ** 12), -1, 1], "q")) == "q^2-q+7/1000000000000"
+
+    def test_matches_the_fraction_printer(self):
+        # Zero, +-1, shared and coprime denominators up to 10^15, numerators
+        # past 2^64, and both variables the kernel uses.
+        rng = random.Random(1717)
+        special = [0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 3)]
+        for _ in range(4000):
+            den = rng.choice([1, 1, 2, 6, 10 ** rng.randint(1, 15)])
+            coeffs = [rng.choice(special) if rng.random() < 0.4 else
+                      Fraction(rng.randint(-2 ** 70, 2 ** 70) >> rng.randint(0, 68), den)
+                      for _ in range(rng.randint(0, 7))]
+            p = UniPoly(coeffs, rng.choice("tq"))
+            assert str(p) == fraction_str(p)
+
+
 # -- integer-content arithmetic against sympy ----------------------------------
 
 # Small coefficients make cancellations and equal values likely; large ones

@@ -217,6 +217,112 @@ class TestProductEngine:
             p._monomial_product((0, 0, 2), (0, 1, 0))
 
 
+def word_rewriting_product(p, a, b):
+    """a·b as the sum of c_a·c_b·(normal form of word(e_a)·word(e_b))."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            word = _exponents_to_word(ea) + _exponents_to_word(eb)
+            for m, c in p._word_normal_form(word).items():
+                pbw._accumulate(out, m, ca * cb * c)
+    return out
+
+
+class TestPackedProducts:
+    """`_sum_products` packs numerators into ints; these reach its widths."""
+
+    @pytest.mark.parametrize("name", ["B", "B_q", "Usl2", "B_lambda(3/2)", "S"])
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_big_numbers_match_word_rewriting_term_by_term(self, name, data):
+        p = ENGINE_ALGEBRAS[name]()
+        n, var = len(p.generators), p.coeff_var
+        exps = st.one_of(st.just((0,) * n), st.tuples(*[st.integers(0, 2)] * n))
+        # Numerators to +-2^80 over denominators to 10^12, up to 12 ints.
+        big = st.builds(
+            lambda cs, d: Scalar(UniPoly([Fraction(c, d) for c in cs], var)),
+            st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=1, max_size=12),
+            st.integers(1, 10 ** 12))
+        coeffs = st.one_of(
+            st.just(p._one), big,
+            st.builds(lambda c: c / Scalar(UniPoly([-1, 1], var)), big))
+        polys = st.dictionaries(exps, coeffs.filter(bool), max_size=3)
+        a, b = data.draw(polys), data.draw(polys)
+        # x_0·x_1 and 1·(x_0 x_1) reach the same monomial with opposite
+        # coefficients, so that group cancels to zero.
+        c, d = data.draw(big), data.draw(big)
+        x0, x1 = (tuple(int(k == i) for k in range(n)) for i in (0, 1))
+        x01 = tuple(map(sum, zip(x0, x1)))
+        for left, right in ((a, b), ({x0: c, (0,) * n: c}, {x1: d, x01: -d})):
+            got = multiply(NCPoly(p, left), NCPoly(p, right))
+            assert got.terms == word_rewriting_product(p, left, right)
+        assert x01 not in got.terms
+
+    def test_power_matches_iterated_word_rewriting(self):
+        p = B()
+        e, f, h = (p.generator(k) for k in range(3))
+        t = Scalar.variable("t")
+        z = e.scale(Fraction(10 ** 15, 7)) + f.scale(t ** 5 - 7) + h
+        expected = {(0, 0, 0): p._one}
+        for _ in range(8):
+            expected = word_rewriting_product(p, expected, z.terms)
+        assert (z ** 8).terms == expected
+
+    def test_round_trip_at_the_width(self):
+        rng = random.Random(29)
+        for bound in (1, 2, 3, 7, 8, 2 ** 31 - 1, 2 ** 64, 10 ** 30 + 7):
+            w = bound.bit_length() + 2
+            top = 1 << (w - 2)
+            lists = [[top], [-top], [top, -top, 0, top], [0, 0, -top],
+                     [-2 * top, 2 * top - 1, bound, -bound]]
+            lists += [[rng.randint(-top, top) for _ in range(rng.randint(1, 12))] + [1]
+                      for _ in range(20)]
+            for ints in lists:
+                x = pbw._pack(ints, w)
+                assert pbw._unpack(x, w) == ints
+                assert pbw._unpack(x + pbw._pack([-c for c in ints], w), w) == []
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 63, 64, 100])
+    def test_width_covers_a_group_at_the_bound(self, k):
+        # One pair, ordered, so C = 1: the group's top int is N_a·N_b itself.
+        p = B()
+        for top in (2 ** k - 1, -(2 ** k - 1), 2 ** k):
+            a = p.generator(0).scale(Scalar(UniPoly([0, top], "t")))
+            got = multiply(a, p.generator(1).scale(Fraction(1, 3)))
+            assert got.terms == {(1, 1, 0): Scalar(UniPoly([0, Fraction(top, 3)], "t"))}
+
+    def test_constant_calls_need_no_width(self, monkeypatch):
+        def unpack(x, w):
+            raise AssertionError("a constant call unpacked digits")
+
+        monkeypatch.setattr(pbw, "_unpack", unpack)
+        for p in (Usl2(), B_lambda(Fraction(3, 2))):
+            x, y, z = (p.generator(k) for k in range(3))
+            product = multiply(x.scale(Fraction(5, 2)) + y, z + y.scale(-3))
+            assert product.terms == word_rewriting_product(
+                p, (x.scale(Fraction(5, 2)) + y).terms, (z + y.scale(-3)).terms)
+
+
+class TestMixedVariables:
+    def test_nonconstant_factors_in_two_variables_raise(self):
+        p = B()
+        e, f = p.generator(0), p.generator(1)
+        t, s = Scalar.variable("t"), Scalar.variable("s")
+        with pytest.raises(ValueError, match="cannot mix variables 't' and 's'"):
+            multiply(e.scale(t), f.scale(s))
+        # f·e = e·f - (t-1)·h: a factor in s meets a product coefficient in t.
+        with pytest.raises(ValueError, match="cannot mix variables 's' and 't'"):
+            multiply(f.scale(s), e)
+
+    def test_a_constant_in_another_variable_is_accepted(self):
+        p = B()
+        e, f = p.generator(0), p.generator(1)
+        three = Scalar.of(3, "s")
+        assert multiply(f.scale(three), e) == multiply(f, e).scale(3)
+        t = Scalar.variable("t")
+        assert multiply(e.scale(t), f.scale(three)) == p.monomial((1, 1, 0), t * 3)
+
+
 class TestCommutator:
     def test_ef_in_bq(self):
         bq = B_q()
