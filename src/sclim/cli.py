@@ -26,9 +26,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .errors import KernelError, NotCommutativeAtOne, ParseError
-from .exprs import parse_cpoly, parse_expression
-# poisson, ideals and limitmap are imported by the handlers that use them, so
-# a cold `nf`, `comm`, `gk` or `overlaps` process never loads them.
+# exprs, poisson, ideals and limitmap are imported by the handlers that use
+# them: a cold `nf` or `comm` process never loads poisson, ideals or limitmap,
+# and a cold `verify-paper`, `limit`, `gk` or `overlaps` never loads exprs.
 from .pbw import (B, B_lambda, B_q, PBWPresentation, Usl2, commutator,
                   growth_dimensions, growth_slope, presentation_from_json)
 
@@ -110,12 +110,14 @@ def _timed_check(name: str, passed: bool, details: str, ms: float) -> dict:
 
 
 def _cmd_nf(args) -> int:
+    from .exprs import parse_expression
     presentation = _load_presentation(args.algebra, args.file)
     print(parse_expression(args.expr, presentation))
     return EXIT_OK
 
 
 def _cmd_comm(args) -> int:
+    from .exprs import parse_expression
     presentation = _load_presentation(args.algebra, args.file)
     a = parse_expression(args.lhs, presentation)
     b = parse_expression(args.rhs, presentation)
@@ -124,6 +126,7 @@ def _cmd_comm(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
+    from .exprs import parse_cpoly
     from .poisson import poisson_bracket
     algebra = _limit_algebra(args.algebra, args.file)
     a = parse_cpoly(args.lhs, algebra.variables)
@@ -151,6 +154,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from .exprs import parse_cpoly
     from .ideals import CommIdeal, MonomialOrder, poisson_closure
     from .poisson import B1
     algebra = B1()
@@ -165,6 +169,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    from .exprs import parse_cpoly
     from .ideals import CommIdeal, MonomialOrder, membership
     variables = tuple(_split_polys(args.vars))
     gens = [parse_cpoly(text, variables) for text in _split_polys(args.ideal)]

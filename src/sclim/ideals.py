@@ -38,7 +38,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -53,16 +52,30 @@ Exponents = tuple[int, ...]
 _MAX_CLOSURE_ROUNDS = 1000
 
 
-@dataclass(frozen=True)
+# The records here and in `limitmap` are plain slotted classes: `dataclasses`
+# would cost every cold `verify-paper`, `closure` and `member` process the
+# import of `inspect`, `ast` and `dis`, and each record an `exec`.
 class MonomialOrder:
     """Total degree-compatible monomial order with explicit precedence."""
 
-    kind: str = "degrevlex"
-    precedence: tuple[str, ...] = ()
+    __slots__ = ("kind", "precedence")
 
-    def __post_init__(self):
-        if self.kind not in ("degrevlex", "lex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
+    def __init__(self, kind: str = "degrevlex", precedence: tuple[str, ...] = ()):
+        if kind not in ("degrevlex", "lex"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        self.kind = kind
+        self.precedence = precedence
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonomialOrder):
+            return NotImplemented
+        return (self.kind, self.precedence) == (other.kind, other.precedence)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.precedence))
+
+    def __repr__(self) -> str:
+        return f"MonomialOrder(kind={self.kind!r}, precedence={self.precedence!r})"
 
     def key_for(self, variables: Sequence[str]):
         """Sort key on exponent vectors over `variables`; larger = bigger."""
@@ -367,29 +380,30 @@ def _closure_by_rounds(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
         f"poisson closure did not stabilize within {_MAX_CLOSURE_ROUNDS} rounds")
 
 
-@dataclass(frozen=True)
 class PrimalityCertificate:
     """Outcome of the nilpotent-witness test.
 
     For a `NotPrime` verdict, `witness` and `power` satisfy
-    witness**power in I and witness not in I, re-checked in __post_init__.
+    witness**power in I and witness not in I, re-checked on construction.
     """
 
-    verdict: str                    # "NotPrime" | "Inconclusive"
-    ideal: CommIdeal
-    witness: Optional[CPoly] = None
-    power: Optional[int] = None
+    __slots__ = ("verdict", "ideal", "witness", "power")
 
-    def __post_init__(self):
-        if self.verdict not in ("NotPrime", "Inconclusive"):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "NotPrime":
-            if self.witness is None or self.power is None:
+    def __init__(self, verdict: str, ideal: CommIdeal,
+                 witness: Optional[CPoly] = None, power: Optional[int] = None):
+        if verdict not in ("NotPrime", "Inconclusive"):
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if verdict == "NotPrime":
+            if witness is None or power is None:
                 raise ValueError("NotPrime requires a witness and power")
-            if self.ideal.contains(self.witness):
+            if ideal.contains(witness):
                 raise ValueError("witness lies in the ideal")
-            if not self.ideal.contains(self.witness ** self.power):
+            if not ideal.contains(witness ** power):
                 raise ValueError("witness power does not lie in the ideal")
+        self.verdict = verdict          # "NotPrime" | "Inconclusive"
+        self.ideal = ideal
+        self.witness = witness
+        self.power = power
 
 
 def nilpotent_nonprime_witness(ideal: CommIdeal, g: CPoly,

@@ -24,7 +24,6 @@ nilpotent non-primeness witness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .arith import Rational, Scalar, _as_rational, interpolate_band
@@ -72,16 +71,17 @@ class SampleSet:
         return f"SampleSet({', '.join(str(x) for x in self.nodes)})"
 
 
-@dataclass(frozen=True)
+# Plain slotted records: see `ideals.MonomialOrder`.
 class FamilyElement:
     """One fiber element per sample node."""
 
-    nodes: tuple[Rational, ...]
-    fibers: tuple[NCPoly, ...]
+    __slots__ = ("nodes", "fibers")
 
-    def __post_init__(self):
-        if len(self.nodes) != len(self.fibers):
+    def __init__(self, nodes: tuple[Rational, ...], fibers: tuple[NCPoly, ...]):
+        if len(nodes) != len(fibers):
             raise ValueError("one fiber element per node")
+        self.nodes = nodes
+        self.fibers = fibers
 
     def fiber(self, node: int | Rational) -> NCPoly:
         return self.fibers[self.nodes.index(_as_rational(node))]
@@ -192,19 +192,24 @@ def _ms_since(started: float) -> float:
     return (time.perf_counter() - started) * 1000
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    details: str = ""
-    # Wall time of this check alone; not part of the certificate.
-    ms: float = field(default=0.0, compare=False)
+    __slots__ = ("name", "passed", "details", "ms")
+
+    def __init__(self, name: str, passed: bool, details: str, ms: float):
+        self.name = name
+        self.passed = passed
+        self.details = details
+        # Wall time of this check alone; not part of the certificate.
+        self.ms = ms
 
 
-@dataclass(frozen=True)
 class CounterexampleReport:
-    checks: tuple[CheckResult, ...]
-    witness: Optional[tuple[str, int]]
+    __slots__ = ("checks", "witness")
+
+    def __init__(self, checks: tuple[CheckResult, ...],
+                 witness: Optional[tuple[str, int]]):
+        self.checks = checks
+        self.witness = witness
 
     @property
     def passed(self) -> bool:

@@ -44,7 +44,7 @@ _MAX_REWRITE_STEPS = 2_000_000
 # Entries a presentation's product table holds before it is emptied.
 _MAX_TABLE_ENTRIES = 20_000
 
-# Entries a presentation's fiber memo holds before it is emptied.
+# Entries a presentation's fiber memo holds at most.
 _MAX_FIBERS = 64
 
 
@@ -70,13 +70,16 @@ class SwapRule:
 class PBWPresentation:
     """Ordered generators plus swap rules.
 
-    Fixed once constructed, except two memos, each written without a lock
-    and emptied when full.  The product table `_table` maps a normal monomial
-    m and a generator index i to the normal form of m·x_i, for every such
-    product with a generator of m above i; it gains an entry for each product
-    not seen before and holds at most `_MAX_TABLE_ENTRIES`.  `_fibers` maps a
+    Fixed once constructed, except two memos, each written without a lock.
+    The product table `_table` maps a normal monomial m and a generator index
+    i to the normal form of m·x_i, for every such product with a generator of
+    m above i, and a pair (a, b) of normal monomials, b with more than one
+    generator, to the normal form of a·b when it is not a + b; it gains an
+    entry for each product not seen before, holds at most
+    `_MAX_TABLE_ENTRIES` and is emptied when full.  `_fibers` maps a
     parameter value to the fiber at that value (see
-    `specialize_presentation`) and holds at most `_MAX_FIBERS`.
+    `specialize_presentation`) and holds at most `_MAX_FIBERS`; when it is
+    full, a new fiber replaces the newest one.
     """
 
     def __init__(self, name: str, generators: Sequence[str],
@@ -99,7 +102,8 @@ class PBWPresentation:
         for (j, i), rule in self.swap_rules.items():
             self._validate_tail(j, i, rule)
         self._one = Scalar.of(1, self.coeff_var)
-        self._table: dict[tuple[Exponents, int], dict[Exponents, Scalar]] = {}
+        self._table: dict[tuple[Exponents, int | Exponents],
+                          dict[Exponents, Scalar]] = {}
         self._fibers: dict[Rational, PBWPresentation] = {}
         # The parametric presentation whose fiber this is, set only by
         # `specialize_presentation` before the fiber is handed out.
@@ -240,15 +244,23 @@ class PBWPresentation:
 
         When no generator of a lies above b's lowest one, a·b is already
         ordered and is the single monomial a + b with coefficient `_one`.
+        Other products are read from the table, under (a, i) when b is x_i
+        and under (a, b) otherwise, so each is rewritten once while the table
+        holds it.
         """
         word = _exponents_to_word(b)
         if not word or not any(a[word[0] + 1:]):
             return {tuple(map(operator.add, a, b)): self._one}
-        active: set[tuple[Exponents, int]] = set()
         # The table's entry itself: callers only read it.
-        terms = self._times(a, word[0], active)
-        for g in word[1:]:
-            terms = self._apply(terms, g, active)
+        if len(word) == 1:
+            return self._times(a, word[0], set())
+        terms = self._table.get((a, b))
+        if terms is None:
+            active: set[tuple[Exponents, int]] = set()
+            terms = self._times(a, word[0], active)
+            for g in word[1:]:
+                terms = self._apply(terms, g, active)
+            self._store((a, b), terms)
         return terms
 
     def _apply(self, terms: Mapping[Exponents, Scalar], g: int,
@@ -314,10 +326,13 @@ class PBWPresentation:
                 _add_scaled(out, part, tc, self._one)
             terms = out
         active.discard(key)
-        if len(table) >= _MAX_TABLE_ENTRIES:
-            table.clear()
-        table[key] = terms
+        self._store(key, terms)
         return terms
+
+    def _store(self, key: tuple, terms: dict[Exponents, Scalar]) -> None:
+        if len(self._table) >= _MAX_TABLE_ENTRIES:
+            self._table.clear()
+        self._table[key] = terms
 
 
 def _bump(m: Exponents, g: int) -> Exponents:
@@ -962,7 +977,9 @@ def specialize_presentation(p: PBWPresentation, value: Rational) -> PBWPresentat
                                 parameter=var, parameter_value=value)
         fiber.family = p
         if len(p._fibers) >= _MAX_FIBERS:
-            p._fibers.clear()
+            # The newest fiber makes room, so a cycle over k nodes more than
+            # the bound rebuilds k + 1 fibers a pass, not all of them.
+            p._fibers.popitem()
         p._fibers[value] = fiber
     return fiber
 

@@ -652,24 +652,39 @@ class TestModuleEntry:
         assert _without_timings(done.stdout) == _without_timings(capsys.readouterr().out)
 
     def test_cold_import_loads_only_what_it_runs(self):
+        # One fresh interpreter runs the commands in turn and records, after
+        # each, the sclim modules loaded and whether `dataclasses` or
+        # `inspect` has been imported.
         code = "\n".join([
             "import contextlib, io, json, sys",
             "def loaded(): return sorted(m for m in sys.modules if m.startswith('sclim'))",
-            "before = set(sys.modules)",
+            "def heavy(): return sorted({'dataclasses', 'inspect'} & set(sys.modules))",
+            "steps = []",
             "import sclim",
-            "package = loaded()",
+            "steps.append(['import sclim', loaded(), heavy()])",
             "import sclim.cli",
-            "cli = loaded()",
-            "dataclasses = 'dataclasses' in set(sys.modules) - before",
-            "with contextlib.redirect_stdout(io.StringIO()):",
-            "    sclim.cli.main(['closure', '--ideal', 'e^2'])",
-            "print(json.dumps([package, cli, dataclasses, loaded()]))",
+            "steps.append(['import sclim.cli', loaded(), heavy()])",
+            "for argv in json.loads(sys.argv[1]):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        sclim.cli.main(argv)",
+            "    steps.append([argv[0], loaded(), heavy()])",
+            "print(json.dumps(steps))",
         ])
-        done = _fresh_python("-c", code)
+        commands = [["verify-paper", "--n-min", "2", "--n-max", "2"],
+                    ["nf", "--algebra", "B", "f*e"],
+                    ["closure", "--ideal", "e^2"],
+                    ["member", "--ideal", "e,f", "--poly", "e*f + h"]]
+        done = _fresh_python("-c", code, json.dumps(commands))
         assert done.returncode == 0, done.stderr
-        package, cli_modules, dataclasses, after_closure = json.loads(done.stdout)
-        assert package == ["sclim"]
-        assert cli_modules == ["sclim", "sclim.arith", "sclim.cli", "sclim.errors",
-                               "sclim.exprs", "sclim.pbw"]
-        assert not dataclasses
-        assert {"sclim.ideals", "sclim.poisson"} <= set(after_closure)
+        steps = json.loads(done.stdout)
+        assert [name for name, _, _ in steps] == [
+            "import sclim", "import sclim.cli", "verify-paper", "nf", "closure",
+            "member"]
+        modules = {name: mods for name, mods, _ in steps}
+        assert modules["import sclim"] == ["sclim"]
+        cli = ["sclim", "sclim.arith", "sclim.cli", "sclim.errors", "sclim.pbw"]
+        assert modules["import sclim.cli"] == cli
+        verify = sorted(cli + ["sclim.ideals", "sclim.limitmap", "sclim.poisson"])
+        assert modules["verify-paper"] == verify
+        assert modules["nf"] == sorted(verify + ["sclim.exprs"])
+        assert all(not imported for _, _, imported in steps)

@@ -105,6 +105,34 @@ class TestGammaEval:
         # An evicted fiber is built again, equal to the one it replaces.
         assert specialize_presentation(b, 2) == fibers[0] == B_lambda(2)
 
+    def test_cycling_past_the_bound_rebuilds_few_fibers(self, monkeypatch):
+        cap = 4
+        monkeypatch.setattr(pbw, "_MAX_FIBERS", cap)
+        b = B()
+        p = pbw.PBWPresentation(b.name, b.generators, b.swap_rules, b.parameter)
+        built = []
+        init = pbw.PBWPresentation.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(pbw.PBWPresentation, "__init__", counting_init)
+        nodes = SampleSet.integers(cap + 1)
+        families = []
+        for _ in range(3):
+            families.append(gamma_eval(p.generator(0).scale(t_minus_1()), nodes))
+            assert len(p._fibers) <= cap
+        # Every fiber once, then two a pass; emptying the memo when full
+        # rebuilt all five on every pass.
+        assert built == ["B_lambda"] * (cap + 1 + 2 * 2)
+        # A fiber just built stays memoized.
+        fiber = specialize_presentation(p, 100)
+        assert specialize_presentation(p, 100) is fiber
+        monkeypatch.undo()
+        assert all(fib.presentation == B_lambda(node) for family in families
+                   for node, fib in zip(nodes, family.fibers))
+
 
 class TestGammaInverse:
     def test_two_point_reconstruction(self):

@@ -205,6 +205,24 @@ class TestProductEngine:
             assert product[tuple(x + y for x, y in zip(a, b))] is p._one
         assert p._table == {}
 
+    @pytest.mark.parametrize("name", ["B_q", "Usl2"])
+    @pytest.mark.parametrize("a, b", [((0, 1, 0), (3, 0, 0)),    # f·e^3
+                                      ((0, 0, 1), (1, 1, 0)),    # h·ef
+                                      ((1, 2, 1), (2, 1, 1))])
+    def test_repeated_multi_generator_product_does_no_rewriting(
+            self, monkeypatch, name, a, b):
+        p = copy_of(ENGINE_ALGEBRAS[name]())
+        first = p._monomial_product(a, b)
+        word = _exponents_to_word(a) + _exponents_to_word(b)
+        assert first == p._word_normal_form(word)
+
+        def rewrite(*args):
+            raise AssertionError("a memoized product was rewritten")
+
+        monkeypatch.setattr(p, "_times", rewrite)
+        monkeypatch.setattr(p, "_apply", rewrite)
+        assert p._monomial_product(a, b) is first
+
     def test_looping_rules_raise(self):
         one = Scalar.of(1, "t")
         p = PBWPresentation("loop", ("x", "y", "z"), {
