@@ -12,14 +12,40 @@ element is split once, when it enters the basis, into its leading term and
 its tail; reduction works on one mutable term dict and adds only tails, so
 no leading term is added just to cancel.  The engine computes the reduced
 basis of a list of generators and nothing else; `CommIdeal.__init__` is the
-only way to build an ideal, and every ideal gets its basis from `groebner`.
+only way to build an ideal, and every ideal gets its basis from the engine.
+
+The engine runs on packed monomials and integer coefficients (packed
+exponent vectors: M. Monagan, R. Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  A monomial is one
+int made of fixed-width fields, each a linear function of the exponents:
+for lex, the exponents, the first variable of the precedence in the most
+significant field; for degrevlex, the total degree on top, then deg - a_k
+for the variables of the precedence from the last to the second, then the
+exponents themselves.  Comparing two such ints compares their fields from
+the top, and those fields are the order's sort key (deg - a_k standing for
+-a_k between monomials of equal degree), which already determines the
+monomial.  So int comparison is the monomial order, `max` over a term dict
+needs no key, and, the fields being linear, a product is `+`.  The top bit of each field
+is a guard, clear in every valid monomial: x^a divides x^b iff b - a sets
+no guard bit, since a field that goes negative borrows into its own guard.
+No field ever passes its guard.  Every field is at most the monomial's
+degree, and an lcm is packed only below the guard; x^s times a tail is
+formed only when s plus the field-wise maximum of the tail sets no guard
+bit.  Otherwise `_Overflow` stops the work, which starts again on fields
+twice as wide.  Coefficients are integers: a basis element is kept
+primitive with a positive leading coefficient, and reduction is
+fraction-free, scaling the work and the remainder so far by lc / gcd(c, lc)
+when a coefficient c is not a multiple of the divisor's leading coefficient
+lc.  `CPoly` is unchanged: polynomials are packed where they enter the
+engine and unpacked where they leave it, scaled back to their exact
+rational values, the reduced basis monic.
 
 On top of membership sit the Poisson-theoretic operations: `is_poisson_ideal`
 tests bracket stability on basis elements against generators (enough, by
 Leibniz), `poisson_closure` builds the smallest Poisson ideal containing an
 ideal, and `nilpotent_nonprime_witness` certifies non-primeness from a pair
-g, k with g**k inside and g outside.  All three bracket through
-`PoissonAlgebra.ad`, {p, x_k} on term dicts.
+g, k with g**k inside and g outside.  All three bracket through `_ad`, which
+reads `PoissonAlgebra`'s derivation table once per call onto packed terms.
 
 The closure has two routes, picked from the bracket table alone.  When every
 entry {x_i, x_j} has degree <= 1 (a Lie-Poisson table, possibly with
@@ -37,12 +63,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import operator
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from math import gcd, lcm
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import BudgetExceeded
-from .pbw import _add_scaled, _add_shifted
 from .poisson import CPoly, PoissonAlgebra
 
 Exponents = tuple[int, ...]
@@ -50,6 +77,10 @@ Exponents = tuple[int, ...]
 # Rounds of `_closure_by_rounds`, whose ascending chain of ideals has no
 # bound known in advance.  The span route of `poisson_closure` needs no cap.
 _MAX_CLOSURE_ROUNDS = 1000
+
+# Width of one packed exponent field, its guard bit included, before any
+# widening: monomials of degree up to 2^15 - 1 fit.
+_FIELD_BITS = 16
 
 
 # The records here and in `limitmap` are plain slotted classes: `dataclasses`
@@ -77,161 +108,313 @@ class MonomialOrder:
     def __repr__(self) -> str:
         return f"MonomialOrder(kind={self.kind!r}, precedence={self.precedence!r})"
 
-    def key_for(self, variables: Sequence[str]):
+    def key_for(self, variables: Sequence[str]) -> "_SortKey":
         """Sort key on exponent vectors over `variables`; larger = bigger."""
         precedence = self.precedence or tuple(variables)
         if (len(set(precedence)) != len(precedence)
                 or sorted(precedence) != sorted(variables)):
             raise ValueError("precedence list must mention every variable once")
-        positions = [variables.index(v) for v in precedence]
+        return _SortKey(self.kind, tuple(variables.index(v) for v in precedence))
+
+
+class _SortKey:
+    """An order's sort key on exponent tuples; the engine builds its packing
+    of monomials from the same `kind` and `positions`."""
+
+    __slots__ = ("kind", "positions")
+
+    def __init__(self, kind: str, positions: tuple[int, ...]):
+        self.kind = kind
+        self.positions = positions      # variable indices, highest precedence first
+
+    def __call__(self, exps: Exponents):
+        ordered = tuple(exps[p] for p in self.positions)
         if self.kind == "lex":
-            def key(exps: Exponents):
-                return tuple(exps[p] for p in positions)
+            return ordered
+        return (sum(exps), tuple(-x for x in reversed(ordered)))
+
+
+class _Overflow(Exception):
+    """A packed exponent field would reach its guard bit."""
+
+
+class _Ring:
+    """Packing of exponent vectors for one order, `bits` per field.
+
+    Fields are listed least significant first, each as the coefficients of
+    the exponents in it (see the module docstring for the layout).  A
+    monomial packs to the sum of exps[i] * weights[i]; `shifts[i]` is the
+    position of the field that holds exps[i] itself.
+    """
+
+    __slots__ = ("kind", "positions", "bits", "limit", "guard", "weights", "shifts")
+
+    def __init__(self, kind: str, positions: tuple[int, ...], bits: int):
+        n = len(positions)
+        units = [tuple(int(i == p) for i in range(n)) for p in positions]
+        if kind == "lex":
+            fields = units[::-1]
         else:
-            def key(exps: Exponents):
-                ordered = [exps[p] for p in positions]
-                return (sum(exps), tuple(-x for x in reversed(ordered)))
-        return key
+            fields = ([tuple(int(i == k) for i in range(n)) for k in range(n)]
+                      + [tuple(1 - u for u in unit) for unit in units[1:]]
+                      + [(1,) * n])
+        self.kind, self.positions, self.bits = kind, positions, bits
+        self.limit = 1 << (bits - 1)
+        self.guard = sum(self.limit << (j * bits) for j in range(len(fields)))
+        self.weights = tuple(sum(field[i] << (j * bits) for j, field in enumerate(fields))
+                             for i in range(n))
+        self.shifts = tuple(fields.index(tuple(int(i == k) for i in range(n))) * bits
+                            for k in range(n))
+
+    def wider(self) -> "_Ring":
+        return _ring(self.kind, self.positions, 2 * self.bits)
+
+    def pack(self, exps: Exponents) -> int:
+        if sum(exps) >= self.limit:
+            raise _Overflow
+        return sum(map(mul, exps, self.weights))
+
+    def unpack(self, m: int) -> Exponents:
+        mask = self.limit - 1
+        return tuple([(m >> s) & mask for s in self.shifts])
+
+    def top(self, monomials: Iterable[int]) -> int:
+        """Field-wise maximum of packed monomials (0 for none), by SWAR: in
+        (a | guard) - b each field keeps its guard iff a's field >= b's."""
+        guard, low = self.guard, self.bits - 1
+        out = 0
+        for m in monomials:
+            keep = ((out | guard) - m) & guard
+            keep -= keep >> low
+            out = (out & keep) | (m & ~keep)
+        return out
 
 
-def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+# Rings are built once per (kind, precedence positions, width).
+_ring = lru_cache(maxsize=64)(_Ring)
 
 
-def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+# Term dicts map packed monomials to int coefficients.  A basis element is
+# kept as an entry (lead, leading coefficient, tail, field-wise maximum of
+# the tail, exponents of the lead), split once, when it enters the basis,
+# and divided by its content so that the leading coefficient is positive.
+Terms = dict[int, int]
+Entry = tuple[int, int, Terms, int, Exponents]
+T = TypeVar("T")
 
 
-def _shift(a: Exponents, b: Exponents) -> Exponents:
-    """The exponents of x^a / x^b, for b dividing a."""
-    return tuple(map(operator.sub, a, b))
+def _on_fields(key: _SortKey, job: Callable[[_Ring], T],
+               bits: int = _FIELD_BITS) -> tuple[_Ring, T]:
+    """(ring, job(ring)) on the narrowest ring, from `bits` up by doubling,
+    on which no field overflows."""
+    ring = _ring(key.kind, key.positions, bits)
+    while True:
+        try:
+            return ring, job(ring)
+        except _Overflow:
+            ring = ring.wider()
 
 
-# The engine works on term dicts.  A basis element is kept as an entry
-# (leading exponents, leading coefficient, tail), split once, when it enters
-# the basis; the tail holds every other term.
-Terms = dict[Exponents, Fraction]
-Entry = tuple[Exponents, Fraction, Terms]
-_ONE = Fraction(1)
+def _denominator(polys: Iterable[Mapping[Exponents, Fraction]]) -> int:
+    return lcm(*(c.denominator for terms in polys for c in terms.values()))
 
 
-def _entry(terms: Terms, key) -> Entry:
-    lead = max(terms, key=key)
-    tail = dict(terms)
-    return lead, tail.pop(lead), tail
+def _pack(ring: _Ring, terms: Mapping[Exponents, Fraction], d: int = 0) -> Terms:
+    """d times the terms, packed; d clears every denominator, and is their
+    lcm unless given."""
+    d = d or _denominator([terms])
+    return {ring.pack(e): c.numerator * (d // c.denominator) for e, c in terms.items()}
 
 
-def _polys(variables: Sequence[str], basis: Sequence[Entry]) -> list[CPoly]:
+def _unpack(ring: _Ring, terms: Terms, d: int) -> dict[Exponents, Fraction]:
+    """The terms divided by d, unpacked."""
+    return {ring.unpack(m): Fraction(c, d) for m, c in terms.items()}
+
+
+def _entry(terms: Terms, ring: _Ring) -> Entry:
+    lead = max(terms)
+    content = gcd(*terms.values())
+    if terms[lead] < 0:
+        content = -content
+    tail = {m: c // content for m, c in terms.items()} if content != 1 else dict(terms)
+    lc = tail.pop(lead)
+    return lead, lc, tail, ring.top(tail), ring.unpack(lead)
+
+
+def _entries(ring: _Ring, polys: Iterable[CPoly]) -> list[Entry]:
+    return [_entry(_pack(ring, g.terms), ring) for g in polys]
+
+
+def _polys(ring: _Ring, variables: Sequence[str], basis: Sequence[tuple]) -> list[CPoly]:
+    """Entries, or (lead, leading coefficient, tail) triples, as monic polynomials."""
     zero = CPoly.zero(variables)
-    return [zero._new({lead: coeff, **tail}) for lead, coeff, tail in basis]
+    return [zero._new(_unpack(ring, {lead: lc, **tail}, lc))
+            for lead, lc, tail, *_ in basis]
 
 
-def _monic_entry(terms: Terms, key) -> Entry:
-    lead, c, tail = _entry(terms, key)
-    if c != 1:
-        tail = {e: x / c for e, x in tail.items()}
-    return lead, _ONE, tail
+def _add_shifted(out: Terms, terms: Terms, top: int, factor: int, shift: int,
+                 guard: int) -> None:
+    """Add factor * x^shift * terms into `out`; `top` is the terms' field max."""
+    if (shift + top) & guard:
+        raise _Overflow
+    get = out.get
+    for m, c in terms.items():
+        m += shift
+        c = get(m, 0) + factor * c
+        if c:
+            out[m] = c
+        else:
+            del out[m]
 
 
-def _reduce(terms: Terms, basis: Sequence[Entry], key) -> Terms:
-    """Full remainder of multivariate division, on one mutable term dict."""
+def _reduce(terms: Terms, basis: Sequence[Entry], ring: _Ring) -> tuple[Terms, int]:
+    """Full remainder of multivariate division, fraction-free, on one mutable
+    term dict: (r, s) with s * terms - r in the ideal of the basis."""
+    guard = ring.guard
     work = dict(terms)
     remainder: Terms = {}
+    scale = 1
     while work:
-        exps = max(work, key=key)
-        coeff = work.pop(exps)
-        for gexps, gcoeff, gtail in basis:
-            if _divides(gexps, exps):
-                _add_shifted(work, gtail, -coeff / gcoeff, _shift(exps, gexps))
-                break
+        m = max(work)
+        c = work.pop(m)
+        for g in basis:
+            shift = m - g[0]
+            if shift & guard:
+                continue
+            lc = g[1]
+            if lc != 1:
+                common = gcd(c, lc)
+                if common != lc:
+                    up = lc // common
+                    for e in work:
+                        work[e] *= up
+                    for e in remainder:
+                        remainder[e] *= up
+                    scale *= up
+                c //= common
+            _add_shifted(work, g[2], g[3], -c, shift, guard)
+            break
         else:
-            remainder[exps] = coeff
-    return remainder
+            remainder[m] = c
+    return remainder, scale
 
 
-def _s_terms(f: Entry, g: Entry) -> Terms:
-    """S-polynomial of two entries, from their tails: the leading terms cancel."""
-    (fe, fc, ft), (ge, gc, gt) = f, g
-    lcm = _lcm(fe, ge)
+def _s_terms(f: Entry, g: Entry, lcm_fg: int, ring: _Ring) -> Terms:
+    """S-polynomial of two entries times lcm(lc_f, lc_g), x^lcm_fg the lcm of
+    their leads, from their tails: the leading terms cancel."""
+    common = gcd(f[1], g[1])
     out: Terms = {}
-    _add_shifted(out, ft, 1 / fc, _shift(lcm, fe))
-    _add_shifted(out, gt, -1 / gc, _shift(lcm, ge))
+    if f[2]:
+        _add_shifted(out, f[2], f[3], g[1] // common, lcm_fg - f[0], ring.guard)
+    if g[2]:
+        _add_shifted(out, g[2], g[3], -(f[1] // common), lcm_fg - g[0], ring.guard)
     return out
 
 
 def reduce_poly(p: CPoly, basis: Sequence[CPoly], key) -> CPoly:
-    """Full remainder of multivariate division of p by the basis."""
+    """Full remainder of multivariate division of p by the basis; `key`
+    comes from `MonomialOrder.key_for`."""
     for g in basis:
         p._check_compatible(g)
-    return p._new(_reduce(p.terms, [_entry(g.terms, key) for g in basis], key))
+    d = _denominator([p.terms])
+
+    def job(ring: _Ring) -> dict:
+        remainder, scale = _reduce(_pack(ring, p.terms, d), _entries(ring, basis), ring)
+        return _unpack(ring, remainder, d * scale)
+
+    return p._new(_on_fields(key, job)[1])
 
 
 def s_polynomial(f: CPoly, g: CPoly, key) -> CPoly:
     f._check_compatible(g)
-    return f._new(_s_terms(_entry(f.terms, key), _entry(g.terms, key)))
+
+    def job(ring: _Ring) -> dict:
+        a, b = _entries(ring, [f, g])
+        lcm_ab = ring.pack(tuple(map(max, a[4], b[4])))
+        # Packing scaled f by lc_a / LC(f), and g likewise.
+        d = lcm(a[1], b[1])
+        return _unpack(ring, _s_terms(a, b, lcm_ab, ring), d)
+
+    return f._new(_on_fields(key, job)[1])
 
 
-def _extend(new: Iterable[Terms], key) -> list[Entry]:
+def _extend(new: Iterable[Terms], ring: _Ring) -> list[Entry]:
     """Reduced Groebner basis of the ideal generated by `new`.
 
     Buchberger with B. Buchberger's normal selection strategy: pending pairs
-    sit in a heap keyed by (key(lcm), -insertion number), so the smallest
-    lcm is taken first and, among equal lcms, the newest pair.  Pairs with
-    coprime leading terms are never queued: their S-polynomials reduce to
-    zero.  `new` is taken smallest leading term first, by a stable sort, so
-    the work does not depend on its order.
+    sit in a heap keyed by (lcm, -insertion number), so the smallest lcm is
+    taken first and, among equal lcms, the newest pair.  Pairs with coprime
+    leading terms are never queued: their S-polynomials reduce to zero.
+    `new` is taken smallest leading term first, by a stable sort, so the
+    work does not depend on its order.
     """
     basis: list[Entry] = []
     heap: list = []
     seq = itertools.count()
 
     def add(terms: Terms) -> None:
-        g = _monic_entry(terms, key)
-        lead, j = g[0], len(basis)
-        for i, (other, _, _) in enumerate(basis):
-            lcm = _lcm(other, lead)
-            if lcm != tuple(x + y for x, y in zip(other, lead)):
-                heapq.heappush(heap, (key(lcm), -next(seq), i, j))
+        g = _entry(terms, ring)
+        lead, j = g[4], len(basis)
+        for i, other in enumerate(basis):
+            if any(map(min, other[4], lead)):
+                lcm_ij = ring.pack(tuple(map(max, other[4], lead)))
+                heapq.heappush(heap, (lcm_ij, -next(seq), i, j))
         basis.append(g)
 
-    for terms in sorted((t for t in new if t), key=lambda t: key(max(t, key=key))):
-        remainder = _reduce(terms, basis, key)
+    for terms in sorted((t for t in new if t), key=max):
+        remainder, _ = _reduce(terms, basis, ring)
         if remainder:
             add(remainder)
     while heap:
-        _, _, i, j = heapq.heappop(heap)
-        remainder = _reduce(_s_terms(basis[i], basis[j]), basis, key)
-        if remainder:
+        lcm_ij, _, i, j = heapq.heappop(heap)
+        s = _s_terms(basis[i], basis[j], lcm_ij, ring)
+        if s and (remainder := _reduce(s, basis, ring)[0]):
             add(remainder)
-    return _interreduce(basis, key)
+    return _interreduce(basis, ring)
 
 
-def _interreduce(basis: Sequence[Entry], key) -> list[Entry]:
-    """Reduced basis from a monic Groebner basis, sorted by leading term.
+def _interreduce(basis: Sequence[Entry], ring: _Ring) -> list[Entry]:
+    """Reduced basis from a Groebner basis, sorted by leading term.
 
     Drops every element whose leading monomial another element's divides
     (of equal ones, all but the first), then replaces each survivor's tail
-    by its remainder modulo the others; leading monomials do not change, so
-    one pass suffices.
+    by its remainder modulo the survivors; leading monomials do not change,
+    and no lead divides a term below itself, so one pass suffices.
     """
-    minimal = [g for i, g in enumerate(basis)
-               if not any(_divides(h[0], g[0]) and (h[0] != g[0] or k < i)
-                          for k, h in enumerate(basis) if k != i)]
-    reduced = [(lead, coeff, _reduce(tail, minimal[:i] + minimal[i + 1:], key))
-               for i, (lead, coeff, tail) in enumerate(minimal)]
-    return sorted(reduced, key=lambda g: key(g[0]))
+    guard = ring.guard
+    minimal: list[Entry] = []
+    for g in sorted(basis, key=itemgetter(0)):
+        if all((g[0] - h[0]) & guard for h in minimal):
+            minimal.append(g)
+    out = []
+    for lead, lc, tail, _, _ in minimal:
+        remainder, scale = _reduce(tail, minimal, ring)
+        out.append(_entry({lead: lc * scale, **remainder}, ring))
+    return out
+
+
+class _Basis(list):
+    """A reduced basis as monic polynomials, carrying the engine's packed
+    basis and its ring for `CommIdeal`."""
+
+    __slots__ = ("ring", "entries")
 
 
 def groebner(gens: Iterable[CPoly], order: MonomialOrder | None = None,
              variables: Sequence[str] | None = None) -> list[CPoly]:
     """Reduced Groebner basis; deterministic for fixed input and order."""
     gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    if not gens and variables is None:
         return []
-    variables = tuple(variables or gens[0].variables)
+    variables = tuple(gens[0].variables if variables is None else variables)
+    if any(g.variables != variables for g in gens):
+        raise ValueError("generator over the wrong variable list")
     order = order or MonomialOrder(precedence=variables)
-    key = order.key_for(variables)
-    return _polys(gens[0].variables, _extend([g.terms for g in gens], key))
+    ring, entries = _on_fields(order.key_for(variables), lambda ring: _extend(
+        [_pack(ring, g.terms) for g in gens], ring))
+    basis = _Basis(_polys(ring, variables, entries))
+    basis.ring, basis.entries = ring, entries
+    return basis
 
 
 class CommIdeal:
@@ -249,8 +432,31 @@ class CommIdeal:
             raise ValueError("generator over the wrong variable list")
         self.order = order or MonomialOrder(precedence=self.variables)
         self._key = self.order.key_for(self.variables)
-        self.reduced_gb = tuple(groebner(self.generators, self.order, self.variables))
-        self._basis = [_entry(g.terms, self._key) for g in self.reduced_gb]
+        basis = groebner(self.generators, self.order, self.variables)
+        self.reduced_gb = tuple(basis)
+        # The engine's packed basis and its ring, as `groebner` left them.
+        self._ring, self._basis = basis.ring, basis.entries
+
+    def _run(self, job: Callable[[_Ring, list[Entry]], T]) -> T:
+        """job(ring, basis) on the packed basis; should a field overflow,
+        on the basis packed again at twice the width, and so on."""
+        ring, basis = self._ring, self._basis
+        while True:
+            try:
+                return job(ring, basis)
+            except _Overflow:
+                ring = ring.wider()
+                basis = _entries(ring, self.reduced_gb)
+
+    def _remainder(self, p: CPoly) -> tuple[_Ring, Terms, int]:
+        """(ring, r, d): r / d packed on the ring is p's remainder."""
+        d = _denominator([p.terms])
+
+        def job(ring: _Ring, basis: list[Entry]):
+            remainder, scale = _reduce(_pack(ring, p.terms, d), basis, ring)
+            return ring, remainder, d * scale
+
+        return self._run(job)
 
     def reduce(self, p: CPoly) -> CPoly:
         """Remainder of p modulo the ideal (zero iff p is a member)."""
@@ -258,10 +464,12 @@ class CommIdeal:
             raise ValueError("polynomial over the wrong variable list")
         if not self.reduced_gb:
             return p
-        return p._new(_reduce(p.terms, self._basis, self._key))
+        return p._new(_unpack(*self._remainder(p)))
 
     def contains(self, p: CPoly) -> bool:
-        return self.reduce(p).is_zero()
+        if p.variables != self.variables:
+            raise ValueError("polynomial over the wrong variable list")
+        return not self._remainder(p)[1]
 
     def is_trivial(self) -> bool:
         """True iff the ideal is the whole ring."""
@@ -295,13 +503,52 @@ def ideal_equal(a: CommIdeal, b: CommIdeal) -> bool:
     return list(a.reduced_gb) == list(b.reduced_gb)
 
 
+# A derivation row: for one variable x_k, one (shift of x_i's exponent field,
+# weight of x_i, packed {x_i, x_k}, its field max) per nonzero table entry.
+Row = list[tuple[int, int, Terms, int]]
+
+
+def _derivations(algebra: PoissonAlgebra, ring: _Ring) -> tuple[list[Row], int]:
+    """The algebra's derivation table on packed terms, once per call, every
+    entry times the entries' common denominator d: (rows by k, d).  A
+    constant factor changes neither a span nor a membership."""
+    table = algebra._derivations
+    d = _denominator(terms for row in table for _, terms in row)
+    rows = []
+    for row in table:
+        packed = []
+        for i, terms in row:
+            entry = _pack(ring, terms, d)
+            packed.append((ring.shifts[i], ring.weights[i], entry, ring.top(entry)))
+        rows.append(packed)
+    return rows, d
+
+
+def _ad(terms: Terms, row: Row, ring: _Ring) -> Terms:
+    """d * {p, x_k} for p given by its packed terms and x_k by its row:
+    {x^a, x_k} = sum_i a_i x^(a - u_i) {x_i, x_k}."""
+    out: Terms = {}
+    mask, guard = ring.limit - 1, ring.guard
+    for m, c in terms.items():
+        for shift, unit, entry, top in row:
+            a = (m >> shift) & mask
+            if a:
+                _add_shifted(out, entry, top, c * a, m - unit, guard)
+    return out
+
+
 def is_poisson_ideal(ideal: CommIdeal, algebra: PoissonAlgebra) -> bool:
     """True iff {g, x} lies in the ideal for every basis element g and
     variable x; by Leibniz this already gives {I, A} contained in I."""
     if ideal.variables != algebra.variables:
         raise ValueError("ideal is not over the algebra's variables")
-    return not any(_reduce(algebra.ad(g.terms, k), ideal._basis, ideal._key)
-                   for g in ideal.reduced_gb for k in range(len(algebra.variables)))
+
+    def job(ring: _Ring, basis: list[Entry]) -> bool:
+        rows, _ = _derivations(algebra, ring)
+        return not any(_reduce(_ad({lead: lc, **tail}, row, ring), basis, ring)[0]
+                       for lead, lc, tail, _, _ in basis for row in rows)
+
+    return ideal._run(job)
 
 
 def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
@@ -311,47 +558,68 @@ def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
     smallest ad-stable span of the ideal's generators (see the module
     docstring).  Each breadth-first level brackets the vectors new at the
     level before with every variable and keeps their remainders modulo a
-    fully reduced row echelon of M so far; the closure is then the reduced
-    Groebner basis of M in the ideal's order.  M starts from the generators,
-    not the reduced basis, whose ring multiples (e^(n-1)h^2 and the like)
-    would make it far larger.  Other tables go to `_closure_by_rounds`.
-    Linear brackets never raise degree, so M lies in the polynomials of
-    degree at most the generators' top degree; each level adds at least one
-    dimension to M, so the levels end without a cap.
+    fully reduced row echelon of M so far, fraction-free: every row is
+    primitive.  The closure is then the reduced Groebner basis of M in the
+    ideal's order.  M starts from the generators, not the reduced basis,
+    whose ring multiples (e^(n-1)h^2 and the like) would make it far larger.
+    Other tables go to `_closure_by_rounds`.  Linear brackets never raise
+    degree, so M lies in the polynomials of degree at most the generators'
+    top degree; each level adds at least one dimension to M, so the levels
+    end without a cap.
     """
     if ideal.variables != algebra.variables:
         raise ValueError("ideal is not over the algebra's variables")
     if any(p.degree() > 1 for p in algebra._table.values()):
         return _closure_by_rounds(ideal, algebra)
-    n = len(algebra.variables)
-    key = ideal._key
-    # pivot -> tail of the monic row with that pivot; no tail holds a pivot.
-    rows: dict[Exponents, Terms] = {}
+    ring, (rows, spanned) = _on_fields(
+        ideal._key, lambda ring: _span(ideal.generators, algebra, ring), ideal._ring.bits)
+    if len(rows) == spanned:  # the generators span an ad-stable space
+        return ideal
+    basis = [(pivot, lc, tail) for pivot, (lc, tail) in rows.items()]
+    return CommIdeal(ideal.variables, _polys(ring, ideal.variables, basis), ideal.order)
+
+
+def _span(gens: Sequence[CPoly], algebra: PoissonAlgebra,
+          ring: _Ring) -> tuple[dict[int, tuple[int, Terms]], int]:
+    """The ad-stable span of the generators as a fully reduced row echelon,
+    pivot -> (leading coefficient, tail), with the generators' own rank."""
+    # No tail holds a pivot; each row is primitive with a positive pivot.
+    rows: dict[int, tuple[int, Terms]] = {}
+
+    def eliminate(work: Terms, pivot: int, lc: int, tail: Terms) -> None:
+        """work := a * work - b * (lc x^pivot + tail), a > 0, so that the
+        pivot's term cancels."""
+        c = work.pop(pivot)
+        common = gcd(c, lc)
+        up = lc // common
+        if up != 1:
+            for e in work:
+                work[e] *= up
+        _add_shifted(work, tail, 0, -(c // common), 0, ring.guard)
 
     def insert(terms: Terms) -> Terms:
         """Remainder of `terms` modulo the rows, added to them when nonzero."""
         work = dict(terms)
         for pivot in [e for e in work if e in rows]:
-            _add_scaled(work, rows[pivot], -work.pop(pivot))
+            eliminate(work, pivot, *rows[pivot])
         if not work:
             return work
-        pivot, _, tail = _monic_entry(work, key)
-        for row in rows.values():
-            c = row.pop(pivot, None)
-            if c:
-                _add_scaled(row, tail, -c)
-        rows[pivot] = tail
-        return {pivot: _ONE, **tail}
+        pivot, lc, tail, _, _ = _entry(work, ring)
+        for other, (olc, otail) in rows.items():
+            if pivot in otail:
+                otail[other] = olc
+                eliminate(otail, pivot, lc, tail)
+                olc, otail = _entry(otail, ring)[1:3]
+                rows[other] = olc, otail
+        rows[pivot] = lc, tail
+        return {pivot: lc, **tail}
 
-    level = [r for g in ideal.generators if (r := insert(g.terms))]
+    level = [r for g in gens if (r := insert(_pack(ring, g.terms)))]
     spanned = len(rows)
+    table, _ = _derivations(algebra, ring)
     while level:
-        level = [r for t in level for k in range(n)
-                 if (r := insert(algebra.ad(t, k)))]
-    if len(rows) == spanned:  # the generators span an ad-stable space
-        return ideal
-    basis = [(pivot, _ONE, tail) for pivot, tail in rows.items()]
-    return CommIdeal(ideal.variables, _polys(ideal.variables, basis), ideal.order)
+        level = [r for t in level for row in table if (r := insert(_ad(t, row, ring)))]
+    return rows, spanned
 
 
 def _closure_by_rounds(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
@@ -365,19 +633,36 @@ def _closure_by_rounds(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
     generators all bracket into it, which by Leibniz is Poisson.  The
     ascending chain of ideals stabilizes.
     """
-    zero = CPoly.zero(ideal.variables)
-    n = len(algebra.variables)
     current, fresh = ideal, ideal.generators
     for _ in range(_MAX_CLOSURE_ROUNDS):
-        fresh = [zero._new(r) for g in fresh for k in range(n)
-                 if (r := _reduce(algebra.ad(g.terms, k), current._basis,
-                                  current._key))]
+        fresh = _bracket_remainders(current, algebra, fresh)
         if not fresh:
             return current
         current = CommIdeal(current.variables, current.reduced_gb + tuple(fresh),
                             current.order)
     raise BudgetExceeded(
         f"poisson closure did not stabilize within {_MAX_CLOSURE_ROUNDS} rounds")
+
+
+def _bracket_remainders(ideal: CommIdeal, algebra: PoissonAlgebra,
+                        polys: Sequence[CPoly]) -> list[CPoly]:
+    """The nonzero remainders modulo the ideal of {p, x_k} for p in polys,
+    for every k."""
+    zero = CPoly.zero(ideal.variables)
+
+    def job(ring: _Ring, basis: list[Entry]) -> list[CPoly]:
+        rows, d = _derivations(algebra, ring)
+        out = []
+        for p in polys:
+            dp = _denominator([p.terms])
+            terms = _pack(ring, p.terms, dp)
+            for row in rows:
+                remainder, scale = _reduce(_ad(terms, row, ring), basis, ring)
+                if remainder:
+                    out.append(zero._new(_unpack(ring, remainder, d * dp * scale)))
+        return out
+
+    return ideal._run(job)
 
 
 class PrimalityCertificate:

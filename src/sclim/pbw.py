@@ -366,9 +366,10 @@ def _exponents_to_word(exps: Exponents) -> tuple[int, ...]:
 def _accumulate(table: dict, key, value) -> None:
     """Add `value` into table[key], dropping the entry when the sum is zero.
 
-    The only place a term is added into a term dict; coefficients are
-    `Scalar` or `Fraction`, both false exactly when zero.  `_add_scaled` and
-    `_add_shifted` add whole term dicts through it, `_sum_products` its groups.
+    The only place a term is added into a term dict outside the packed
+    ideal engine; coefficients are `Scalar` or `Fraction`, both false
+    exactly when zero.  `_add_scaled` and `_add_shifted` add whole term
+    dicts through it, `_sum_products` its groups.
     """
     cur = table.get(key)
     total = value if cur is None else cur + value

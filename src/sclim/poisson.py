@@ -4,9 +4,9 @@
 list (default e, f, h), stored as a map from exponent vectors to nonzero
 coefficients.  A `PoissonAlgebra` adds a bracket table b_ij = {x_i, x_j} for
 i < j, and owns the derivation table built from it once: its `ad` gives
-{x^a, x_k} = sum_i a_i x^(a - u_i) b_ik, u_i the i-th unit vector, and no
-other code turns table entries into brackets.  The bracket of two
-polynomials is the biderivation extension
+{x^a, x_k} = sum_i a_i x^(a - u_i) b_ik, u_i the i-th unit vector, on term
+dicts, and `ideals` reads the same table onto packed monomials.  The
+bracket of two polynomials is the biderivation extension
 
     {a, b} = sum_k {a, x_k} db/dx_k,
 

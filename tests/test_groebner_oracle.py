@@ -6,7 +6,9 @@ S-polynomial built in sympy check division by non-monic divisors that are
 not a Groebner basis, in both orders.  A closure loop written
 here on sympy polynomials must give `poisson_closure`'s basis.  A sympy
 biderivation built from a bracket table checks `poisson_bracket` over four
-tables, and the closure of the one quadratic table in both orders.
+tables, and the closure of the one quadratic table in both orders.  Inputs
+whose exponents sit just below, at and just above the engine's first field
+width check that a packed exponent never wraps into the next field.
 """
 
 import random
@@ -16,8 +18,9 @@ import pytest
 import sympy
 
 from helpers import nonzero, random_cpoly
-from sclim.ideals import (CommIdeal, MonomialOrder, groebner, poisson_closure,
-                          reduce_poly, s_polynomial)
+from sclim import ideals
+from sclim.ideals import (CommIdeal, MonomialOrder, groebner, is_poisson_ideal,
+                          poisson_closure, reduce_poly, s_polynomial)
 from sclim.pbw import B
 from sclim.poisson import CPoly, PoissonAlgebra, poisson_bracket, semiclassical_limit
 
@@ -214,3 +217,45 @@ class TestBracketAgainstSympy:
             closure = poisson_closure(CommIdeal(algebra, gens, order), algebra)
             assert set(closure.reduced_gb) == table_closure(table, gens, kind)
 
+
+# The engine packs a monomial into fields of `ideals._FIELD_BITS` bits whose
+# top bits are guards, so monomials of degree below WIDTH fit before it
+# widens the fields.
+WIDTH = 1 << (ideals._FIELD_BITS - 1)
+
+
+class TestFieldWidth:
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    @pytest.mark.parametrize("degree", [WIDTH - 1, WIDTH, WIDTH + 1])
+    def test_groebner(self, kind, degree):
+        # The pair's lcm e^degree * f has degree one more: at WIDTH - 1 the
+        # inputs fit and the lcm does not.
+        gens = [mono((degree, 0, 0)) - 2 * mono((0, 2, 0)) + mono((0, 0, 1)),
+                Fraction(3, 2) * mono((1, 1, 0))]
+        ours = groebner(gens, MonomialOrder(kind, VARS), VARS)
+        assert set(ours) == sympy_basis(gens, kind)
+
+    @pytest.mark.parametrize("power", [WIDTH // 2 - 1, WIDTH // 2, WIDTH // 2 + 1])
+    def test_lex_reduction_raises_a_lower_exponent(self, power):
+        # Modulo e - h^power, e^2 + f is h^(2 power) + f: in lex, reduction
+        # raises h's exponent to just below, at or just above the width.
+        order = MonomialOrder("lex", VARS)
+        divisor = mono((1, 0, 0)) - mono((0, 0, power))
+        p = mono((2, 0, 0)) + mono((0, 1, 0))
+        _, remainder = sympy.reduced(to_sympy(p).as_expr(), [to_sympy(divisor).as_expr()],
+                                     *SYMBOLS, order="lex", domain="QQ")
+        assert reduce_poly(p, [divisor], order.key_for(VARS)) == from_sympy(remainder)
+        assert CommIdeal(VARS, [divisor], order).reduce(p) == from_sympy(remainder)
+        gens = [divisor, mono((2, 0, 0)) - mono((0, 1, 0))]
+        assert set(groebner(gens, order, VARS)) == sympy_basis(gens, "lex")
+
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    def test_quadratic_bracket_raises_the_degree_past_the_width(self, kind):
+        # {e^(WIDTH-1) + h, f} = (WIDTH-1) e^(WIDTH-1) f - fh has degree WIDTH.
+        table = TABLES["log-canonical"]
+        algebra = table_algebra(table)
+        gens = [mono((WIDTH - 1, 0, 0)) + mono((0, 0, 1))]
+        closure = poisson_closure(CommIdeal(algebra, gens, MonomialOrder(kind, VARS)),
+                                  algebra)
+        assert set(closure.reduced_gb) == table_closure(table, gens, kind)
+        assert is_poisson_ideal(closure, algebra)

@@ -124,6 +124,19 @@ class TestGroebner:
         assert bases[0] == bases[1] == closure.reduced_gb
         assert counts[0] == counts[1]
 
+    def test_generators_must_be_over_the_given_variables(self):
+        # These once came back as the e > f > h basis, read as polynomials
+        # in (h, f, e); mixed variable lists were merged without a word.
+        gens = [v("e") ** 2 + v("h"), v("e") * v("h") + v("f")]
+        hfe = ("h", "f", "e")
+        with pytest.raises(ValueError, match="generator over the wrong variable list"):
+            groebner(gens, MonomialOrder("lex"), hfe)
+        with pytest.raises(ValueError, match="generator over the wrong variable list"):
+            groebner([v("e"), CPoly.variable("e", hfe)])
+        # The h > f > e basis is asked for by precedence.
+        gb = groebner(gens, MonomialOrder("lex", hfe), VARS)
+        assert [str(g) for g in gb] == ["-e^3 + f", "e^2 + h"]
+
     def test_every_generator_reduces_to_zero(self):
         rng = random.Random(403)
         for _ in range(50):
@@ -242,12 +255,18 @@ def xyz(name):
     return CPoly.variable(name, XYZ)
 
 
-# Bracket tables by the degree of their entries: three linear ones (sl2*,
-# Heisenberg, and a constant {x, y} = 1 with z central) take the span route;
-# the log-canonical {x, y} = xy, {y, z} = yz, {x, z} = xz takes the rounds.
+# Bracket tables by the degree of their entries: five linear ones (sl2*,
+# Heisenberg, a constant {x, y} = 1 with z central, and sl2* and Heisenberg
+# with non-integer coefficients, whose denominators the engine clears) take
+# the span route; the log-canonical {x, y} = xy, {y, z} = yz, {x, z} = xz
+# takes the rounds.
 TABLES = {
     "B1": b1,
+    "B1/3": lambda: PoissonAlgebra(VARS, {
+        (a, b): b1().bracket_of(a, b) * Fraction(1, 3)
+        for a, b in [("e", "f"), ("e", "h"), ("f", "h")]}),
     "heisenberg": lambda: PoissonAlgebra(XYZ, {("x", "y"): xyz("z")}),
+    "heisenberg/2": lambda: PoissonAlgebra(XYZ, {("x", "y"): xyz("z") * Fraction(1, 2)}),
     "constant": lambda: PoissonAlgebra(XYZ, {("x", "y"): CPoly.const(1, XYZ)}),
     "quadratic": lambda: PoissonAlgebra(
         XYZ, {(a, b): xyz(a) * xyz(b) for a, b in [("x", "y"), ("x", "z"),
