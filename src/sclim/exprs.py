@@ -38,37 +38,39 @@ if TYPE_CHECKING:
     from .poisson import CPoly
 
 _OPERATORS = set("+-*/^()")
+# ASCII digits only: str.isdigit also takes "²" and other scripts' digits.
+_DIGITS = set("0123456789")
 # The level each binary operator binds at; all associate to the left.
 _BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) per token, then an "end" token where the last one ends."""
+    """(kind, text, position) per token, then an "end" token where the last one ends.
+
+    One character at a time, the most frequent kinds first: a compiled
+    pattern costs more per token than this loop on these short texts.
+    """
     tokens = []
-    k = 0
-    while k < len(text):
+    k, n = 0, len(text)
+    while k < n:
         ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
         if ch in _OPERATORS:
             tokens.append((ch, ch, k))
             k += 1
-            continue
-        # ASCII digits only: str.isdigit also takes "²" and other scripts' digits.
-        if ch in "0123456789":
+        elif ch.isspace():
+            k += 1
+        elif ch in _DIGITS:
             start = k
-            while k < len(text) and text[k] in "0123456789":
+            while k < n and text[k] in _DIGITS:
                 k += 1
             tokens.append(("int", text[start:k], start))
-            continue
-        if ch.isalpha() or ch == "_":
+        elif ch.isalpha() or ch == "_":
             start = k
-            while k < len(text) and (text[k].isalnum() or text[k] == "_"):
+            while k < n and (text[k].isalnum() or text[k] == "_"):
                 k += 1
             tokens.append(("name", text[start:k], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", k)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", k)
     end = tokens[-1][2] + len(tokens[-1][1]) if tokens else 0
     tokens.append(("end", "", end))
     return tokens

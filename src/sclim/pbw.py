@@ -72,10 +72,12 @@ class PBWPresentation:
 
     Fixed once constructed, except two memos, each written without a lock.
     The product table `_table` maps a normal monomial m and a generator index
-    i to the normal form of m·x_i, for every such product with a generator of
-    m above i, and a pair (a, b) of normal monomials, b with more than one
-    generator, to the normal form of a·b when it is not a + b; it gains an
-    entry for each product not seen before, holds at most
+    i to the record of m·x_i, for every such product with a generator of m
+    above i, and a pair (a, b) of normal monomials, b with more than one
+    generator, to the record of a·b when it is not a + b.  A record is the
+    normal form together with its coefficients split into ints (`_record`),
+    so products read from the table do no rational arithmetic.  The table
+    gains an entry for each product not seen before, holds at most
     `_MAX_TABLE_ENTRIES` and is emptied when full.  `_fibers` maps a
     parameter value to the fiber at that value (see
     `specialize_presentation`) and holds at most `_MAX_FIBERS`; when it is
@@ -244,24 +246,32 @@ class PBWPresentation:
 
         When no generator of a lies above b's lowest one, a·b is already
         ordered and is the single monomial a + b with coefficient `_one`.
-        Other products are read from the table, under (a, i) when b is x_i
-        and under (a, b) otherwise, so each is rewritten once while the table
-        holds it.
+        Other products are the terms of their table record (`_rewrite`).
         """
         word = _exponents_to_word(b)
         if not word or not any(a[word[0] + 1:]):
             return {tuple(map(operator.add, a, b)): self._one}
         # The table's entry itself: callers only read it.
+        return self._rewrite(a, b)[0]
+
+    def _rewrite(self, a: Exponents, b: Exponents) -> tuple:
+        """The table's record of a·b, for a pair that is not ordered.
+
+        The record is stored under (a, i) when b is x_i and under (a, b)
+        otherwise, so each product is rewritten once while the table holds
+        it.
+        """
+        word = _exponents_to_word(b)
+        active: set[tuple[Exponents, int]] = set()
         if len(word) == 1:
-            return self._times(a, word[0], set())
-        terms = self._table.get((a, b))
-        if terms is None:
-            active: set[tuple[Exponents, int]] = set()
-            terms = self._times(a, word[0], active)
+            return self._times(a, word[0], active)
+        record = self._table.get((a, b))
+        if record is None:
+            terms = self._times(a, word[0], active)[0]
             for g in word[1:]:
                 terms = self._apply(terms, g, active)
-            self._store((a, b), terms)
-        return terms
+            record = self._store((a, b), terms)
+        return record
 
     def _apply(self, terms: Mapping[Exponents, Scalar], g: int,
                active: set) -> dict[Exponents, Scalar]:
@@ -270,13 +280,13 @@ class PBWPresentation:
         out: dict[Exponents, Scalar] = {}
         for u, c in terms.items():
             if any(u[g + 1:]):
-                _add_scaled(out, self._times(u, g, active), c, one)
+                _add_scaled(out, self._times(u, g, active)[0], c, one)
             else:
                 _accumulate(out, _bump(u, g), c)
         return out
 
-    def _times(self, m: Exponents, i: int, active: set) -> dict[Exponents, Scalar]:
-        """m·x_i from the table, for a monomial m with a generator above i.
+    def _times(self, m: Exponents, i: int, active: set) -> tuple:
+        """The record of m·x_i, for a monomial m with a generator above i.
 
         With k the last generator of m and m = m0·x_k^a, the swap rule (k, i)
         gives, for b = 1..a,
@@ -306,10 +316,12 @@ class PBWPresentation:
             return head + (b,) + rest
 
         b = m[k] - 1
-        terms = table.get((power(b), i))
-        if terms is None:
+        found = table.get((power(b), i))
+        if found is None:
             b = 0
             terms = self._apply({power(0): self._one}, i, active)
+        else:
+            terms = found[0]
         for b in range(b + 1, m[k] + 1):
             out = self._apply(terms, k, active)
             if coeff is not None:
@@ -326,13 +338,14 @@ class PBWPresentation:
                 _add_scaled(out, part, tc, self._one)
             terms = out
         active.discard(key)
-        self._store(key, terms)
-        return terms
+        return self._store(key, terms)
 
-    def _store(self, key: tuple, terms: dict[Exponents, Scalar]) -> None:
+    def _store(self, key: tuple, terms: dict[Exponents, Scalar]) -> tuple:
+        """Enter the record of a rewritten product (`_record`) and return it."""
         if len(self._table) >= _MAX_TABLE_ENTRIES:
             self._table.clear()
-        self._table[key] = terms
+        record = self._table[key] = _record(terms)
+        return record
 
 
 def _bump(m: Exponents, g: int) -> Exponents:
@@ -393,73 +406,111 @@ def _add_shifted(out: dict, terms: Mapping, factor, shift: Exponents) -> None:
 
 def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping) -> dict:
     """Σ c_a·c_b·c over the term pairs c_a·e_a, c_b·e_b and the terms c·m of
-    the normal form of e_a·e_b; a c that is `p._one` is not multiplied in.
+    the normal form of e_a·e_b; an ordered pair's one term a + b has c =
+    `p._one`, which is not multiplied in.
 
     Numerators over common denominators D_a, D_b, D_c of a, b and the products
     are packed into ints at 2^w (Kronecker substitution, D. Harvey, JSC 2009),
     so a pair's product and each sum into a group (monomial, denominator,
-    variable: `_part`) is one int operation.  A group unpacks once into
-    balanced base-2^w digits, its ints over D_a·D_b·D_c, exactly: with N_a,
-    N_b the sums of a's and b's numerator L1 norms and C the largest such sum
-    in one product (`p._one` counts as D_c), each int is at most N_a·N_b·C,
-    below 2^(w-2) as w = bit_length(N_a·N_b·C) + 2, since a product has one
+    variable, which is p's for a constant) is one int operation.  A group unpacks once into balanced
+    base-2^w digits, its ints over D_a·D_b·D_c, exactly: with N_a, N_b the
+    sums of a's and b's numerator L1 norms and C the largest such sum in one
+    product (`p._one` counts as D_c), each int is at most N_a·N_b·C, below
+    2^(w-2) as w = bit_length(N_a·N_b·C) + 2, since a product has one
     coefficient per monomial and L1 norms are submultiplicative; balanced
     digits in [-2^(w-1), 2^(w-1)) are unique.  Constants need no width: w = 0.
+
+    The operands are split once per call (`_split`); a rewritten product's
+    ints, lcm and norm come split from its table record (`_record`).
     """
-    one, product = p._one, p._monomial_product
-    prods = list(itertools.starmap(product, itertools.product(a_terms, b_terms)))
-    da, na, wa = _norm([a_terms])
-    db, nb, wb = _norm([b_terms])
-    dc, cn, wc = _norm(prods)
-    w = (na * nb * cn).bit_length() + 2 if wa or wb or wc else 0
+    get, rewrite, n, var = p._table.get, p._rewrite, len(p.generators), p.coeff_var
+    da, na, wide, a_parts = _split(a_terms)
+    db, nb, wide_b, b_parts = _split(b_terms)
+    # Per b term: its lowest generator, as a·b is ordered when a has no
+    # generator above it, and its key in the table (x_i's is i).
+    b_keys = []
+    for mb in b_terms:
+        for low, e in enumerate(mb):
+            if e:
+                break
+        else:
+            low = n
+        b_keys.append((mb, low, low if sum(mb) == 1 else mb))
+    records, dc, cn, ordered = [], 1, 0, False
+    for ma in a_terms:
+        for mb, low, kb in b_keys:
+            if not any(ma[low + 1:]):
+                records.append(None)
+                ordered = True
+                continue
+            record = get((ma, kb)) or rewrite(ma, mb)
+            records.append(record)
+            _, lc, norm, wide_c, _ = record
+            if lc != dc:
+                new = math.lcm(dc, lc)
+                cn, dc = cn * (new // dc), new
+            norm *= dc // lc
+            cn = norm if norm > cn else cn
+            wide = wide or wide_c
+    cn = dc if ordered and dc > cn else cn
+    w = (na * nb * cn).bit_length() + 2 if wide or wide_b else 0
+    b_packed = [(m, (_pack(x, w) if len(x) > 1 else x[0]) * (db // d), r, v)
+                for m, x, d, r, v in b_parts]
     groups: dict[tuple, int] = {}
-    prods = iter(prods)
-    for ca in a_terms.values():
-        fa, ra, va = _part(ca, w, da)
-        for cb in b_terms.values():
-            fb, r, v = _part(cb, w, db, ra, va)
-            f = fa * fb
-            for m, c in next(prods).items():
-                if c is one:
-                    key, y = (m, r, v), f * dc
-                else:
-                    x, rc, vc = _part(c, w, dc, r, v)
-                    key, y = (m, rc, vc), f * x
-                groups[key] = groups.get(key, 0) + y
+    records = iter(records)
+    for ma, x, d, ra, va in a_parts:
+        fa = (_pack(x, w) if len(x) > 1 else x[0]) * (da // d)
+        for mb, fb, rb, vb in b_packed:
+            if va and vb and va != vb:
+                raise ValueError(f"cannot mix variables {va!r} and {vb!r}")
+            r = ra if rb is None else rb if ra is None else ra * rb
+            v = va or vb
+            record = next(records)
+            if record is None:
+                key = (tuple(map(operator.add, ma, mb)), r, v or var)
+                groups[key] = groups.get(key, 0) + fa * fb * dc
+                continue
+            f = fa * fb * (dc // record[1])
+            for m, x, rc, vc in record[4]:
+                if v and vc and v != vc:
+                    raise ValueError(f"cannot mix variables {v!r} and {vc!r}")
+                key = (m, r if rc is None else rc if r is None else r * rc, v or vc or var)
+                groups[key] = groups.get(key, 0) + f * (_pack(x, w) if len(x) > 1 else x[0])
     out: dict[Exponents, Scalar] = {}
     for (m, r, v), x in groups.items():
-        num = _canonical(_unpack(x, w) if w else [x], da * db * dc, v or p.coeff_var)
-        _accumulate(out, m, _over(num, _unit(num.var)) if r is None else Scalar(num, r))
+        if x:
+            num = _canonical(_unpack(x, w) if w else [x], da * db * dc, v)
+            _accumulate(out, m, _over(num, _unit(v)) if r is None else Scalar(num, r))
     return out
 
 
-def _part(c: Scalar, w: int, den: int, r=None, v=None) -> tuple:
-    """c's numerator over `den` packed at 2^w, and the denominator (None if 1)
-    and variable (None if constant) of c times r, v; mixed variables raise."""
-    x, s = c.num._ints, c.den
-    u = c.num.var if len(s._ints) != 1 or len(x) > 1 else None
-    if v and u and v != u:
-        raise ValueError(f"cannot mix variables {v!r} and {u!r}")
-    if len(s._ints) != 1:
-        r = s if r is None else r * s
-    return (_pack(x, w) if len(x) > 1 else x[0]) * (den // c.num._den), r, v or u
+def _split(terms: Mapping) -> tuple:
+    """(L, N, wide, parts): the lcm L of the coefficients' int denominators,
+    the sum N of their numerator L1 norms over L, whether a numerator is
+    nonconstant, and per term (monomial, numerator ints, int denominator,
+    denominator or None if 1, variable or None if constant)."""
+    lcm, norm, wide, parts = 1, 0, False, []
+    for m, c in terms.items():
+        num, s = c.num, c.den
+        x, d = num._ints, num._den
+        if d != lcm:
+            new = math.lcm(lcm, d)
+            norm, lcm = norm * (new // lcm), new
+        norm += sum(map(abs, x)) * (lcm // d)
+        r = None if len(s._ints) == 1 else s
+        wide = wide or len(x) > 1
+        parts.append((m, x, d, r, num.var if r is not None or len(x) > 1 else None))
+    return lcm, norm, wide, parts
 
 
-def _norm(term_dicts: Sequence[Mapping]) -> tuple[int, int, bool]:
-    """The lcm L of the coefficients' int denominators, the largest sum over
-    one dict of numerator L1 norms over L, and whether one is nonconstant."""
-    lcm, top, wide = 1, 0, False
-    for terms in term_dicts:
-        norm = 0
-        for c in terms.values():
-            x, d = c.num._ints, c.num._den
-            if d != lcm:
-                new = math.lcm(lcm, d)
-                norm, top, lcm = norm * (new // lcm), top * (new // lcm), new
-            norm += sum(map(abs, x)) * (lcm // d)
-            wide = wide or len(x) > 1
-        top = norm if norm > top else top
-    return lcm, top, wide
+def _record(terms: dict[Exponents, Scalar]) -> tuple:
+    """A rewritten product as the table holds it: (terms, L, N, wide, parts),
+    split once (`_split`), each part (monomial, numerator ints over L,
+    denominator or None, variable or None)."""
+    lcm, norm, wide, parts = _split(terms)
+    return terms, lcm, norm, wide, [
+        (m, x if d == lcm else [c * (lcm // d) for c in x], r, v)
+        for m, x, d, r, v in parts]
 
 
 def _pack(ints: Sequence[int], w: int) -> int:
@@ -527,7 +578,16 @@ class SparsePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        self._check_compatible(o)
+        out = dict(self.terms)
+        for e, c in o.terms.items():
+            cur = out.get(e)
+            total = -c if cur is None else cur - c
+            if total:
+                out[e] = total
+            else:
+                del out[e]
+        return self._new(out)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -560,8 +620,10 @@ class SparsePoly:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = self._const(1)
-        for _ in range(exponent):
+        if exponent == 0:
+            return self._const(1)
+        result = self._new(dict(self.terms))
+        for _ in range(exponent - 1):
             result = result * self
         return result
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_cpoly, random_ncpoly
-from sclim import cli, ideals, pbw
+from sclim import cli, exprs, ideals, pbw
 from sclim.cli import main
 from sclim.errors import BudgetExceeded, ParseError
 from sclim.exprs import parse_cpoly, parse_expression, parse_scalar
@@ -81,6 +81,63 @@ class TestParsing:
             (Scalar.variable("q") - 1).inverse()
         with pytest.raises(ParseError, match=r"^division by zero \(at position 5\)$"):
             parse_scalar("(t+1)/(t-t)", "t")
+
+
+def reference_tokenize(text):
+    """`exprs._tokenize` as it was before it tested operators first."""
+    tokens, k = [], 0
+    while k < len(text):
+        ch = text[k]
+        if ch.isspace():
+            k += 1
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, k))
+            k += 1
+            continue
+        if ch in "0123456789":
+            start = k
+            while k < len(text) and text[k] in "0123456789":
+                k += 1
+            tokens.append(("int", text[start:k], start))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = k
+            while k < len(text) and (text[k].isalnum() or text[k] == "_"):
+                k += 1
+            tokens.append(("name", text[start:k], start))
+            continue
+        raise ParseError(f"unexpected character {ch!r}", k)
+    end = tokens[-1][2] + len(tokens[-1][1]) if tokens else 0
+    tokens.append(("end", "", end))
+    return tokens
+
+
+def tokenize_outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+class TestTokenizer:
+    # Characters where the classes differ: Unicode spaces and separators,
+    # non-ASCII digits and numerals, letters of other scripts, marks.
+    tricky = st.sampled_from(
+        list(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u3000\u200b_09+-*/^().$")
+        + list("\u00b2\u0663\u00bd\u2167\u00e9\u0301\u03b1\u4e00\U0001d7d8"))
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(text=st.one_of(st.text(), st.text(tricky), st.text(st.one_of(tricky, st.characters()))))
+    def test_matches_the_reference(self, text):
+        assert (tokenize_outcome(exprs._tokenize, text)
+                == tokenize_outcome(reference_tokenize, text))
+
+    @pytest.mark.parametrize("text", ["x\u00b2", "\u00b2", "3\u0663", "e + 2e",
+                                      " _a1 \u3000( ", "a\u0301b", "\u2167", "12ab"])
+    def test_edge_cases_match_the_reference(self, text):
+        assert (tokenize_outcome(exprs._tokenize, text)
+                == tokenize_outcome(reference_tokenize, text))
 
 
 class TestRoundTrip:

@@ -60,6 +60,25 @@ class TestMultiply:
         with pytest.raises(MixedPresentations):
             multiply(B().generator(0), B_q().generator(0))
 
+    @pytest.mark.parametrize("k", range(6))
+    def test_power_makes_k_minus_one_products(self, monkeypatch, k):
+        p = B()
+        x = p.generator(0) + p.generator(1).scale(Fraction(1, 2))
+        expected = p.one()
+        for _ in range(k):
+            expected = multiply(expected, x)
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        product = pbw.multiply
+        monkeypatch.setattr(pbw, "multiply", counting)
+        power = x ** k
+        assert power == expected and power is not x
+        assert len(calls) == max(k - 1, 0)
+
     def test_normal_form_idempotent(self):
         rng = random.Random(201)
         for p in (B(), B_q(), Usl2()):
@@ -319,6 +338,91 @@ class TestPackedProducts:
             product = multiply(x.scale(Fraction(5, 2)) + y, z + y.scale(-3))
             assert product.terms == word_rewriting_product(
                 p, (x.scale(Fraction(5, 2)) + y).terms, (z + y.scale(-3)).terms)
+
+
+class TestProductRecords:
+    """Products read split table records; cold, warm and evicting tables agree."""
+
+    @pytest.mark.parametrize("name", ["B", "B_q", "Usl2", "B_lambda(3/2)", "S"])
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_cold_warm_and_evicting_tables_match_word_rewriting(self, name, data):
+        p = ENGINE_ALGEBRAS[name]()
+        n, var = len(p.generators), p.coeff_var
+        exps = st.tuples(*[st.integers(0, 2)] * n)
+        coeffs = st.one_of(
+            st.just(p._one),
+            st.builds(lambda c: Scalar.of(c, var),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+            st.builds(lambda c0, c1: Scalar(UniPoly([c0, c1], var)),
+                      st.integers(-2, 2), st.integers(-2, 2)),
+            st.just(Scalar(UniPoly([1], var), UniPoly([-1, 1], var))))
+        terms = st.dictionaries(exps, coeffs.filter(bool), min_size=1, max_size=3)
+        pairs = data.draw(st.lists(st.tuples(terms, terms), min_size=2, max_size=5))
+        expected = [word_rewriting_product(p, a, b) for a, b in pairs]
+
+        def products(q):
+            return [multiply(NCPoly(q, a), NCPoly(q, b)).terms for a, b in pairs]
+
+        q = copy_of(p)
+        assert products(q) == expected            # cold table
+        entries = len(q._table)
+        assert products(q) == expected            # warm table
+        assert len(q._table) == entries
+        cap = max(1, entries // 2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pbw, "_MAX_TABLE_ENTRIES", cap)
+            q = copy_of(p)
+            assert products(q) == expected        # emptied part-way
+            assert len(q._table) <= cap
+
+    def test_a_repeated_pair_is_not_split_again(self, monkeypatch):
+        p = copy_of(B())
+        h, f = p.generator(2), p.generator(1).scale(Fraction(3, 2))
+        splits = []
+
+        def record(terms):
+            if splits:
+                raise AssertionError("a stored product was split again")
+            splits.append(terms)
+            return split(terms)
+
+        split = pbw._record
+        monkeypatch.setattr(pbw, "_record", record)
+        first = multiply(h, f)
+        # h·f is rewritten once, through the swap rule (h, f) alone.
+        assert len(splits) == 1 and len(p._table) == 1
+        assert multiply(h, f) == first
+        assert multiply(h.scale(-2), f + h) == first.scale(-2) + multiply(h, h).scale(-2)
+
+    def test_mixed_variables_raise_on_a_stored_record(self):
+        p = copy_of(B())
+        e, f = p.generator(0), p.generator(1)
+        s = Scalar.variable("s")
+        multiply(f, e)                    # stores f·e = e f - (t-1) h
+        with pytest.raises(ValueError, match="cannot mix variables 's' and 't'"):
+            multiply(f.scale(s), e)
+        with pytest.raises(ValueError, match="cannot mix variables 't' and 's'"):
+            multiply(f.scale(Scalar.variable("t")), e.scale(s))
+
+    def test_twelfth_power_at_one_is_the_multinomial_expansion(self):
+        # At t = 1 the algebra is commutative, as in the benchmark's oracle.
+        p = copy_of(B())
+        t = Scalar.variable("t")
+        cs = [Scalar.of(Fraction(-7, 3)), t * Fraction(2, 5) - 3, Scalar.of(Fraction(5, 2))]
+        z = p.zero()
+        for k, c in enumerate(cs):
+            z = z + p.generator(k).scale(c)
+
+        def at_one(c):
+            value = c.evaluate(1)
+            return sympy.Rational(value.numerator, value.denominator)
+
+        e, f, h = sympy.symbols("e f h")
+        linear = sum(at_one(c) * x for c, x in zip(cs, (e, f, h)))
+        expected = sympy.Poly(linear ** 12, e, f, h).as_dict()
+        got = {m: at_one(c) for m, c in (z ** 12).terms.items()}
+        assert {m: c for m, c in got.items() if c} == expected
 
 
 class TestMixedVariables:

@@ -126,6 +126,20 @@ def test_add_then_subtract_round_trips(ring, data):
     assert total.degree() <= max(a.degree(), b.degree())
 
 
+@RINGS
+@PROPERTY
+@given(data=st.data())
+def test_subtraction_is_adding_the_negative(ring, data):
+    a = data.draw(elements(ring))
+    b = data.draw(elements(ring))
+    difference, expected = a - b, a + (-b)
+    assert_canonical(ring, difference)
+    # The same terms in the same order, with the same coefficients.
+    assert list(difference.terms.items()) == list(expected.terms.items())
+    assert [str(c) for c in difference.terms.values()] == \
+        [str(c) for c in expected.terms.values()]
+
+
 @PROPERTY
 @given(data=st.data())
 def test_cpoly_hash_agrees_with_equality(data):
