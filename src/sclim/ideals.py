@@ -44,8 +44,8 @@ On top of membership sit the Poisson-theoretic operations: `is_poisson_ideal`
 tests bracket stability on basis elements against generators (enough, by
 Leibniz), `poisson_closure` builds the smallest Poisson ideal containing an
 ideal, and `nilpotent_nonprime_witness` certifies non-primeness from a pair
-g, k with g**k inside and g outside.  All three bracket through `_ad`, which
-reads `PoissonAlgebra`'s derivation table once per call onto packed terms.
+g, k with g**k inside and g outside.  The first two bracket through `_ad`,
+which reads `PoissonAlgebra`'s derivation table once per call onto packed terms.
 
 The closure has two routes, picked from the bracket table alone.  When every
 entry {x_i, x_j} has degree <= 1 (a Lie-Poisson table, possibly with
@@ -67,7 +67,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .errors import BudgetExceeded
 from .poisson import CPoly, PoissonAlgebra
@@ -108,30 +108,13 @@ class MonomialOrder:
     def __repr__(self) -> str:
         return f"MonomialOrder(kind={self.kind!r}, precedence={self.precedence!r})"
 
-    def key_for(self, variables: Sequence[str]) -> "_SortKey":
-        """Sort key on exponent vectors over `variables`; larger = bigger."""
+    def key_for(self, variables: Sequence[str]) -> "_Ring":
+        """The order over `variables` as the engine's ring, a sort key on exponents."""
         precedence = self.precedence or tuple(variables)
         if (len(set(precedence)) != len(precedence)
                 or sorted(precedence) != sorted(variables)):
             raise ValueError("precedence list must mention every variable once")
-        return _SortKey(self.kind, tuple(variables.index(v) for v in precedence))
-
-
-class _SortKey:
-    """An order's sort key on exponent tuples; the engine builds its packing
-    of monomials from the same `kind` and `positions`."""
-
-    __slots__ = ("kind", "positions")
-
-    def __init__(self, kind: str, positions: tuple[int, ...]):
-        self.kind = kind
-        self.positions = positions      # variable indices, highest precedence first
-
-    def __call__(self, exps: Exponents):
-        ordered = tuple(exps[p] for p in self.positions)
-        if self.kind == "lex":
-            return ordered
-        return (sum(exps), tuple(-x for x in reversed(ordered)))
+        return _ring(self.kind, tuple(map(variables.index, precedence)), _FIELD_BITS)
 
 
 class _Overflow(Exception):
@@ -139,7 +122,8 @@ class _Overflow(Exception):
 
 
 class _Ring:
-    """Packing of exponent vectors for one order, `bits` per field.
+    """A monomial order (`positions`: variable indices, highest precedence
+    first) as a sort key on exponents and as their packing, `bits` per field.
 
     Fields are listed least significant first, each as the coefficients of
     the exponents in it (see the module docstring for the layout).  A
@@ -165,6 +149,13 @@ class _Ring:
                              for i in range(n))
         self.shifts = tuple(fields.index(tuple(int(i == k) for i in range(n))) * bits
                             for k in range(n))
+
+    def __call__(self, exps: Exponents):
+        """The order's sort key on exponents; `pack` keeps its order."""
+        ordered = tuple(exps[p] for p in self.positions)
+        if self.kind == "lex":
+            return ordered
+        return (sum(exps), tuple(-x for x in reversed(ordered)))
 
     def wider(self) -> "_Ring":
         return _ring(self.kind, self.positions, 2 * self.bits)
@@ -203,11 +194,9 @@ Entry = tuple[int, int, Terms, int, Exponents]
 T = TypeVar("T")
 
 
-def _on_fields(key: _SortKey, job: Callable[[_Ring], T],
-               bits: int = _FIELD_BITS) -> tuple[_Ring, T]:
-    """(ring, job(ring)) on the narrowest ring, from `bits` up by doubling,
-    on which no field overflows."""
-    ring = _ring(key.kind, key.positions, bits)
+def _on_fields(ring: _Ring, job: Callable[[_Ring], T]) -> tuple[_Ring, T]:
+    """(ring, job(ring)) on the narrowest ring, from `ring` up by doubling
+    its fields, on which no field overflows."""
     while True:
         try:
             return ring, job(ring)
@@ -437,26 +426,18 @@ class CommIdeal:
         # The engine's packed basis and its ring, as `groebner` left them.
         self._ring, self._basis = basis.ring, basis.entries
 
-    def _run(self, job: Callable[[_Ring, list[Entry]], T]) -> T:
-        """job(ring, basis) on the packed basis; should a field overflow,
-        on the basis packed again at twice the width, and so on."""
-        ring, basis = self._ring, self._basis
-        while True:
-            try:
-                return job(ring, basis)
-            except _Overflow:
-                ring = ring.wider()
-                basis = _entries(ring, self.reduced_gb)
+    def _run(self, job: Callable[[_Ring, list[Entry]], T]) -> tuple[_Ring, T]:
+        """(ring, job(ring, basis)) on the packed basis; should a field
+        overflow, on the basis packed again at twice the width, and so on."""
+        return _on_fields(self._ring, lambda ring: job(
+            ring, self._basis if ring is self._ring else _entries(ring, self.reduced_gb)))
 
     def _remainder(self, p: CPoly) -> tuple[_Ring, Terms, int]:
         """(ring, r, d): r / d packed on the ring is p's remainder."""
         d = _denominator([p.terms])
-
-        def job(ring: _Ring, basis: list[Entry]):
-            remainder, scale = _reduce(_pack(ring, p.terms, d), basis, ring)
-            return ring, remainder, d * scale
-
-        return self._run(job)
+        ring, (remainder, scale) = self._run(
+            lambda ring, basis: _reduce(_pack(ring, p.terms, d), basis, ring))
+        return ring, remainder, d * scale
 
     def reduce(self, p: CPoly) -> CPoly:
         """Remainder of p modulo the ideal (zero iff p is a member)."""
@@ -537,6 +518,19 @@ def _ad(terms: Terms, row: Row, ring: _Ring) -> Terms:
     return out
 
 
+def _bracket_remainders(algebra: PoissonAlgebra, ring: _Ring,
+                        basis: Sequence[Entry], polys: Iterable[tuple[Terms, int]]
+                        ) -> Iterator[tuple[Terms, int]]:
+    """(r, s) with r / s, packed, the remainder modulo the basis of {p / d, x_k},
+    for each (p, d) in polys and every k whose remainder is nonzero."""
+    rows, d_table = _derivations(algebra, ring)
+    for terms, d in polys:
+        for row in rows:
+            remainder, scale = _reduce(_ad(terms, row, ring), basis, ring)
+            if remainder:
+                yield remainder, d_table * d * scale
+
+
 def is_poisson_ideal(ideal: CommIdeal, algebra: PoissonAlgebra) -> bool:
     """True iff {g, x} lies in the ideal for every basis element g and
     variable x; by Leibniz this already gives {I, A} contained in I."""
@@ -544,11 +538,10 @@ def is_poisson_ideal(ideal: CommIdeal, algebra: PoissonAlgebra) -> bool:
         raise ValueError("ideal is not over the algebra's variables")
 
     def job(ring: _Ring, basis: list[Entry]) -> bool:
-        rows, _ = _derivations(algebra, ring)
-        return not any(_reduce(_ad({lead: lc, **tail}, row, ring), basis, ring)[0]
-                       for lead, lc, tail, _, _ in basis for row in rows)
+        entries = (({lead: lc, **tail}, 1) for lead, lc, tail, _, _ in basis)
+        return next(_bracket_remainders(algebra, ring, basis, entries), None) is None
 
-    return ideal._run(job)
+    return ideal._run(job)[1]
 
 
 def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
@@ -572,7 +565,7 @@ def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
     if any(p.degree() > 1 for p in algebra._table.values()):
         return _closure_by_rounds(ideal, algebra)
     ring, (rows, spanned) = _on_fields(
-        ideal._key, lambda ring: _span(ideal.generators, algebra, ring), ideal._ring.bits)
+        ideal._ring, lambda ring: _span(ideal.generators, algebra, ring))
     if len(rows) == spanned:  # the generators span an ad-stable space
         return ideal
     basis = [(pivot, lc, tail) for pivot, (lc, tail) in rows.items()]
@@ -633,36 +626,26 @@ def _closure_by_rounds(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
     generators all bracket into it, which by Leibniz is Poisson.  The
     ascending chain of ideals stabilizes.
     """
+    zero = CPoly.zero(ideal.variables)
+
+    def job(ring: _Ring, basis: list[Entry]) -> list[CPoly]:
+        """The round's new remainders, from the last round's `fresh`."""
+        packed = []
+        for p in fresh:
+            d = _denominator([p.terms])
+            packed.append((_pack(ring, p.terms, d), d))
+        return [zero._new(_unpack(ring, r, s))
+                for r, s in _bracket_remainders(algebra, ring, basis, packed)]
+
     current, fresh = ideal, ideal.generators
     for _ in range(_MAX_CLOSURE_ROUNDS):
-        fresh = _bracket_remainders(current, algebra, fresh)
+        fresh = current._run(job)[1]
         if not fresh:
             return current
         current = CommIdeal(current.variables, current.reduced_gb + tuple(fresh),
                             current.order)
     raise BudgetExceeded(
         f"poisson closure did not stabilize within {_MAX_CLOSURE_ROUNDS} rounds")
-
-
-def _bracket_remainders(ideal: CommIdeal, algebra: PoissonAlgebra,
-                        polys: Sequence[CPoly]) -> list[CPoly]:
-    """The nonzero remainders modulo the ideal of {p, x_k} for p in polys,
-    for every k."""
-    zero = CPoly.zero(ideal.variables)
-
-    def job(ring: _Ring, basis: list[Entry]) -> list[CPoly]:
-        rows, d = _derivations(algebra, ring)
-        out = []
-        for p in polys:
-            dp = _denominator([p.terms])
-            terms = _pack(ring, p.terms, dp)
-            for row in rows:
-                remainder, scale = _reduce(_ad(terms, row, ring), basis, ring)
-                if remainder:
-                    out.append(zero._new(_unpack(ring, remainder, d * dp * scale)))
-        return out
-
-    return ideal._run(job)
 
 
 class PrimalityCertificate:

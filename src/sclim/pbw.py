@@ -241,19 +241,6 @@ class PBWPresentation:
                 _accumulate(pending, image, ic)
         return out
 
-    def _monomial_product(self, a: Exponents, b: Exponents) -> dict[Exponents, Scalar]:
-        """Normal form of a·b: b's generators enter one at a time, lowest first.
-
-        When no generator of a lies above b's lowest one, a·b is already
-        ordered and is the single monomial a + b with coefficient `_one`.
-        Other products are the terms of their table record (`_rewrite`).
-        """
-        word = _exponents_to_word(b)
-        if not word or not any(a[word[0] + 1:]):
-            return {tuple(map(operator.add, a, b)): self._one}
-        # The table's entry itself: callers only read it.
-        return self._rewrite(a, b)[0]
-
     def _rewrite(self, a: Exponents, b: Exponents) -> tuple:
         """The table's record of a·b, for a pair that is not ordered.
 
@@ -514,7 +501,15 @@ def _record(terms: dict[Exponents, Scalar]) -> tuple:
 
 
 def _pack(ints: Sequence[int], w: int) -> int:
-    """The int polynomial `ints` (constant term first) evaluated at 2^w."""
+    """The int polynomial `ints` (constant term first) evaluated at 2^w.
+
+    A long list is packed in halves joined by one shift (R. Brent,
+    P. Zimmermann, "Modern Computer Arithmetic", 1.7), so the work is not
+    quadratic in its length; up to 16 ints, by Horner's rule.
+    """
+    if len(ints) > 16:
+        h = len(ints) // 2
+        return _pack(ints[:h], w) + (_pack(ints[h:], w) << (w * h))
     x = 0
     for c in reversed(ints):
         x = (x << w) + c
@@ -522,8 +517,21 @@ def _pack(ints: Sequence[int], w: int) -> int:
 
 
 def _unpack(x: int, w: int) -> list[int]:
-    """`_pack` inverted: x's balanced base-2^w digits (w >= 2), lowest first."""
+    """`_pack` inverted: x's balanced base-2^w digits (w >= 2), lowest first.
+
+    A long x is split at 2^(w*h) into its h low digits and the rest, which
+    is not zero, as x has more than h digits.  h digits in [-2^(w-1),
+    2^(w-1)) sum to a value in [-o, 2^(w*h) - o), o the packing of h digits
+    2^(w-1), so the low part is the one residue of x modulo 2^(w*h) there.
+    """
     half, mask = 1 << (w - 1), (1 << w) - 1
+    if x.bit_length() > 16 * w:
+        h = x.bit_length() // w // 2
+        offset = _pack([half] * h, w)
+        low = ((x + offset) & ((1 << (w * h)) - 1)) - offset
+        high = _unpack((x - low) >> (w * h), w)
+        low = _unpack(low, w)
+        return low + [0] * (h - len(low)) + high
     out = []
     while x:
         out.append(((x + half) & mask) - half)

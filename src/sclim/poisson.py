@@ -3,10 +3,10 @@
 `CPoly` is a commutative polynomial over the rationals in a fixed variable
 list (default e, f, h), stored as a map from exponent vectors to nonzero
 coefficients.  A `PoissonAlgebra` adds a bracket table b_ij = {x_i, x_j} for
-i < j, and owns the derivation table built from it once: its `ad` gives
-{x^a, x_k} = sum_i a_i x^(a - u_i) b_ik, u_i the i-th unit vector, on term
-dicts, and `ideals` reads the same table onto packed monomials.  The
-bracket of two polynomials is the biderivation extension
+i < j, and owns the derivation table built from it once, from which
+{x^a, x_k} = sum_i a_i x^(a - u_i) b_ik, u_i the i-th unit vector:
+`poisson_bracket` reads it on term dicts, and `ideals` onto packed
+monomials.  The bracket of two polynomials is the biderivation extension
 
     {a, b} = sum_k {a, x_k} db/dx_k,
 
@@ -163,15 +163,6 @@ class PoissonAlgebra:
             return self._table[(i, j)]
         return -self._table[(j, i)]
 
-    def ad(self, terms: Mapping[Exponents, Rational], k: int) -> dict:
-        """{p, x_k} as a term dict, p given by its term dict."""
-        out: dict[Exponents, Rational] = {}
-        for a, c in terms.items():
-            for i, entry in self._derivations[k]:
-                if a[i]:  # a_i x^(a - u_i) {x_i, x_k}
-                    _add_shifted(out, entry, c * a[i], a[:i] + (a[i] - 1,) + a[i + 1:])
-        return out
-
     def bracket_of(self, a: str, b: str) -> CPoly:
         index = {v: k for k, v in enumerate(self.variables)}
         return self.bracket_entry(index[a], index[b])
@@ -198,12 +189,16 @@ class PoissonAlgebra:
 
 
 def poisson_bracket(algebra: PoissonAlgebra, a: CPoly, b: CPoly) -> CPoly:
-    """{a, b} = sum_k {a, x_k} db/dx_k, with {a, x_k} from `algebra.ad`."""
+    """{a, b} = sum_k {a, x_k} db/dx_k, {a, x_k} from the derivation table."""
     if a.variables != algebra.variables or b.variables != algebra.variables:
         raise ValueError("operands are not over this algebra's variables")
     out: dict[Exponents, Rational] = {}
-    for k in range(len(algebra.variables)):
-        ad_k = algebra.ad(a.terms, k)
+    for k, row in enumerate(algebra._derivations):
+        ad_k: dict[Exponents, Rational] = {}
+        for e, c in a.terms.items():
+            for i, entry in row:
+                if e[i]:  # e_i x^(e - u_i) {x_i, x_k}
+                    _add_shifted(ad_k, entry, c * e[i], e[:i] + (e[i] - 1,) + e[i + 1:])
         for eb, cb in b.terms.items():
             if eb[k]:
                 _add_shifted(out, ad_k, cb * eb[k],

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import degree_slice_basis, random_cpoly
 from sclim import ideals
@@ -61,6 +63,29 @@ class TestOrder:
     def test_variables_must_be_distinct(self):
         with pytest.raises(ValueError, match="every variable once"):
             MonomialOrder().key_for(("e", "e"))
+
+
+class TestRingOrder:
+    """The ring that `key_for` returns states the order twice: as a sort key
+    on exponents and as the int order of packed monomials."""
+
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_key_and_packing_agree_for_every_precedence(self, kind, data):
+        for variables in (("a", "b", "c"), ("a", "b", "c", "d")):
+            # Degrees below the 16-bit fields' limit; b is often a permutation
+            # of a, so that the total degrees tie.
+            top = ((1 << (ideals._FIELD_BITS - 1)) - 1) // len(variables)
+            exps = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, top))]
+                             * len(variables))
+            a = data.draw(exps)
+            b = data.draw(st.one_of(exps, st.permutations(a).map(tuple)))
+            for precedence in itertools.permutations(variables):
+                ring = MonomialOrder(kind, precedence).key_for(variables)
+                assert ring.unpack(ring.pack(a)) == a
+                assert (ring(a) < ring(b)) == (ring.pack(a) < ring.pack(b))
+                assert (ring(a) == ring(b)) == (a == b) == (ring.pack(a) == ring.pack(b))
 
 
 class TestGroebner:
@@ -302,6 +327,28 @@ class TestClosureRoutes:
         algebra = TABLES["quadratic"]()
         with pytest.raises(BudgetExceeded, match="within 1 rounds"):
             poisson_closure(CommIdeal(algebra, [xyz("x") + xyz("z")]), algebra)
+
+
+class TestBracketLoops:
+    """`poisson_bracket` brackets on exponent tuples and `ideals._ad` on
+    packed ints, both from the algebra's derivation table."""
+
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_packed_ad_matches_poisson_bracket(self, name, kind):
+        algebra = TABLES[name]()
+        variables = algebra.variables
+        ring = MonomialOrder(kind, variables).key_for(variables)
+        rows, d_table = ideals._derivations(algebra, ring)
+        rng = random.Random(f"ad-{name}-{kind}")
+        for _ in range(30):
+            p = random_cpoly(rng, variables, max_degree=4, max_terms=4)
+            d = ideals._denominator([p.terms])
+            packed = ideals._pack(ring, p.terms, d)
+            for k, row in enumerate(rows):
+                expected = poisson_bracket(algebra, p, algebra.var(variables[k]))
+                got = ideals._unpack(ring, ideals._ad(packed, row, ring), d * d_table)
+                assert got == expected.terms
 
 
 class TestWitness:

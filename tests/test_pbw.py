@@ -147,7 +147,7 @@ class TestProductEngine:
         exps = st.tuples(*[st.integers(0, 3)] * len(p.generators))
         a, b = data.draw(exps), data.draw(exps)
         word = _exponents_to_word(a) + _exponents_to_word(b)
-        assert p._monomial_product(a, b) == p._word_normal_form(word)
+        assert multiply(p.monomial(a), p.monomial(b)).terms == p._word_normal_form(word)
 
     @pytest.mark.parametrize("gen, shift", [(0, 2), (1, -2)])
     def test_deep_power_is_binomial(self, gen, shift):
@@ -219,9 +219,8 @@ class TestProductEngine:
         p = copy_of(B())
         for a, b in [((0, 0, 0), (2, 1, 0)), ((1, 2, 0), (0, 0, 0)),
                      ((2, 0, 0), (1, 0, 3)), ((1, 1, 0), (0, 2, 1))]:
-            product = p._monomial_product(a, b)
+            product = multiply(p.monomial(a), p.monomial(b)).terms
             assert product == {tuple(x + y for x, y in zip(a, b)): p._one}
-            assert product[tuple(x + y for x, y in zip(a, b))] is p._one
         assert p._table == {}
 
     @pytest.mark.parametrize("name", ["B_q", "Usl2"])
@@ -231,7 +230,7 @@ class TestProductEngine:
     def test_repeated_multi_generator_product_does_no_rewriting(
             self, monkeypatch, name, a, b):
         p = copy_of(ENGINE_ALGEBRAS[name]())
-        first = p._monomial_product(a, b)
+        first = p._rewrite(a, b)[0]
         word = _exponents_to_word(a) + _exponents_to_word(b)
         assert first == p._word_normal_form(word)
 
@@ -240,7 +239,7 @@ class TestProductEngine:
 
         monkeypatch.setattr(p, "_times", rewrite)
         monkeypatch.setattr(p, "_apply", rewrite)
-        assert p._monomial_product(a, b) is first
+        assert p._rewrite(a, b)[0] is first
 
     def test_looping_rules_raise(self):
         one = Scalar.of(1, "t")
@@ -251,7 +250,7 @@ class TestProductEngine:
         # z^2 y depend on itself.
         p.swap_rules[(2, 0)] = SwapRule(one, {(0, 0, 2): one})
         with pytest.raises(RuntimeError, match="did not terminate"):
-            p._monomial_product((0, 0, 2), (0, 1, 0))
+            p._rewrite((0, 0, 2), (0, 1, 0))
 
 
 def word_rewriting_product(p, a, b):
@@ -338,6 +337,46 @@ class TestPackedProducts:
             product = multiply(x.scale(Fraction(5, 2)) + y, z + y.scale(-3))
             assert product.terms == word_rewriting_product(
                 p, (x.scale(Fraction(5, 2)) + y).terms, (z + y.scale(-3)).terms)
+
+
+def horner_pack(ints, w):
+    x = 0
+    for c in reversed(ints):
+        x = (x << w) + c
+    return x
+
+
+def horner_unpack(x, w):
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = []
+    while x:
+        out.append(((x + half) & mask) - half)
+        x = (x - out[-1]) >> w
+    return out
+
+
+class TestLongPacking:
+    """Long lists pack and unpack in halves; Horner's loops are the oracle."""
+
+    @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 33, 10 ** 4])
+    def test_round_trip_matches_horner(self, length):
+        rng = random.Random(f"pack-{length}")
+        for _ in range(20 if length < 100 else 2):
+            w = rng.randint(2, 70)
+            top = 1 << (w - 1)
+            digits = [rng.randrange(-top, top) for _ in range(length)]
+            # Runs of zero digits leave a low or a high part zero.
+            sparse = [c if rng.random() < 0.1 else 0 for c in digits]
+            for ints in (digits, sparse):
+                if ints and not ints[-1]:
+                    ints[-1] = rng.choice([-top, top - 1, 1])
+                x = pbw._pack(ints, w)
+                assert x == horner_pack(ints, w)
+                assert pbw._unpack(x, w) == ints
+            # Any int, not only a packing of in-range digits, unpacks as
+            # Horner's loop unpacks it.
+            x = rng.randrange(-(1 << (w * length + w)), 1 << (w * length + w))
+            assert pbw._unpack(x, w) == horner_unpack(x, w)
 
 
 class TestProductRecords:
