@@ -50,8 +50,8 @@ class InconsistentFamily(KernelError):
 
 
 class BudgetExceeded(KernelError, RuntimeError):
-    """A computation ran past one of the kernel's fixed caps (rounds or
-    rewrite steps), or met itself again; the message names the cap."""
+    """A computation ran past the Poisson closure's cap on rounds, or a
+    product met itself again while it was built; the message says which."""
 
 
 class ParseError(KernelError):

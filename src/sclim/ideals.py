@@ -420,7 +420,6 @@ class CommIdeal:
         if any(g.variables != self.variables for g in self.generators):
             raise ValueError("generator over the wrong variable list")
         self.order = order or MonomialOrder(precedence=self.variables)
-        self._key = self.order.key_for(self.variables)
         basis = groebner(self.generators, self.order, self.variables)
         self.reduced_gb = tuple(basis)
         # The engine's packed basis and its ring, as `groebner` left them.

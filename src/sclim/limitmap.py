@@ -56,10 +56,8 @@ class SampleSet:
         self.nodes = tuple(vals)
 
     @classmethod
-    def integers(cls, count: int, start: int = 2) -> "SampleSet":
-        if start < 2:
-            raise ValueError("integer nodes start at 2")
-        return cls(range(start, start + count))
+    def integers(cls, count: int) -> "SampleSet":
+        return cls(range(2, 2 + count))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -94,10 +92,9 @@ class FamilyElement:
 
 
 def gamma_eval(b: NCPoly, samples: SampleSet) -> FamilyElement:
-    """Coefficientwise evaluation at every node, one fiber element each."""
+    """Coefficientwise evaluation at every node, one fiber element each
+    (`specialize_presentation` rejects a presentation with no parameter)."""
     p = b.presentation
-    if not p.has_symbolic_parameter():
-        raise ValueError(f"{p.name} has no symbolic parameter")
     fibers = []
     for node in samples:
         fiber_presentation = specialize_presentation(p, node)
@@ -165,23 +162,20 @@ def gamma_hat(b: NCPoly) -> CPoly:
     return CPoly(p.generators, terms)
 
 
-def gamma_hat_via_family(z: NCPoly, samples: SampleSet,
-                         band: Optional[tuple[int, int]] = None) -> CPoly:
+def gamma_hat_via_family(z: NCPoly, samples: SampleSet) -> CPoly:
     """The same value as `gamma_hat`, via the sample/reconstruct/project route.
 
-    When `band` is omitted the coefficients must be polynomial in the
-    parameter and the band is [0, max degree].
+    The coefficients must be polynomial in the parameter; the band is
+    [0, max degree].
     """
-    if band is None:
-        degrees = []
-        for c in z.terms.values():
-            if not c.is_polynomial():
-                raise ValueError(
-                    "band required for non-polynomial coefficients")
-            degrees.append(max(c.num.degree, 0))
-        band = (0, max(degrees, default=0))
+    degrees = []
+    for c in z.terms.values():
+        if not c.is_polynomial():
+            raise ValueError("coefficients must be polynomial in the parameter")
+        degrees.append(max(c.num.degree, 0))
     family = gamma_eval(z, samples)
-    reconstructed = gamma_inverse(family, band, parent=z.presentation)
+    reconstructed = gamma_inverse(family, (0, max(degrees, default=0)),
+                                  parent=z.presentation)
     return gamma_hat(reconstructed)
 
 

@@ -17,14 +17,13 @@ raises total degree), so products terminate and normal forms are well defined
 whenever the overlap check below passes.
 
 `check_pbw_overlaps` is the confluence certificate: for every generator triple
-k > j > i it reduces x_k x_j x_i along both association orders, rewriting
-whole words, and compares the results.  If all triples agree, the ordered
-monomials are a basis.
+k > j > i it reduces x_k x_j x_i along both association orders, through the
+same product table, and compares the results.  If all triples agree, the
+ordered monomials are a basis.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
@@ -37,9 +36,6 @@ from .arith import Rational, Scalar, UniPoly, _as_rational, _canonical, _over, _
 from .errors import BudgetExceeded, MixedPresentations
 
 Exponents = tuple[int, ...]
-
-# Safety valve against a non-terminating rule set slipping past validation.
-_MAX_REWRITE_STEPS = 2_000_000
 
 # Entries a presentation's product table holds before it is emptied.
 _MAX_TABLE_ENTRIES = 20_000
@@ -111,7 +107,7 @@ class PBWPresentation:
         # `specialize_presentation` before the fiber is handed out.
         self.family: Optional[PBWPresentation] = None
         # Confluence certificate, computed once here so shared presentations
-        # never race on it.
+        # never race on it; its products stay in the table.
         self.overlap_report = check_pbw_overlaps(self)
 
     def _validate_tail(self, j: int, i: int, rule: SwapRule) -> None:
@@ -203,43 +199,6 @@ class PBWPresentation:
         return self.overlap_report.passed
 
     # -- rewriting engine ----------------------------------------------------
-
-    def _word_normal_form(self, word: tuple[int, ...]) -> dict[Exponents, Scalar]:
-        """Normal form of a single word as exponents -> Scalar.
-
-        Swaps the leftmost out-of-order pair.  Every rewrite yields words that
-        are shorter, or as long and lexicographically smaller, so taking the
-        largest pending word first finishes each word before it is reached
-        again: equal words merge instead of being rewritten twice.
-        """
-        pending: dict[tuple[int, ...], Scalar] = {word: self._one}
-        queue = [_word_rank(word)]
-        out: dict[Exponents, Scalar] = {}
-        steps = 0
-        while queue:
-            w = heapq.heappop(queue)[2]
-            c = pending.pop(w, None)
-            if c is None:
-                continue
-            pos = _first_inversion(w)
-            if pos is None:
-                exps = _word_to_exponents(w, len(self.generators))
-                _accumulate(out, exps, c)
-                continue
-            steps += 1
-            if steps > _MAX_REWRITE_STEPS:
-                raise BudgetExceeded(f"rewriting did not terminate within "
-                                     f"{_MAX_REWRITE_STEPS} steps; rules are invalid")
-            j, i = w[pos], w[pos + 1]
-            rule = self.swap_rules[(j, i)]
-            images = [(w[:pos] + (i, j) + w[pos + 2:], c * rule.coeff)]
-            images += [(w[:pos] + _exponents_to_word(texps) + w[pos + 2:], c * tc)
-                       for texps, tc in rule.tail.items()]
-            for image, ic in images:
-                if image not in pending:
-                    heapq.heappush(queue, _word_rank(image))
-                _accumulate(pending, image, ic)
-        return out
 
     def _rewrite(self, a: Exponents, b: Exponents) -> tuple:
         """The table's record of a·b, for a pair that is not ordered.
@@ -338,25 +297,6 @@ class PBWPresentation:
 def _bump(m: Exponents, g: int) -> Exponents:
     """m·x_g for a monomial m with no generator above g."""
     return m[:g] + (m[g] + 1,) + m[g + 1:]
-
-
-def _word_rank(word: tuple[int, ...]) -> tuple:
-    """Heap entry that pops longer words first, then lexicographically larger."""
-    return (-len(word), tuple(-g for g in word), word)
-
-
-def _first_inversion(word: tuple[int, ...]) -> Optional[int]:
-    for k in range(len(word) - 1):
-        if word[k] > word[k + 1]:
-            return k
-    return None
-
-
-def _word_to_exponents(word: tuple[int, ...], n: int) -> Exponents:
-    exps = [0] * n
-    for g in word:
-        exps[g] += 1
-    return tuple(exps)
 
 
 def _exponents_to_word(exps: Exponents) -> tuple[int, ...]:
@@ -778,7 +718,18 @@ def check_pbw_overlaps(p: PBWPresentation) -> OverlapReport:
     The word x_k x_j x_i can be rewritten first at the left pair (k, j) or
     first at the right pair (j, i); agreement of the two reductions for all
     triples certifies that normal forms are unique and the ordered monomials
-    form a basis.
+    form a basis (G. M. Bergman, "The diamond lemma for ring theory", Adv.
+    Math. 29, 1978).
+
+    Each one-step reduct is taken to a normal form through the product
+    table (`_reduce_after_first_step`).  The lemma needs each reduct taken
+    to a normal form by some sequence of rule applications, and every
+    table record is one: `_times` applies rule (k, i) inside
+    m0·x_k^(b-1)·(x_k x_i) and goes on from normal forms.  So when the two
+    sides agree, the ambiguity resolves.  When the rules are confluent,
+    every sequence reaches the one normal form, so a disagreement is a real
+    failure.  Pass or fail is thus the same under any reduction strategy;
+    only a failing triple's `left` and `right` depend on it.
     """
     n = len(p.generators)
     checks = []
@@ -793,6 +744,8 @@ def check_pbw_overlaps(p: PBWPresentation) -> OverlapReport:
 
 def _reduce_after_first_step(p: PBWPresentation, word: tuple[int, int, int],
                              left_first: bool) -> NCPoly:
+    """Apply one rule to `word` at its left or right pair, then fold each word
+    of the result (it holds k or i) letter by letter through `_apply`."""
     k, j, i = word
     if left_first:
         rule = p.swap_rules[(k, j)]
@@ -802,9 +755,13 @@ def _reduce_after_first_step(p: PBWPresentation, word: tuple[int, int, int],
         rule = p.swap_rules[(j, i)]
         seeds = [((k, i, j), rule.coeff)]
         seeds += [((k,) + _exponents_to_word(te), tc) for te, tc in rule.tail.items()]
+    unit = (0,) * len(p.generators)
     out: dict[Exponents, Scalar] = {}
     for w, c in seeds:
-        _add_scaled(out, p._word_normal_form(w), c, p._one)
+        terms, active = {_bump(unit, w[0]): p._one}, set()
+        for g in w[1:]:
+            terms = p._apply(terms, g, active)
+        _add_scaled(out, terms, c, p._one)
     return NCPoly(p, out)
 
 

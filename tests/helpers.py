@@ -1,8 +1,10 @@
 """Shared fixtures: seeded random generators and independent oracles."""
 
+import heapq
 import itertools
 from fractions import Fraction
 
+from sclim import pbw
 from sclim.arith import Scalar, UniPoly
 from sclim.pbw import B, NCPoly, PBWPresentation, SwapRule
 from sclim.poisson import CPoly, poisson_bracket
@@ -61,6 +63,67 @@ def corrupted_b() -> PBWPresentation:
     rules = dict(B().swap_rules)
     rules[(2, 0)] = SwapRule(Scalar.of(1, "t"), {(0, 1, 0): shift * 2})
     return PBWPresentation("B_corrupted", ("e", "f", "h"), rules, parameter="t")
+
+
+def word_normal_form(p: PBWPresentation, word: tuple[int, ...]) -> dict:
+    """Normal form of one word by whole-word rewriting, exponents -> Scalar.
+
+    The oracle for the product table: it swaps the leftmost out-of-order
+    pair of a word and shares no code with `pbw._times`.  Every rewrite
+    yields words that are shorter, or as long and lexicographically
+    smaller, so taking the largest pending word first finishes each word
+    before it is reached again: equal words merge instead of being
+    rewritten twice.
+    """
+    def rank(w):
+        return (-len(w), tuple(-g for g in w), w)
+
+    pending = {word: p._one}
+    queue = [rank(word)]
+    out = {}
+    while queue:
+        w = heapq.heappop(queue)[2]
+        c = pending.pop(w, None)
+        if c is None:
+            continue
+        pos = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
+        if pos is None:
+            exps = [0] * len(p.generators)
+            for g in w:
+                exps[g] += 1
+            pbw._accumulate(out, tuple(exps), c)
+            continue
+        j, i = w[pos], w[pos + 1]
+        rule = p.swap_rules[(j, i)]
+        images = [(w[:pos] + (i, j) + w[pos + 2:], c * rule.coeff)]
+        images += [(w[:pos] + pbw._exponents_to_word(t) + w[pos + 2:], c * tc)
+                   for t, tc in rule.tail.items()]
+        for image, ic in images:
+            if image not in pending:
+                heapq.heappush(queue, rank(image))
+            pbw._accumulate(pending, image, ic)
+    return out
+
+
+def gl_presentation(n: int) -> PBWPresentation:
+    """U(gl_n) on the matrix units E_ab, ordered row by row:
+    [E_ab, E_cd] = [b == c]·E_ad - [d == a]·E_cb."""
+    names = [f"E{a}{b}" for a in range(1, n + 1) for b in range(1, n + 1)]
+    index = {(a, b): a * n + b for a in range(n) for b in range(n)}
+    one = Scalar.of(1, "t")
+    rules = {}
+    for (a, b), j in index.items():
+        for (c, d), i in index.items():
+            if i >= j:
+                continue
+            tail = {}
+            for sign, key, hit in ((1, (a, d), b == c), (-1, (c, b), d == a)):
+                if hit:
+                    exps = [0] * n * n
+                    exps[index[key]] = 1
+                    tail[tuple(exps)] = tail.get(tuple(exps), 0) + sign
+            rules[(j, i)] = SwapRule(one, {e: Scalar.of(c, "t") for e, c in tail.items()})
+    return PBWPresentation(f"U(gl_{n})", names, rules)
 
 
 def degree_slice_basis(generators, algebra, cap, variables=("e", "f", "h")):

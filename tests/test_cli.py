@@ -5,6 +5,7 @@ import json
 import operator
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -575,15 +576,19 @@ class TestExitCodeCorpus:
         assert main(["no-such-command"]) == 2
         capsys.readouterr()
 
-    def test_kernel_cap_exits_two(self, tmp_path, capsys, monkeypatch):
-        # A file builds a fresh presentation, whose overlap check rewrites
-        # words, so a cap of no rewrite steps is reached at once.
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps(presentation_to_json(B())))
-        monkeypatch.setattr(pbw, "_MAX_REWRITE_STEPS", 0)
-        assert main(["overlaps", "--file", str(path)]) == 2
+    def test_kernel_cap_exits_two(self, capsys, monkeypatch):
+        # z x = x z + z^2 fails validation; installed afterwards, it makes
+        # z^2 y depend on itself, which the product table's guard reports.
+        one = Scalar.of(1, "t")
+        p = PBWPresentation("loop", ("x", "y", "z"), {
+            (1, 0): SwapRule(one, {}), (2, 0): SwapRule(one, {}),
+            (2, 1): SwapRule(one, {(1, 1, 0): one})})
+        p.swap_rules[(2, 0)] = SwapRule(one, {(0, 0, 2): one})
+        p._table.clear()
+        monkeypatch.setattr(cli, "B", lambda: p)
+        assert main(["nf", "z^2*y"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "within 0 steps" in err
+        assert err.startswith("error: ") and "did not terminate" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert issubclass(BudgetExceeded, RuntimeError)
 
@@ -745,3 +750,28 @@ class TestModuleEntry:
         assert modules["verify-paper"] == verify
         assert modules["nf"] == sorted(verify + ["sclim.exprs"])
         assert all(not imported for _, _, imported in steps)
+
+
+def _readme_cli_lines() -> list[tuple[list[str], str]]:
+    """(argv, comment) for each `sclim ...` line of README's `## CLI` block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        lines.append((shlex.split(command)[1:], comment.strip()))
+    return lines
+
+
+README_CLI = _readme_cli_lines()
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv, comment", README_CLI,
+                             ids=[argv[0] for argv, _ in README_CLI])
+    def test_cli_block_runs(self, capsys, argv, comment):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        # nf, comm and bracket print their answer, and the comment starts with it.
+        if argv[0] in ("nf", "comm", "bracket"):
+            assert out == comment.split("  ")[0] + "\n"

@@ -137,7 +137,7 @@ class TestGroebner:
         closure = poisson_closure(
             CommIdeal(VARS, [mono((12, 0, 0)),
                              4 * mono((1, 1, 0)) + mono((0, 0, 2))]), b1())
-        key = closure._key
+        key = closure.order.key_for(closure.variables)
         gens = sorted(closure.generators, key=lambda g: key(max(g.terms, key=key)))
         s_terms, counts, bases = ideals._s_terms, [], []
         for ordered in (gens, gens[::-1]):

@@ -12,7 +12,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corrupted_b, nonzero, random_ncpoly
+from helpers import (corrupted_b, gl_presentation, nonzero, random_ncpoly,
+                     word_normal_form)
 from sclim import pbw
 from sclim.arith import Scalar, UniPoly
 from sclim.errors import MixedPresentations
@@ -123,7 +124,7 @@ ENGINE_ALGEBRAS = {"B": B, "B_q": B_q, "Usl2": Usl2,
 
 
 def copy_of(p: PBWPresentation) -> PBWPresentation:
-    """The same algebra with an empty product table of its own."""
+    """The same algebra with a product table of its own."""
     return PBWPresentation(p.name, p.generators, p.swap_rules, p.parameter,
                            p.parameter_value)
 
@@ -147,7 +148,7 @@ class TestProductEngine:
         exps = st.tuples(*[st.integers(0, 3)] * len(p.generators))
         a, b = data.draw(exps), data.draw(exps)
         word = _exponents_to_word(a) + _exponents_to_word(b)
-        assert multiply(p.monomial(a), p.monomial(b)).terms == p._word_normal_form(word)
+        assert multiply(p.monomial(a), p.monomial(b)).terms == word_normal_form(p, word)
 
     @pytest.mark.parametrize("gen, shift", [(0, 2), (1, -2)])
     def test_deep_power_is_binomial(self, gen, shift):
@@ -211,17 +212,18 @@ class TestProductEngine:
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
                 word = _exponents_to_word(ea) + _exponents_to_word(eb)
-                terms = p._word_normal_form(word)
+                terms = word_normal_form(p, word)
                 expected = expected + NCPoly(p, terms).scale(ca * cb)
         assert multiply(a, b) == expected
 
     def test_ordered_pairs_add_exponents(self):
         p = copy_of(B())
+        built = dict(p._table)
         for a, b in [((0, 0, 0), (2, 1, 0)), ((1, 2, 0), (0, 0, 0)),
                      ((2, 0, 0), (1, 0, 3)), ((1, 1, 0), (0, 2, 1))]:
             product = multiply(p.monomial(a), p.monomial(b)).terms
             assert product == {tuple(x + y for x, y in zip(a, b)): p._one}
-        assert p._table == {}
+        assert p._table == built
 
     @pytest.mark.parametrize("name", ["B_q", "Usl2"])
     @pytest.mark.parametrize("a, b", [((0, 1, 0), (3, 0, 0)),    # f·e^3
@@ -232,7 +234,7 @@ class TestProductEngine:
         p = copy_of(ENGINE_ALGEBRAS[name]())
         first = p._rewrite(a, b)[0]
         word = _exponents_to_word(a) + _exponents_to_word(b)
-        assert first == p._word_normal_form(word)
+        assert first == word_normal_form(p, word)
 
         def rewrite(*args):
             raise AssertionError("a memoized product was rewritten")
@@ -249,6 +251,7 @@ class TestProductEngine:
         # z x = x z + z^2 fails validation; installed afterwards, it makes
         # z^2 y depend on itself.
         p.swap_rules[(2, 0)] = SwapRule(one, {(0, 0, 2): one})
+        p._table.clear()
         with pytest.raises(RuntimeError, match="did not terminate"):
             p._rewrite((0, 0, 2), (0, 1, 0))
 
@@ -259,7 +262,7 @@ def word_rewriting_product(p, a, b):
     for ea, ca in a.items():
         for eb, cb in b.items():
             word = _exponents_to_word(ea) + _exponents_to_word(eb)
-            for m, c in p._word_normal_form(word).items():
+            for m, c in word_normal_form(p, word).items():
                 pbw._accumulate(out, m, ca * cb * c)
     return out
 
@@ -418,6 +421,7 @@ class TestProductRecords:
     def test_a_repeated_pair_is_not_split_again(self, monkeypatch):
         p = copy_of(B())
         h, f = p.generator(2), p.generator(1).scale(Fraction(3, 2))
+        built = len(p._table)
         splits = []
 
         def record(terms):
@@ -430,7 +434,7 @@ class TestProductRecords:
         monkeypatch.setattr(pbw, "_record", record)
         first = multiply(h, f)
         # h·f is rewritten once, through the swap rule (h, f) alone.
-        assert len(splits) == 1 and len(p._table) == 1
+        assert len(splits) == 1 and len(p._table) == built + 1
         assert multiply(h, f) == first
         assert multiply(h.scale(-2), f + h) == first.scale(-2) + multiply(h, h).scale(-2)
 
@@ -555,6 +559,70 @@ class TestOverlaps:
         s = t_minus_1()
         diff = bad.left - bad.right
         assert diff == corrupted_b().monomial((0, 0, 1), s * s * 2)
+
+
+def lie_type(rng: random.Random, confluent: bool) -> PBWPresentation:
+    """x < y < z with [y, x] = a z, [z, x] = b x, [z, y] = c y: the rules
+    are confluent iff the Jacobi identity a (b + c) = 0 holds."""
+    def rat():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+
+    a, b = rat(), rat()
+    c = -b if confluent else -b + rat()
+    one = Scalar.of(1, "t")
+    p = PBWPresentation("lie", ("x", "y", "z"), {
+        (1, 0): SwapRule(one, {(0, 0, 1): Scalar.of(a, "t")}),
+        (2, 0): SwapRule(one, {(1, 0, 0): Scalar.of(b, "t")}),
+        (2, 1): SwapRule(one, {(0, 1, 0): Scalar.of(c, "t")})})
+    assert p.is_confluent == confluent
+    return p
+
+
+def flipped_gl3() -> PBWPresentation:
+    """U(gl_3) with [E21, E12] = E11 - E22, the wrong sign."""
+    p = gl_presentation(3)
+    rules = dict(p.swap_rules)
+    rule = rules[(3, 1)]
+    rules[(3, 1)] = SwapRule(rule.coeff, {e: -c for e, c in rule.tail.items()})
+    p = PBWPresentation("gl3_flipped", p.generators, rules)
+    assert not p.is_confluent
+    return p
+
+
+CERTIFIED = {
+    **ENGINE_ALGEBRAS, "B_lambda(2)": lambda: B_lambda(2),
+    "B_corrupted": corrupted_b, "gl3": lambda: gl_presentation(3),
+    "gl3_flipped": flipped_gl3,
+    **{f"lie{seed}": (lambda seed=seed: lie_type(random.Random(seed), seed % 2 == 0))
+       for seed in range(40)}}
+
+
+class TestCertificateOracle:
+    """The certificate, reduced through the table, against whole-word rewriting."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_reductions_match_word_rewriting(self, name):
+        p = CERTIFIED[name]()
+
+        def oracle(seeds):
+            out = {}
+            for w, c in seeds:
+                for m, mc in word_normal_form(p, w).items():
+                    pbw._accumulate(out, m, c * mc)
+            return out
+
+        word = _exponents_to_word
+        checks = p.overlap_report.checks
+        assert len(checks) == math.comb(len(p.generators), 3)
+        for check in checks:
+            k, j, i = check.triple
+            left_rule, right_rule = p.swap_rules[(k, j)], p.swap_rules[(j, i)]
+            left = oracle([((j, k, i), left_rule.coeff)]
+                          + [(word(t) + (i,), c) for t, c in left_rule.tail.items()])
+            right = oracle([((k, i, j), right_rule.coeff)]
+                           + [((k,) + word(t), c) for t, c in right_rule.tail.items()])
+            assert check.left.terms == left and check.right.terms == right
+            assert check.ok == (left == right)
 
 
 class TestGrowth:
