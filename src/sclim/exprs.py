@@ -21,8 +21,9 @@ the unary signs, an atom or a parenthesized expression, and '^ INTEGER'.
 
 The same parser and one context class serve three targets: noncommutative
 elements over a presentation, commutative polynomials over a variable list,
-and bare coefficient scalars (a ring whose only atom is the variable).
-Printing (`str`) of any of these re-parses to an equal value.
+and bare coefficient scalars (a ring whose only atom is the variable).  It
+evaluates on term dicts and coefficients and builds the ring element once,
+at the end.  Printing (`str`) of any of these re-parses to an equal value.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .arith import Scalar
 from .errors import ParseError
-from .pbw import NCPoly, PBWPresentation, SparsePoly
+from .pbw import NCPoly, PBWPresentation, _accumulate, _add_scaled, _bump
 
 if TYPE_CHECKING:
     from .poisson import CPoly
@@ -85,15 +86,21 @@ def _unexpected(token, message: str) -> ParseError:
 class _RingContext:
     """A target ring (`NCPoly`, `CPoly` or `Scalar`): its coefficients and named atoms.
 
-    A subexpression with no generator stays a coefficient (`const` makes one
-    from an int).  It becomes a ring element when it meets one, through
-    `SparsePoly`'s scalar coercion, or by `lift` at the end of `parse`.
+    Values are term dicts (exponents -> coefficient) or coefficients: a
+    subexpression with no generator stays one, literals as ints and
+    `Fraction`s.  `coeff` makes a coefficient a ring coefficient where it
+    meets a dict: it is summed in (`_accumulate`) or scales the dict
+    (`_add_scaled`, which skips a generator's coefficient `one`).  A
+    generator, named in `gens` with its index, is a new one-term dict where
+    it is read, so sums go into their dicts in place; a name in `scalars`
+    (the parameter, which a generator of the same name shadows) is a
+    coefficient.  Two dicts multiply as the ring elements `wrap` makes of
+    them, and `parse` wraps its result; `wrap` is None for `Scalar`.
     """
 
-    def __init__(self, const, lift, atoms: dict):
-        self.const = const
-        self.lift = lift
-        self.atoms = atoms
+    def __init__(self, coeff, wrap, unit, one, gens: dict, scalars: dict):
+        self.coeff, self.wrap, self.unit, self.one = coeff, wrap, unit, one
+        self.gens, self.scalars = gens, scalars
 
     def parse(self, text: str):
         tokens = _tokenize(text)
@@ -101,7 +108,11 @@ class _RingContext:
         kind, word, pos = tokens[k]
         if kind != "end":
             raise ParseError(f"unexpected trailing {word!r}", pos)
-        return value if isinstance(value, SparsePoly) else self.lift(value)
+        if type(value) is not dict:
+            if self.wrap is None:
+                return self.coeff(value)
+            value = self._terms(value)
+        return self.wrap(value)
 
     def _expr(self, tokens, k: int, floor: int):
         """Operands joined by operators of level `floor` or above: (value, next index)."""
@@ -109,14 +120,12 @@ class _RingContext:
         while (level := _BINARY.get(tokens[k][0], 0)) >= floor:
             op, _, pos = tokens[k]
             rhs, k = self._expr(tokens, k + 1, level + 1)
-            if op == "+":
-                value = value + rhs
-            elif op == "-":
-                value = value - rhs
-            elif op == "*":
-                value = value * rhs
-            else:
+            if op == "*":
+                value = self._times(value, rhs)
+            elif op == "/":
                 value = self._divide(value, rhs, pos)
+            else:
+                value = self._add(value, rhs, op == "-")
         return value, k
 
     def _operand(self, tokens, k: int):
@@ -127,11 +136,14 @@ class _RingContext:
             k += 1
         kind, word, pos = tokens[k]
         if kind == "int":
-            value = self.const(int(word))
+            value = int(word)
         elif kind == "name":
-            if word not in self.atoms:
+            if word in self.gens:
+                value = {_bump(self.unit, self.gens[word]): self.one}
+            elif word in self.scalars:
+                value = self.scalars[word]
+            else:
                 raise ParseError(f"unknown symbol {word!r}", pos)
-            value = self.atoms[word]
         elif kind == "(":
             try:
                 value, k = self._expr(tokens, k + 1, 1)
@@ -145,38 +157,71 @@ class _RingContext:
             exponent = tokens[k + 2]
             if exponent[0] != "int":
                 raise _unexpected(exponent, f"expected int, found {exponent[1]!r}")
-            value = value ** int(exponent[1])
+            value = self._power(value, int(exponent[1]))
             k += 2
-        return (-value if negate else value), k + 1
+        if negate:
+            value = {e: -c for e, c in value.items()} if type(value) is dict else -value
+        return value, k + 1
 
-    @staticmethod
-    def _divide(a, b, pos: int):
-        if isinstance(b, SparsePoly):
-            if b.degree() > 0:
+    def _terms(self, c) -> dict:
+        """The coefficient c as a term dict."""
+        return {self.unit: self.coeff(c)} if c else {}
+
+    def _add(self, a, b, minus: bool):
+        if type(a) is not dict and type(b) is not dict:
+            return a - b if minus else a + b
+        a = a if type(a) is dict else self._terms(a)
+        for e, c in (b if type(b) is dict else self._terms(b)).items():
+            _accumulate(a, e, -c if minus else c)
+        return a
+
+    def _times(self, a, b):
+        if type(a) is dict and type(b) is dict:
+            return (self.wrap(a) * self.wrap(b)).terms
+        if type(a) is not dict and type(b) is not dict:
+            return a * b
+        a, b = (a, b) if type(a) is dict else (b, a)
+        out: dict = {}
+        _add_scaled(out, a, self.coeff(b), self.one)
+        return out
+
+    def _power(self, a, k: int):
+        """a^k; a term dict's power makes k - 1 products."""
+        if type(a) is not dict:
+            return a ** k
+        out = a if k else {self.unit: self.one}
+        for _ in range(k - 1):
+            out = self._times(out, a)
+        return out
+
+    def _divide(self, a, b, pos: int):
+        if type(b) is dict:
+            if any(e != self.unit for e in b):
                 raise ParseError("can only divide by a constant", pos)
-            b = next(iter(b.terms.values()), 0)
+            b = b.get(self.unit, 0)
         if not b:
             raise ParseError("division by zero", pos)
-        return a.scale(1 / b) if isinstance(a, SparsePoly) else a / b
+        return self._times(a, Fraction(1, b) if type(b) is int else 1 / b)
 
 
 def parse_expression(text: str, presentation: PBWPresentation) -> NCPoly:
     """Parse an element of a PBW algebra; products are normalized."""
     p = presentation
-    # A generator named like the parameter shadows it.
-    atoms = {} if p.parameter is None else {p.parameter: p.parameter_scalar()}
-    atoms.update((g, p.gen(g)) for g in p.generators)
-    return _RingContext(lambda n: Scalar.of(n, p.coeff_var), p.scalar, atoms).parse(text)
+    scalars = {} if p.parameter is None else {p.parameter: p.parameter_scalar()}
+    zero = p.zero()
+    return _RingContext(zero._coeff, zero._new, (0,) * len(p.generators), p._one,
+                        {g: k for k, g in enumerate(p.generators)}, scalars).parse(text)
 
 
 def parse_cpoly(text: str, variables: Sequence[str]) -> CPoly:
     """Parse a commutative polynomial over the given variables."""
     from .poisson import CPoly  # here, so that `nf` never loads poisson
-    atoms = {v: CPoly.variable(v, variables) for v in variables}
-    return _RingContext(Fraction, lambda c: CPoly.const(c, variables), atoms).parse(text)
+    zero = CPoly.zero(variables)
+    return _RingContext(zero._coeff, zero._new, (0,) * len(variables), Fraction(1),
+                        {v: k for k, v in enumerate(variables)}, {}).parse(text)
 
 
 def parse_scalar(text: str, var: str) -> Scalar:
     """Parse a rational function in the single variable `var`."""
-    return _RingContext(lambda n: Scalar.of(n, var), lambda c: c,
-                        {var: Scalar.variable(var)}).parse(text)
+    return _RingContext(lambda c: c if isinstance(c, Scalar) else Scalar.of(c, var),
+                        None, None, None, {}, {var: Scalar.variable(var)}).parse(text)

@@ -331,21 +331,26 @@ def _add_shifted(out: dict, terms: Mapping, factor, shift: Exponents) -> None:
         _accumulate(out, tuple(map(operator.add, e, shift)), factor * c)
 
 
-def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping) -> dict:
+def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
+                  commute: bool = False) -> dict:
     """Σ c_a·c_b·c over the term pairs c_a·e_a, c_b·e_b and the terms c·m of
-    the normal form of e_a·e_b; an ordered pair's one term a + b has c =
-    `p._one`, which is not multiplied in.
+    the normal form of e_a·e_b, less the same sum for e_b·e_a when `commute`
+    (the terms of a·b - b·a); an ordered product's one term a + b has c =
+    `p._one`, which is not multiplied in, and a pair ordered both ways
+    cancels, so it is skipped.
 
     Numerators over common denominators D_a, D_b, D_c of a, b and the products
     are packed into ints at 2^w (Kronecker substitution, D. Harvey, JSC 2009),
     so a pair's product and each sum into a group (monomial, denominator,
-    variable, which is p's for a constant) is one int operation.  A group unpacks once into balanced
+    variable, which is p's for a constant) is one int operation; both orders
+    of a pair add into the same groups.  A group unpacks once into balanced
     base-2^w digits, its ints over D_a·D_b·D_c, exactly: with N_a, N_b the
     sums of a's and b's numerator L1 norms and C the largest such sum in one
-    product (`p._one` counts as D_c), each int is at most N_a·N_b·C, below
-    2^(w-2) as w = bit_length(N_a·N_b·C) + 2, since a product has one
-    coefficient per monomial and L1 norms are submultiplicative; balanced
-    digits in [-2^(w-1), 2^(w-1)) are unique.  Constants need no width: w = 0.
+    product (`p._one` counts as D_c), each int is at most N_a·N_b·C, or
+    2·N_a·N_b·C when both orders are summed, below 2^(w-2) as w is that
+    bound's bit_length + 2, since a product has one coefficient per monomial
+    and L1 norms are submultiplicative; balanced digits in [-2^(w-1),
+    2^(w-1)) are unique.  Constants need no width: w = 0.
 
     The operands are split once per call (`_split`); a rewritten product's
     ints, lcm and norm come split from its table record (`_record`).
@@ -353,34 +358,34 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping) -> d
     get, rewrite, n, var = p._table.get, p._rewrite, len(p.generators), p.coeff_var
     da, na, wide, a_parts = _split(a_terms)
     db, nb, wide_b, b_parts = _split(b_terms)
-    # Per b term: its lowest generator, as a·b is ordered when a has no
-    # generator above it, and its key in the table (x_i's is i).
-    b_keys = []
-    for mb in b_terms:
-        for low, e in enumerate(mb):
-            if e:
-                break
-        else:
-            low = n
-        b_keys.append((mb, low, low if sum(mb) == 1 else mb))
+    b_keys = _keys(b_terms, n)
+    # Only a commutator looks up b·a, by a's lowest generators and keys.
+    a_keys = _keys(a_terms, n) if commute else [(ma, None, None) for ma in a_terms]
+    # Per pair, the records of its products, None for an ordered one; the
+    # second, b·a, is subtracted.  A pair ordered both ways has none.
     records, dc, cn, ordered = [], 1, 0, False
-    for ma in a_terms:
-        for mb, low, kb in b_keys:
-            if not any(ma[low + 1:]):
-                records.append(None)
-                ordered = True
-                continue
-            record = get((ma, kb)) or rewrite(ma, mb)
-            records.append(record)
-            _, lc, norm, wide_c, _ = record
-            if lc != dc:
-                new = math.lcm(dc, lc)
-                cn, dc = cn * (new // dc), new
-            norm *= dc // lc
-            cn = norm if norm > cn else cn
-            wide = wide or wide_c
+    for ma, la, ka in a_keys:
+        for mb, lb, kb in b_keys:
+            ab = get((ma, kb)) or rewrite(ma, mb) if any(ma[lb + 1:]) else None
+            if commute:
+                ba = get((mb, ka)) or rewrite(mb, ma) if any(mb[la + 1:]) else None
+                pair = () if ab is None is ba else (ab, ba)
+            else:
+                pair = (ab,)
+            records.append(pair)
+            for record in pair:
+                if record is None:
+                    ordered = True
+                    continue
+                _, lc, norm, wide_c, _ = record
+                if lc != dc:
+                    new = math.lcm(dc, lc)
+                    cn, dc = cn * (new // dc), new
+                norm *= dc // lc
+                cn = norm if norm > cn else cn
+                wide = wide or wide_c
     cn = dc if ordered and dc > cn else cn
-    w = (na * nb * cn).bit_length() + 2 if wide or wide_b else 0
+    w = (na * nb * cn << commute).bit_length() + 2 if wide or wide_b else 0
     b_packed = [(m, (_pack(x, w) if len(x) > 1 else x[0]) * (db // d), r, v)
                 for m, x, d, r, v in b_parts]
     groups: dict[tuple, int] = {}
@@ -392,23 +397,34 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping) -> d
                 raise ValueError(f"cannot mix variables {va!r} and {vb!r}")
             r = ra if rb is None else rb if ra is None else ra * rb
             v = va or vb
-            record = next(records)
-            if record is None:
-                key = (tuple(map(operator.add, ma, mb)), r, v or var)
-                groups[key] = groups.get(key, 0) + fa * fb * dc
-                continue
-            f = fa * fb * (dc // record[1])
-            for m, x, rc, vc in record[4]:
-                if v and vc and v != vc:
-                    raise ValueError(f"cannot mix variables {v!r} and {vc!r}")
-                key = (m, r if rc is None else rc if r is None else r * rc, v or vc or var)
-                groups[key] = groups.get(key, 0) + f * (_pack(x, w) if len(x) > 1 else x[0])
+            f = fa * fb
+            for record in next(records):
+                if record is None:
+                    key = (tuple(map(operator.add, ma, mb)), r, v or var)
+                    groups[key] = groups.get(key, 0) + f * dc
+                else:
+                    g = f * (dc // record[1])
+                    for m, x, rc, vc in record[4]:
+                        if v and vc and v != vc:
+                            raise ValueError(f"cannot mix variables {v!r} and {vc!r}")
+                        key = (m, r if rc is None else rc if r is None else r * rc,
+                               v or vc or var)
+                        groups[key] = groups.get(key, 0) + g * (
+                            _pack(x, w) if len(x) > 1 else x[0])
+                f = -f
     out: dict[Exponents, Scalar] = {}
     for (m, r, v), x in groups.items():
         if x:
             num = _canonical(_unpack(x, w) if w else [x], da * db * dc, v)
             _accumulate(out, m, _over(num, _unit(v)) if r is None else Scalar(num, r))
     return out
+
+
+def _keys(terms: Mapping, n: int) -> list[tuple]:
+    """Per monomial u: (u, its lowest generator or n, its table key: i for x_i,
+    else u); m·u is ordered when m has no generator above u's lowest."""
+    lows = [next((g for g, e in enumerate(u) if e), n) for u in terms]
+    return [(u, low, low if sum(u) == 1 else u) for u, low in zip(terms, lows)]
 
 
 def _split(terms: Mapping) -> tuple:
@@ -675,8 +691,9 @@ def multiply(a: NCPoly, b: NCPoly) -> NCPoly:
 
 
 def commutator(a: NCPoly, b: NCPoly) -> NCPoly:
-    """a*b - b*a."""
-    return multiply(a, b) - multiply(b, a)
+    """a*b - b*a, both orders of each term pair summed in one pass."""
+    a._check_compatible(b)
+    return a._new(_sum_products(a.presentation, a.terms, b.terms, commute=True))
 
 
 def is_central(z: NCPoly) -> bool:

@@ -528,6 +528,111 @@ class TestCommutator:
         assert (commutator(h, f) + f.scale(s * 2)).is_zero()
 
 
+COMMUTATOR_ALGEBRAS = {"B": B, "Usl2": Usl2, "B_lambda(3/2)": lambda: B_lambda(Fraction(3, 2)),
+                       "U(gl_3)": lambda: gl_presentation(3), "B_q": B_q}
+
+
+def anticommuting_pair() -> PBWPresentation:
+    """y x = -x y: a commutator doubles the coefficient of x y."""
+    return PBWPresentation("A", ("x", "y"), {(1, 0): SwapRule(Scalar.of(-1, "t"), {})})
+
+
+class TestOnePassCommutator:
+    """`commutator` sums both orders of each term pair in one pass."""
+
+    @pytest.mark.parametrize("name", sorted(COMMUTATOR_ALGEBRAS))
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_difference_of_two_products(self, name, data):
+        p = COMMUTATOR_ALGEBRAS[name]()
+        n, var = len(p.generators), p.coeff_var
+        exps = st.one_of(st.just((0,) * n), st.tuples(*[st.integers(0, 2 if n < 4 else 1)] * n))
+        coeffs = st.one_of(
+            st.just(p._one),
+            st.builds(lambda c: Scalar.of(c, var),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+            # Numerators to +-2^70, so that the signed groups reach wide ints.
+            st.builds(lambda cs, d: Scalar(UniPoly([Fraction(c, d) for c in cs], var)),
+                      st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=5),
+                      st.integers(1, 10 ** 6)))
+        if name == "B_q":
+            # Rational-function coefficients: the brackets scaled by (q-1)^-1.
+            inverse = Scalar(UniPoly([1], var), UniPoly([-1, 1], var))
+            coeffs = coeffs.map(lambda c: c * inverse)
+        polys = st.dictionaries(exps, coeffs.filter(bool), max_size=4)
+        a, b = NCPoly(p, data.draw(polys)), NCPoly(p, data.draw(polys))
+        got = commutator(a, b)
+        assert got.terms == (multiply(a, b) - multiply(b, a)).terms
+        assert commutator(b, a) == -got
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 63, 64, 100])
+    def test_width_covers_a_doubled_group(self, k):
+        # [c·x, y] = 2c·x y: both orders add into one group, at 2·N_a·N_b.
+        p = anticommuting_pair()
+        x, y = p.generator(0), p.generator(1)
+        for top in (2 ** k - 1, -(2 ** k - 1), 2 ** k):
+            c = Scalar(UniPoly([0, top, -top], "t"))
+            got = commutator(x.scale(c), y.scale(Fraction(1, 3)))
+            assert got.terms == {(1, 1): c * Fraction(2, 3)}
+
+    def test_makes_no_product(self, monkeypatch):
+        p = B()
+        a = p.generator(1).scale(Scalar.variable("t")) + p.generator(2)
+        b = p.generator(0) ** 2 + p.one()
+        expected = multiply(a, b) - multiply(b, a)
+        calls = []
+
+        def sum_products(*args, **kwargs):
+            calls.append(kwargs)
+            return one_pass(*args, **kwargs)
+
+        def product(a, b):
+            raise AssertionError("commutator multiplied")
+
+        one_pass = pbw._sum_products
+        monkeypatch.setattr(pbw, "_sum_products", sum_products)
+        monkeypatch.setattr(pbw, "multiply", product)
+        assert commutator(a, b) == expected
+        assert calls == [{"commute": True}]
+
+    def test_pairs_that_commute_both_ways_are_not_rewritten(self, monkeypatch):
+        p = copy_of(B())
+        e, h = p.generator(0), p.generator(2)
+        t = Scalar.variable("t")
+        a = (e ** 2).scale(t + 1) + p.scalar(3)
+        b = e ** 3 + e.scale(Fraction(-2, 7)) + p.scalar(t)
+
+        def rewrite(x, y):
+            raise AssertionError("an ordered pair was rewritten")
+
+        p._table.clear()
+        monkeypatch.setattr(p, "_rewrite", rewrite)
+        assert commutator(a, b).is_zero()
+        assert commutator(h ** 2 + p.one(), h.scale(t)).is_zero()
+        with pytest.raises(AssertionError, match="rewritten"):
+            commutator(h, e)
+
+    @pytest.mark.parametrize("case", ["pair", "record a·b", "record b·a"])
+    def test_mixed_variables_raise_as_the_two_products_do(self, case):
+        p = copy_of(B())
+        e, f = p.generator(0), p.generator(1)
+        s, t = Scalar.variable("s"), Scalar.variable("t")
+        a, b = {"pair": (e.scale(t), f.scale(s)), "record a·b": (f.scale(s), e),
+                "record b·a": (e.scale(s), f)}[case]
+        with pytest.raises(ValueError) as two:
+            multiply(a, b) - multiply(b, a)
+        with pytest.raises(ValueError) as one:
+            commutator(a, b)
+        assert str(one.value) == str(two.value)
+        assert str(one.value).startswith("cannot mix variables")
+
+    def test_mixed_presentations_raise(self):
+        with pytest.raises(MixedPresentations):
+            multiply(B().generator(0), Usl2().generator(0))
+        with pytest.raises(MixedPresentations):
+            commutator(B().generator(0), Usl2().generator(0))
+
+
 class TestCentrality:
     def test_quadratic_central_element(self):
         assert is_central(casimir(B_q()))
