@@ -96,6 +96,23 @@ def _ints_product(x: Sequence[int], y: Sequence[int]) -> list[int]:
     return [c * d for d in y]
 
 
+def _horner(ints: Sequence[int], x: int) -> int:
+    """The int polynomial `ints` (constant term first) evaluated at the int x."""
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
+
+
+def _agrees(s: "Scalar", point: Rational, value: Rational) -> bool:
+    """s.evaluate(point) == value; cross-multiplied ints for a polynomial s at an int."""
+    num = s.num
+    if len(s.den._ints) == 1 and point.denominator == 1:
+        return (_horner(num._ints, point.numerator) * value.denominator
+                == value.numerator * num._den)
+    return s.evaluate(point) == value
+
+
 def _canonical(ints: list[int], den: int, var: str) -> "UniPoly":
     """ints/den in canonical form: trailing zeros and gcd(den, *ints) removed."""
     while ints and not ints[-1]:
@@ -343,6 +360,8 @@ class Scalar:
         return self.num.is_constant() and self.den.is_constant()
 
     def constant_value(self) -> Rational:
+        if len(self.den._ints) == 1:        # the monic constant 1
+            return self.num.constant_value()
         return self.num.constant_value() / self.den.constant_value()
 
     def is_polynomial(self) -> bool:
@@ -356,10 +375,20 @@ class Scalar:
         return self.den.evaluate(point) != 0
 
     def evaluate(self, point: int | Rational) -> Rational:
+        if len(self.den._ints) == 1:
+            return self.num.evaluate(point)
         d = self.den.evaluate(point)
         if d == 0:
             raise PoleAtPoint(f"{self} has a pole at {_as_rational(point)}")
         return self.num.evaluate(point) / d
+
+    def at(self, point: int | Rational) -> "Scalar":
+        """The constant scalar `evaluate(point)`, in this scalar's variable."""
+        num = self.num
+        if len(self.den._ints) == 1 and point.denominator == 1:
+            acc = _horner(num._ints, point.numerator)
+            return _over(_canonical([acc], num._den, num.var), self.den)
+        return Scalar.of(self.evaluate(point), num.var)
 
     def compose(self, inner: "Scalar") -> "Scalar":
         """Substitute `inner` for the variable (exact rational composition)."""
@@ -524,29 +553,30 @@ def interpolate_band(points: Sequence[tuple[Rational, Rational]],
     """
     pts = [(_as_rational(x), _as_rational(y)) for x, y in points]
     xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise DuplicateNode(f"repeated interpolation node in {xs}")
+    basis = _lagrange_basis(tuple(xs), var)
     if band_min < 0 and any(x == 0 for x in xs):
         raise ValueError("nodes must be nonzero when band_min < 0")
-    # Divide the band factor out of the samples, interpolate, put it back.
+    # Divide the band factor out of the samples, sum the cached Lagrange
+    # basis on ints over one common denominator, put the factor back.
     ys = [y / x ** band_min if band_min else y for x, y in pts]
-    p = _lagrange(xs, ys, var)
+    parts = [(y.numerator, y.denominator * b._den, b._ints)
+             for b, y in zip(basis, ys) if y]
+    den = lcm(*[d for _, d, _ in parts])
+    out = [0] * len(xs)
+    for y, d, ints in parts:
+        y *= den // d
+        for k, c in enumerate(ints):
+            out[k] += y * c
     if band_min >= 0:
-        return Scalar(p.shift(band_min))
-    return Scalar(p, UniPoly.const(1, var).shift(-band_min))
-
-
-def _lagrange(xs: Sequence[Rational], ys: Sequence[Rational], var: str) -> UniPoly:
-    total = UniPoly((), var)
-    for basis, yi in zip(_lagrange_basis(tuple(xs), var), ys):
-        if yi:
-            total = total + basis.scale(yi)
-    return total
+        return _over(_canonical([0] * band_min + out, den, var), _unit(var))
+    return Scalar(_canonical(out, den, var), UniPoly.const(1, var).shift(-band_min))
 
 
 @lru_cache(maxsize=64)
 def _lagrange_basis(xs: tuple[Rational, ...], var: str) -> tuple[UniPoly, ...]:
     """The polynomials that are 1 at one node of xs and 0 at the others."""
+    if len(set(xs)) != len(xs):
+        raise DuplicateNode(f"repeated interpolation node in {list(xs)}")
     out = []
     for i, xi in enumerate(xs):
         basis = UniPoly.const(1, var)

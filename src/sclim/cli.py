@@ -235,13 +235,22 @@ def _cmd_verify(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """Reads a value that starts with one '-', such as -3/2*e, as no option."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string in self._option_string_actions or arg_string.startswith("--"):
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sclim",
         description="Exact kernel for PBW deformation families and their "
                     "semiclassical limits.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def add_algebra_opts(p, with_format=False):
         p.add_argument("--algebra", default=None,

@@ -16,24 +16,26 @@ Four maps are implemented, all exact:
   exercise the construction end to end.
 
 `verify_counterexample` runs the full certificate chain for a given n: the
-central element, the properness of the pair of ideal generators under the
-n-dimensional module, the images in the limit, the Poisson closure, and the
-nilpotent non-primeness witness.
+central element, the properness of the pair of ideal generators (through the
+certified rescaling onto U(sl2), whose n-dimensional module over Q they must
+kill), the images in the limit, the Poisson closure, and the nilpotent
+non-primeness witness.
 """
 
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .arith import Rational, Scalar, _as_rational, interpolate_band
+from .arith import Rational, Scalar, _agrees, _as_rational, interpolate_band
 from .errors import (InconsistentFamily, InsufficientSamples, PoleAtOne,
                      PoleAtPoint, PoleAtSample)
 from .ideals import (CommIdeal, is_poisson_ideal, membership,
                      nilpotent_nonprime_witness, poisson_closure)
-from .pbw import (B, B_q, NCPoly, PBWPresentation, annihilates, casimir,
-                  commutator, is_central, sl2_representation,
-                  specialize_presentation)
+from .pbw import (AlgebraMorphism, B, B_q, NCPoly, PBWPresentation, Usl2,
+                  annihilates, casimir, commutator, is_central,
+                  sl2_representation, specialize_presentation)
 from .poisson import B1, CPoly
 
 
@@ -101,7 +103,7 @@ def gamma_eval(b: NCPoly, samples: SampleSet) -> FamilyElement:
         terms = {}
         for exps, c in b.terms.items():
             try:
-                terms[exps] = Scalar.of(c.evaluate(node), p.coeff_var)
+                terms[exps] = c.at(node)
             except PoleAtPoint as exc:
                 raise PoleAtSample(f"coefficient {c} has a pole at node {node}") from exc
         fibers.append(NCPoly(fiber_presentation, terms))
@@ -135,7 +137,7 @@ def gamma_inverse(family: FamilyElement, band: tuple[int, int],
                    for node, fib in zip(family.nodes, family.fibers)]
         coeff = interpolate_band(samples[:width], m_min, var)
         for node, value in samples:
-            if coeff.evaluate(node) != value:
+            if not _agrees(coeff, node, value):
                 raise InconsistentFamily(
                     f"monomial {exps}: samples do not lie in the band "
                     f"[{m_min}, {m_max}]")
@@ -168,18 +170,48 @@ def gamma_hat_via_family(z: NCPoly, samples: SampleSet) -> CPoly:
     The coefficients must be polynomial in the parameter; the band is
     [0, max degree].
     """
-    degrees = []
-    for c in z.terms.values():
-        if not c.is_polynomial():
-            raise ValueError("coefficients must be polynomial in the parameter")
-        degrees.append(max(c.num.degree, 0))
-    family = gamma_eval(z, samples)
-    reconstructed = gamma_inverse(family, (0, max(degrees, default=0)),
-                                  parent=z.presentation)
+    if not all(c.is_polynomial() for c in z.terms.values()):
+        raise ValueError("coefficients must be polynomial in the parameter")
+    top = max((c.num.degree for c in z.terms.values()), default=0)
+    reconstructed = gamma_inverse(gamma_eval(z, samples), (0, top), parent=z.presentation)
     return gamma_hat(reconstructed)
 
 
 # -- the end-to-end certificate -------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _rescaling() -> Optional[Scalar]:
+    """q - 1, once x_k -> (t-1) X_k from B_q into U(sl2) over Q(t), sending q
+    to t, and X_k -> x_k / (q-1) back are certified as algebra morphisms, the
+    first undoing the second on generators; None when a certificate fails."""
+    bq, u = B_q(), Usl2()
+    t = Scalar.variable(u.coeff_var)
+    s = bq.parameter_scalar() - 1
+    xs, ys = [bq.generator(k) for k in range(3)], [u.generator(k) for k in range(3)]
+    down = AlgebraMorphism(bq, u, dict(zip(bq.generators, [y.scale(t - 1) for y in ys])), t)
+    up = AlgebraMorphism(u, bq, dict(zip(u.generators, [x.scale(1 / s) for x in xs])))
+    ok = down.holds and up.holds and all(down(up(y)) == y for y in ys)
+    return s if ok else None
+
+
+def _over_q(z: NCPoly, s: Scalar) -> NCPoly:
+    """w over Q in U(sl2) with the rescaling sending z to s^deg(z) w, s = q - 1
+    read as t - 1: as a monomial m goes to s^|m| X^m, w's coefficient at m is
+    c_m / s^(deg(z) - |m|), a rational or no such w exists."""
+    u, d = Usl2(), z.degree()
+    terms = {m: c / s ** (d - sum(m)) for m, c in z.terms.items()}
+    if not all(c.is_constant() for c in terms.values()):
+        raise ValueError(f"{z} is not a power of {s} times an element over Q")
+    return NCPoly(u, {m: Scalar.of(c.constant_value(), u.coeff_var) for m, c in terms.items()})
+
+
+def _ideal_generators(n: int, omega: NCPoly) -> tuple[NCPoly, NCPoly]:
+    """The generators e^n, an ordered monomial, and omega - (q-1)^2 (n^2-1)
+    of P in B_q, omega its central element."""
+    bq = omega.presentation
+    qm1 = bq.parameter_scalar() - 1
+    return bq.monomial((n, 0, 0)), omega - bq.scalar(qm1 ** 2 * (n * n - 1))
 
 
 def _ms_since(started: float) -> float:
@@ -213,8 +245,9 @@ class CounterexampleReport:
 def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
     """Run every certificate for the prime ideal with nilpotent limit image.
 
-    Checks, in order: (a) the quadratic element is central; (b) the two ideal
-    generators annihilate the n-dimensional module, so the ideal is proper;
+    Checks, in order: (a) the quadratic element is central; (b) rescaled into
+    U(sl2), the two ideal generators annihilate its n-dimensional module over
+    Q, so the ideal is proper;
     (c) their images at 1 are e^n and 4ef + h^2, by both the direct and the
     sampled route; (d) the Poisson closure of those images is bracket-stable;
     (e) images of further ideal elements land in the closure; (f) the
@@ -230,11 +263,10 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
         raise ValueError("need at least 3 sample nodes")
 
     bq = B_q()
-    e, f, h = (bq.generator(k) for k in range(3))
+    f, h = bq.generator(1), bq.generator(2)
     q = bq.parameter_scalar()
     omega = casimir(bq)
-    gen_power = e ** n
-    gen_central = omega - bq.scalar((q - 1) ** 2 * (n * n - 1))
+    gen_power, gen_central = _ideal_generators(n, omega)
 
     checks: list[CheckResult] = []
 
@@ -246,12 +278,16 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
         "4ef + h^2 - 2(q-1)h commutes with e, f, h" if central else
         "quadratic element is not central", _ms_since(started)))
 
-    # (b) properness via the n-dimensional module
+    # (b) properness via the n-dimensional module over Q: the certified rescaling
+    # sends each generator of P to a unit times an element of U(sl2) over Q.
     started = time.perf_counter()
     try:
-        rep = sl2_representation(n)
-        kills_power = annihilates(rep, gen_power)
-        kills_central = annihilates(rep, gen_central)
+        rep = sl2_representation(n, Usl2())
+        s = _rescaling()
+        if s is None:
+            raise ValueError("the rescaling onto U(sl2) is not an isomorphism")
+        kills_power, kills_central = (annihilates(rep, _over_q(z, s))
+                                      for z in (gen_power, gen_central))
         ok = kills_power and kills_central
         detail = (f"{n}-dimensional module satisfies the relations; "
                   f"annihilates e^{n}: {kills_power}, "

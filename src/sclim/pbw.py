@@ -29,7 +29,7 @@ import math
 import operator
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping, Optional, Sequence
 
 from .arith import Rational, Scalar, UniPoly, _as_rational, _canonical, _over, _unit
@@ -645,8 +645,8 @@ class NCPoly(SparsePoly):
         return max(self.terms, key=lambda e: (sum(e), e))
 
     def coefficient(self, exps: Sequence[int]) -> Scalar:
-        return self.terms.get(tuple(exps),
-                              Scalar.of(0, self.presentation.coeff_var))
+        c = self.terms.get(tuple(exps))
+        return Scalar.of(0, self.presentation.coeff_var) if c is None else c
 
     def __str__(self) -> str:
         return _format_terms(self.terms, self.presentation.generators,
@@ -847,11 +847,8 @@ class AlgebraMorphism:
         return Scalar.of(c.constant_value(), self.target.coeff_var)
 
     def apply_monomial(self, exps: Exponents) -> NCPoly:
-        out = self.target.one()
-        for idx, e in enumerate(exps):
-            if e:
-                out = multiply(out, self.images[self.source.generators[idx]] ** e)
-        return out
+        powers = [self.images[g] ** e for g, e in zip(self.source.generators, exps) if e]
+        return reduce(multiply, powers) if powers else self.target.one()
 
     def __call__(self, z: NCPoly) -> NCPoly:
         if z.presentation != self.source:
@@ -868,23 +865,11 @@ def check_morphism(m: AlgebraMorphism) -> bool:
         raise ValueError("target presentation is not confluent")
     src = m.source
     for (j, i), rule in src.swap_rules.items():
-        xj = m.images[src.generators[j]]
-        xi = m.images[src.generators[i]]
-        lhs = multiply(xj, xi)
-        rhs = multiply(xi, xj).scale(m.apply_scalar(rule.coeff))
-        for texps, tc in rule.tail.items():
-            rhs = rhs + m.apply_monomial(texps).scale(m.apply_scalar(tc))
-        if lhs != rhs:
+        xj, xi = m.images[src.generators[j]], m.images[src.generators[i]]
+        rhs = multiply(xi, xj).scale(m.apply_scalar(rule.coeff)) + m(NCPoly(src, rule.tail))
+        if multiply(xj, xi) != rhs:
             return False
     return True
-
-
-def identity_morphism(p: PBWPresentation) -> AlgebraMorphism:
-    images = {g: p.gen(g) for g in p.generators}
-    param = None
-    if p.parameter is not None:
-        param = p.parameter_scalar()
-    return AlgebraMorphism(p, p, images, param)
 
 
 # -- finite-dimensional representations ----------------------------------------
@@ -952,28 +937,32 @@ def annihilates(r: Representation, z: NCPoly) -> bool:
     return not any(r.apply(z, i) for i in range(r.dimension))
 
 
-def sl2_representation(n: int) -> Representation:
-    """The n-dimensional weight module of the symbolic deformation algebra.
+def sl2_representation(n: int, p: Optional[PBWPresentation] = None) -> Representation:
+    """The n-dimensional weight module of a deformation algebra, `B_q` by default.
 
     On the weight basis v_0..v_{n-1}: H v_i = (n-1-2i) v_i, F v_i = v_{i+1},
-    E v_i = i(n-i) v_{i-1} (a shift past either end gives 0); the algebra
-    generators act as e = (q-1)E, f = (q-1)F, h = (q-1)H.
+    E v_i = i(n-i) v_{i-1} (a shift past either end gives 0); p's three
+    generators act as s·E, s·F, s·H with s = par - 1, or with s = 1 when p
+    has no parameter, as `Usl2` has: its module is over Q.
     """
-    p = B_q()
-    qm1 = Scalar.variable(p.coeff_var) - 1
+    p = B_q() if p is None else p
+    s = p.parameter_scalar() - 1 if p.parameter is not None else Scalar.of(1, p.coeff_var)
+    e, f, h = p.generators
     return Representation(p, n, {
-        "e": [{i - 1: qm1 * (i * (n - i))} if i > 0 else {} for i in range(n)],
-        "f": [{i + 1: qm1} if i < n - 1 else {} for i in range(n)],
-        "h": [{i: qm1 * (n - 1 - 2 * i)} for i in range(n)],
+        e: [{i - 1: s * (i * (n - i))} if i > 0 else {} for i in range(n)],
+        f: [{i + 1: s} if i < n - 1 else {} for i in range(n)],
+        h: [{i: s * (n - 1 - 2 * i)} for i in range(n)],
     })
 
 
 # -- built-in presentations -----------------------------------------------------
 
 
-def _deformation_rules(var: str) -> dict[tuple[int, int], SwapRule]:
-    """Swap rules for generators e < f < h with commutators scaled by (par-1)."""
-    scale = Scalar(UniPoly([-1, 1], var))          # par - 1
+def _deformation_rules(var: str,
+                       scale: Optional[Scalar] = None) -> dict[tuple[int, int], SwapRule]:
+    """Swap rules for generators e < f < h with commutators scaled by `scale`,
+    by default par - 1; `Usl2`'s are those with scale 1."""
+    scale = Scalar(UniPoly([-1, 1], var)) if scale is None else scale
     one = Scalar.of(1, var)
     return {
         # f*e = e*f - (par-1) h
@@ -1014,8 +1003,8 @@ def specialize_presentation(p: PBWPresentation, value: Rational) -> PBWPresentat
     if fiber is None:
         var = p.parameter
         rules = {
-            pair: SwapRule(Scalar.of(rule.coeff.evaluate(value), var),
-                           {exps: Scalar.of(c.evaluate(value), var)
+            pair: SwapRule(rule.coeff.at(value),
+                           {exps: c.at(value)
                             for exps, c in rule.tail.items()})
             for pair, rule in p.swap_rules.items()}
         fiber = PBWPresentation(f"{p.name}_lambda", p.generators, rules,
@@ -1037,13 +1026,7 @@ def B_lambda(lam) -> PBWPresentation:
 @lru_cache(maxsize=None)
 def Usl2() -> PBWPresentation:
     """The enveloping algebra of sl2 on E < F < H."""
-    one = Scalar.of(1, "t")
-    rules = {
-        (1, 0): SwapRule(one, {(0, 0, 1): Scalar.of(-1, "t")}),
-        (2, 0): SwapRule(one, {(1, 0, 0): Scalar.of(2, "t")}),
-        (2, 1): SwapRule(one, {(0, 1, 0): Scalar.of(-2, "t")}),
-    }
-    return PBWPresentation("Usl2", ("E", "F", "H"), rules)
+    return PBWPresentation("Usl2", ("E", "F", "H"), _deformation_rules("t", Scalar.of(1, "t")))
 
 
 def casimir(p: PBWPresentation) -> NCPoly:

@@ -378,6 +378,31 @@ class TestCommands:
         assert main(["bracket", "e", "f"]) == 0
         assert capsys.readouterr().out.strip() == "h"
 
+    @pytest.mark.parametrize("argv, answer", [
+        (["nf", "-e"], "-e"),
+        (["nf", "--algebra", "B_q", "-3/2*e"], "-3/2*e"),
+        (["nf", "-e", "--algebra", "B_q"], "-e"),
+        (["nf", "--", "-e"], "-e"),
+        (["comm", "-3/2*e", "f"], "(-3/2*t+3/2)*h"),
+        (["comm", "--algebra", "B_q", "-e", "-f"], "(q-1)*h"),
+        (["bracket", "-e", "f"], "-h"),
+        (["bracket", "e", "-2*f"], "-2*h"),
+        (["member", "--ideal", "-e^2", "--poly", "-e^3"], "member"),
+    ])
+    def test_expression_with_a_leading_minus(self, capsys, argv, answer):
+        # A value that starts with one '-' and names no option is read as
+        # an expression, before or after the options.
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == answer
+
+    def test_help_still_wins_over_a_leading_minus(self, capsys):
+        assert main(["nf", "-h"]) == 0
+        assert "usage: sclim nf" in capsys.readouterr().out
+
+    def test_unknown_long_option_exits_two(self, capsys):
+        assert main(["nf", "--no-such-option", "e"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_member_not_a_member(self, capsys):
         code = main(["member",
                      "--ideal", "e^2, e*f, e*h, f^2, f*h, h^2",
@@ -623,6 +648,17 @@ class TestReportStability:
         a = json.dumps(_strip_timings(json.loads(first)), sort_keys=False)
         b = json.dumps(_strip_timings(json.loads(second)), sort_keys=False)
         assert a == b
+
+    def test_verify_paper_matches_the_golden_report(self, capsys):
+        # Every certificate's text and verdict for n = 2..12 at 5 samples, in
+        # report order; only `timing` and the package version are left out.
+        golden = Path(__file__).resolve().parent / "data" / "verify_paper_n2-12_samples5.json"
+        assert main(["verify-paper", "--n-min", "2", "--n-max", "12",
+                     "--samples", "5", "--format", "json"]) == 0
+        report = _strip_timings(json.loads(capsys.readouterr().out))
+        del report["version"]
+        expected = json.loads(golden.read_text(encoding="utf-8"))
+        assert json.dumps(report, indent=1) == json.dumps(expected, indent=1)
 
     def test_check_timings_fit_in_wall_time(self, capsys):
         # Each check times itself, so the six timings of one n cannot add up

@@ -5,17 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_ncpoly
-from sclim import arith, cli, pbw, poisson
+from sclim import arith, cli, limitmap, pbw, poisson
 from sclim.arith import Scalar, UniPoly, interpolate_band
 from sclim.errors import (InconsistentFamily, InsufficientSamples, PoleAtOne,
                           PoleAtSample)
 from sclim.limitmap import (FamilyElement, SampleSet, gamma_eval, gamma_hat,
                             gamma_hat_via_family, gamma_inverse,
                             specialize_presentation, verify_counterexample)
-from sclim.pbw import (B, B_lambda, B_q, casimir, commutator, multiply,
-                       presentation_from_json)
+from sclim.pbw import (AlgebraMorphism, B, B_lambda, B_q, Usl2, annihilates,
+                       casimir, commutator, multiply, presentation_from_json,
+                       sl2_representation)
 from sclim.poisson import CPoly, poisson_bracket, semiclassical_limit
 
 VARS = ("e", "f", "h")
@@ -196,6 +200,130 @@ class TestGammaInverse:
             assert gamma_eval(multiply(x, y), nodes).fibers == tuple(products)
 
 
+# Integer nodes, non-integer nodes and negative ones; none is 0, 1 or -1.
+NODE_POOL = [Fraction(x) for x in (-3, -2, 2, 3, 4, 5, 7)] + [
+    Fraction(5, 2), Fraction(1, 3), Fraction(-7, 2)]
+SMALL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+T = sympy.Symbol("t")
+
+
+def _laurent(ints, m_min):
+    """sum(ints[k] t^(m_min + k)) as a `Scalar` in t."""
+    if m_min >= 0:
+        return Scalar(UniPoly([0] * m_min + list(ints), "t"))
+    return Scalar(UniPoly(ints, "t"), UniPoly([0] * -m_min + [1], "t"))
+
+
+def _sympy(c):
+    def poly(p):
+        return sum(sympy.Rational(x.numerator, x.denominator) * T ** k
+                   for k, x in enumerate(p.coeffs))
+    return poly(c.num) / poly(c.den)
+
+
+@st.composite
+def _banded_families(draw):
+    """An element of B whose coefficients lie in a band, with the nodes that
+    sample it: at least one more node than the band is wide."""
+    m_min = draw(st.integers(-2, 1))
+    width = draw(st.integers(1, 4))
+    count = width + draw(st.integers(1, 2))
+    nodes = sorted(draw(st.lists(st.sampled_from(NODE_POOL), min_size=count,
+                                 max_size=count, unique=True)))
+    monomials = draw(st.lists(st.sampled_from(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 0, 1)]), min_size=1, max_size=3, unique=True))
+    z = B().monomial((0, 0, 0), 0)
+    for m in monomials:
+        z = z + B().monomial(m, _laurent(draw(st.lists(SMALL, min_size=width, max_size=width)),
+                                         m_min))
+    return z, (m_min, m_min + width - 1), SampleSet(nodes)
+
+
+def _parent_interpolate_band(points, band_min, var="t"):
+    """interpolate_band as it summed one `UniPoly` per node."""
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) / Fraction(x) ** band_min for x, y in points]
+    total = UniPoly((), var)
+    for basis, y in zip(arith._lagrange_basis(tuple(xs), var), ys):
+        if y:
+            total = total + basis.scale(y)
+    if band_min >= 0:
+        return Scalar(total.shift(band_min))
+    return Scalar(total, UniPoly.const(1, var).shift(-band_min))
+
+
+class TestIntegerPathsAgainstSympy:
+    """gamma_eval and gamma_inverse evaluate integer nodes by integer Horner
+    steps and re-check them by cross-multiplied ints; other nodes and
+    Laurent coefficients take the `Fraction` path.  Both against sympy."""
+
+    @given(_banded_families())
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    def test_round_trip_matches_sympy_interpolation(self, case):
+        z, (m_min, m_max), nodes = case
+        family = gamma_eval(z, nodes)
+        for node, fiber in zip(nodes, family.fibers):
+            assert fiber.terms == {m: Scalar.of(c.evaluate(node), "t")
+                                   for m, c in z.terms.items() if c.evaluate(node)}
+        back = gamma_inverse(family, (m_min, m_max))
+        assert back == z
+        width = m_max - m_min + 1
+        for m in z.terms:
+            points = [(sympy.Rational(x.numerator, x.denominator),
+                       _sympy(fib.coefficient(m)) * sympy.Rational(
+                           x.numerator, x.denominator) ** -m_min)
+                      for x, fib in zip(nodes, family.fibers)][:width]
+            expected = sympy.interpolate(points, T) * T ** m_min
+            assert sympy.cancel(expected - _sympy(back.coefficient(m))) == 0
+
+    @given(_banded_families(), st.data())
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    def test_tampered_surplus_node_is_inconsistent(self, case, data):
+        z, band, nodes = case
+        family = gamma_eval(z, nodes)
+        k = data.draw(st.integers(band[1] - band[0] + 1, len(nodes) - 1))
+        m = data.draw(st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 1)]))
+        fibers = list(family.fibers)
+        fibers[k] = fibers[k] + fibers[k].presentation.monomial(m, 1)
+        with pytest.raises(InconsistentFamily):
+            gamma_inverse(FamilyElement(family.nodes, tuple(fibers)), band)
+
+    @given(st.lists(st.sampled_from(NODE_POOL), min_size=2, max_size=5, unique=True),
+           st.data())
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    def test_pole_at_a_node(self, nodes, data):
+        nodes = sorted(nodes)
+        x = data.draw(st.sampled_from(nodes))
+        c = Scalar(UniPoly([1], "t"), UniPoly([-x, 1], "t"))
+        with pytest.raises(PoleAtSample):
+            gamma_eval(B().generator(1).scale(c), SampleSet(nodes))
+
+    @given(st.lists(st.sampled_from(NODE_POOL), min_size=1, max_size=5, unique=True),
+           st.data(), st.integers(-2, 2))
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    def test_interpolate_band_gives_the_parent_outputs(self, nodes, data, band_min):
+        points = [(x, data.draw(SMALL)) for x in nodes]
+        info = arith._lagrange_basis.cache_info()
+        got = interpolate_band(points, band_min)
+        after = arith._lagrange_basis.cache_info()
+        assert after.hits + after.misses == info.hits + info.misses + 1
+        expected = _parent_interpolate_band(points, band_min)
+        assert got == expected and str(got) == str(expected)
+
+    @pytest.mark.parametrize("nodes, band", [
+        ([2, Fraction(5, 2), 3, 4], (-1, 1)),
+        ([-3, Fraction(1, 3), 2, 5], (-2, 0)),
+        ([2, 3, 4, 5], (-1, 1)),
+    ])
+    def test_non_integer_nodes_and_negative_bands(self, nodes, band):
+        t = Scalar.variable("t")
+        c = t.inverse() * 3 + Scalar.of(Fraction(1, 2), "t") - t * 2
+        if band[1] < 1:
+            c = c / t
+        z = B().generator(0).scale(c) + B().generator(2)
+        assert gamma_inverse(gamma_eval(z, SampleSet(nodes)), band) == z
+
+
 class TestSpecializeAtOne:
     def test_parameter_goes_to_one(self):
         bq = B_q()
@@ -349,3 +477,93 @@ class TestVerifyCounterexample:
         assert [c.name for c in report.checks] == [
             "central_element", "ideal_proper", "generator_images",
             "poisson_closure", "image_elements_in_closure", "nilpotent_witness"]
+
+
+def _ideal_proper(report):
+    (check,) = [c for c in report.checks if c.name == "ideal_proper"]
+    return check
+
+
+class TestIdealProperOverQ:
+    """`ideal_proper` runs on U(sl2)'s module over Q through the certified
+    rescaling e -> (q-1)E; a wrong input to any step must fail the check."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_rescaling(self):
+        limitmap._rescaling.cache_clear()
+        yield
+        limitmap._rescaling.cache_clear()
+
+    def test_rescaling_is_certified(self):
+        assert limitmap._rescaling() == Scalar.variable("q") - 1
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_module_over_q_kills_the_rescaled_generators(self, n):
+        rep = sl2_representation(n, Usl2())
+        assert all(c.is_constant() for images in rep.actions.values()
+                   for image in images for c in image.values())
+        s = limitmap._rescaling()
+        power, central = (limitmap._over_q(z, s)
+                          for z in limitmap._ideal_generators(n, casimir(B_q())))
+        u = Usl2()
+        E, F, H = (u.generator(k) for k in range(3))
+        assert power == E ** n
+        assert central == multiply(E, F).scale(4) + multiply(H, H) - H.scale(2) \
+            - u.scalar(n * n - 1)
+        assert annihilates(rep, power) and annihilates(rep, central)
+        assert not annihilates(rep, E ** (n - 1))
+
+    def test_the_check_opens_at_the_module(self, monkeypatch):
+        # perfbench's tracer opens ideal_proper at this call.
+        calls = []
+        original = limitmap.sl2_representation
+        monkeypatch.setattr(limitmap, "sl2_representation",
+                            lambda n, p=None: calls.append((n, p)) or original(n, p))
+        assert verify_counterexample(3, SampleSet([2, 3, 5])).passed
+        assert calls == [(3, Usl2())]
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_e_to_the_n_minus_one_fails(self, monkeypatch, n):
+        original = limitmap._ideal_generators
+        monkeypatch.setattr(limitmap, "_ideal_generators",
+                            lambda k, omega: (original(k - 1, omega)[0], original(k, omega)[1]))
+        check = _ideal_proper(verify_counterexample(n, SampleSet([2, 3, 5])))
+        assert not check.passed
+        assert f"annihilates e^{n}: False" in check.details
+
+    @pytest.mark.parametrize("power, factor", [
+        (2, 1),     # Omega - (q-1)^2 n^2
+        (2, -3),    # Omega - (q-1)^2 (n^2 - 4)
+        (1, 1),     # a constant term that is not (q-1)^2 times a rational
+    ])
+    def test_wrong_casimir_constant_fails(self, monkeypatch, power, factor):
+        original = limitmap._ideal_generators
+        shift = (Scalar.variable("q") - 1) ** power * factor
+
+        def tampered(n, omega):
+            power, central = original(n, omega)
+            return power, central - B_q().scalar(shift)
+
+        monkeypatch.setattr(limitmap, "_ideal_generators", tampered)
+        check = _ideal_proper(verify_counterexample(3, SampleSet([2, 3, 5])))
+        assert not check.passed
+        assert check.details.endswith(
+            "annihilates the shifted central element: False" if power == 2
+            else "is not a power of q-1 times an element over Q")
+
+    @pytest.mark.parametrize("source, gen, wrong", [
+        ("B_q", "e", "F"),
+        ("B_q", "h", "E"),
+        ("Usl2", "F", "e"),
+    ])
+    def test_wrong_morphism_image_fails(self, monkeypatch, source, gen, wrong):
+        def tampered(src, tgt, images, parameter_image=None):
+            if src.name == source:
+                (c,) = images[gen].terms.values()
+                images = dict(images, **{gen: tgt.gen(wrong).scale(c)})
+            return AlgebraMorphism(src, tgt, images, parameter_image)
+
+        monkeypatch.setattr(limitmap, "AlgebraMorphism", tampered)
+        check = _ideal_proper(verify_counterexample(3, SampleSet([2, 3, 5])))
+        assert not check.passed
+        assert check.details == "the rescaling onto U(sl2) is not an isomorphism"

@@ -21,7 +21,7 @@ from sclim.pbw import (AlgebraMorphism, B, B_lambda, B_q, NCPoly,
                        PBWPresentation, Representation, SwapRule, Usl2,
                        _exponents_to_word, annihilates, casimir,
                        check_pbw_overlaps, commutator, growth_dimensions,
-                       growth_slope, identity_morphism, is_central, multiply,
+                       growth_slope, is_central, multiply,
                        presentation_from_json, presentation_to_json,
                        sl2_representation)
 
@@ -777,7 +777,8 @@ class TestMorphisms:
 
     def test_identity_morphism(self):
         for p in (B(), B_q(), Usl2()):
-            assert identity_morphism(p).holds
+            param = p.parameter_scalar() if p.parameter is not None else None
+            assert AlgebraMorphism(p, p, {g: p.gen(g) for g in p.generators}, param).holds
 
     def test_morphism_application(self):
         src, tgt = Usl2(), B_q()
