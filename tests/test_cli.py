@@ -802,9 +802,17 @@ def _readme_cli_lines() -> list[tuple[list[str], str]]:
 README_CLI = _readme_cli_lines()
 
 
+def _readme_cli_ids() -> list[str]:
+    """The subcommand for each line; a repeated one is numbered from its second line on."""
+    ids, seen = [], {}
+    for argv, _ in README_CLI:
+        seen[argv[0]] = seen.get(argv[0], 0) + 1
+        ids.append(argv[0] if seen[argv[0]] == 1 else f"{argv[0]}-{seen[argv[0]]}")
+    return ids
+
+
 class TestReadme:
-    @pytest.mark.parametrize("argv, comment", README_CLI,
-                             ids=[argv[0] for argv, _ in README_CLI])
+    @pytest.mark.parametrize("argv, comment", README_CLI, ids=_readme_cli_ids())
     def test_cli_block_runs(self, capsys, argv, comment):
         assert main(argv) == 0
         out = capsys.readouterr().out
