@@ -50,8 +50,8 @@ class InconsistentFamily(KernelError):
 
 
 class BudgetExceeded(KernelError, RuntimeError):
-    """A computation ran past the Poisson closure's cap on rounds, or a
-    product met itself again while it was built; the message says which."""
+    """A product met itself again while it was built, which only rules
+    changed after validation can cause."""
 
 
 class ParseError(KernelError):

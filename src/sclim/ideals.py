@@ -11,8 +11,9 @@ smallest lcm first and, among equal lcms, the newest pair.  Each basis
 element is split once, when it enters the basis, into its leading term and
 its tail; reduction works on one mutable term dict and adds only tails, so
 no leading term is added just to cancel.  The engine computes the reduced
-basis of a list of generators and nothing else; `CommIdeal.__init__` is the
-only way to build an ideal, and every ideal gets its basis from the engine.
+basis of a list of generators or, given a derivation table, of the smallest
+Poisson ideal that contains them, and every ideal gets its basis from it:
+`CommIdeal.__init__` through `groebner`, a closure from its own run.
 
 The engine runs on packed monomials and integer coefficients (packed
 exponent vectors: M. Monagan, R. Pearce, "Polynomial division using dynamic
@@ -47,36 +48,29 @@ ideal, and `nilpotent_nonprime_witness` certifies non-primeness from a pair
 g, k with g**k inside and g outside.  The first two bracket through `_ad`,
 which reads `PoissonAlgebra`'s derivation table once per call onto packed terms.
 
-The closure has two routes, picked from the bracket table alone.  When every
-entry {x_i, x_j} has degree <= 1 (a Lie-Poisson table, possibly with
-constants, such as B1 = sl2*), ad_x = {-, x} never raises degree.  The
-smallest subspace M that contains the ideal's generators and is stable under
-every ad_x is then finite-dimensional, and the closure is the ideal (M): by
-Leibniz, {a*m, x} = {a, x}*m + a*{m, x} lies in (M) for every m in M, so (M)
-is Poisson, and every Poisson ideal that contains the generators contains
-M.  M is spanned breadth-first against a row echelon, and the closure costs
-one Groebner basis.  A table with an entry of degree >= 2 takes rounds of
-bracketing what the last round added and extending the basis by it.
+The closure runs inside the Buchberger loop, for every bracket table: given
+the derivation table, `_extend` brackets each element that enters the basis
+with every variable and reduces those brackets, first in, first out, ahead
+of the pairs.  A nonzero remainder enters the basis like an S-polynomial's,
+so every basis element brackets into the ideal, which by Leibniz is then
+Poisson; and every element that enters has a lead no earlier lead divides,
+so the loop ends by Dickson's lemma, as Buchberger's does.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
-from .errors import BudgetExceeded
 from .poisson import CPoly, PoissonAlgebra
 
 Exponents = tuple[int, ...]
-
-# Rounds of `_closure_by_rounds`, whose ascending chain of ideals has no
-# bound known in advance.  The span route of `poisson_closure` needs no cap.
-_MAX_CLOSURE_ROUNDS = 1000
 
 # Width of one packed exponent field, its guard bit included, before any
 # widening: monomials of degree up to 2^15 - 1 fit.
@@ -191,6 +185,9 @@ _ring = lru_cache(maxsize=64)(_Ring)
 # and divided by its content so that the leading coefficient is positive.
 Terms = dict[int, int]
 Entry = tuple[int, int, Terms, int, Exponents]
+# A derivation row: for one variable x_k, one (shift of x_i's exponent field,
+# weight of x_i, packed {x_i, x_k}, its field max) per nonzero table entry.
+Row = list[tuple[int, int, Terms, int]]
 T = TypeVar("T")
 
 
@@ -234,8 +231,8 @@ def _entries(ring: _Ring, polys: Iterable[CPoly]) -> list[Entry]:
     return [_entry(_pack(ring, g.terms), ring) for g in polys]
 
 
-def _polys(ring: _Ring, variables: Sequence[str], basis: Sequence[tuple]) -> list[CPoly]:
-    """Entries, or (lead, leading coefficient, tail) triples, as monic polynomials."""
+def _polys(ring: _Ring, variables: Sequence[str], basis: Sequence[Entry]) -> list[CPoly]:
+    """Entries as monic polynomials."""
     zero = CPoly.zero(variables)
     return [zero._new(_unpack(ring, {lead: lc, **tail}, lc))
             for lead, lc, tail, *_ in basis]
@@ -327,18 +324,24 @@ def s_polynomial(f: CPoly, g: CPoly, key) -> CPoly:
     return f._new(_on_fields(key, job)[1])
 
 
-def _extend(new: Iterable[Terms], ring: _Ring) -> list[Entry]:
-    """Reduced Groebner basis of the ideal generated by `new`.
+def _extend(new: Iterable[Terms], ring: _Ring, rows: Sequence[Row] = ()) -> list[Entry]:
+    """Reduced Groebner basis of the ideal generated by `new` or, given the
+    derivation table's `rows` (`_derivations`), of the smallest Poisson
+    ideal that contains `new`.
 
     Buchberger with B. Buchberger's normal selection strategy: pending pairs
     sit in a heap keyed by (lcm, -insertion number), so the smallest lcm is
     taken first and, among equal lcms, the newest pair.  Pairs with coprime
     leading terms are never queued: their S-polynomials reduce to zero.
     `new` is taken smallest leading term first, by a stable sort, so the
-    work does not depend on its order.
+    work does not depend on its order.  With `rows`, each element that
+    enters the basis is bracketed with every variable, and the brackets are
+    reduced first in, first out, ahead of the heap (see the module
+    docstring).
     """
     basis: list[Entry] = []
     heap: list = []
+    brackets: deque[Terms] = deque()
     seq = itertools.count()
 
     def add(terms: Terms) -> None:
@@ -349,14 +352,20 @@ def _extend(new: Iterable[Terms], ring: _Ring) -> list[Entry]:
                 lcm_ij = ring.pack(tuple(map(max, other[4], lead)))
                 heapq.heappush(heap, (lcm_ij, -next(seq), i, j))
         basis.append(g)
+        if rows:
+            terms = {g[0]: g[1], **g[2]}
+            brackets.extend(_ad(terms, row, ring) for row in rows)
 
     for terms in sorted((t for t in new if t), key=max):
         remainder, _ = _reduce(terms, basis, ring)
         if remainder:
             add(remainder)
-    while heap:
-        lcm_ij, _, i, j = heapq.heappop(heap)
-        s = _s_terms(basis[i], basis[j], lcm_ij, ring)
+    while brackets or heap:
+        if brackets:
+            s = brackets.popleft()
+        else:
+            lcm_ij, _, i, j = heapq.heappop(heap)
+            s = _s_terms(basis[i], basis[j], lcm_ij, ring)
         if s and (remainder := _reduce(s, basis, ring)[0]):
             add(remainder)
     return _interreduce(basis, ring)
@@ -425,6 +434,16 @@ class CommIdeal:
         # The engine's packed basis and its ring, as `groebner` left them.
         self._ring, self._basis = basis.ring, basis.entries
 
+    @classmethod
+    def _of_basis(cls, like: "CommIdeal", ring: _Ring, entries: list[Entry]) -> "CommIdeal":
+        """The ideal over `like`'s variables and order whose reduced basis,
+        packed on `ring`, is `entries`; that basis is its generators too."""
+        ideal = cls.__new__(cls)
+        ideal.variables, ideal.order = like.variables, like.order
+        ideal.generators = ideal.reduced_gb = tuple(_polys(ring, like.variables, entries))
+        ideal._ring, ideal._basis = ring, entries
+        return ideal
+
     def _run(self, job: Callable[[_Ring, list[Entry]], T]) -> tuple[_Ring, T]:
         """(ring, job(ring, basis)) on the packed basis; should a field
         overflow, on the basis packed again at twice the width, and so on."""
@@ -483,15 +502,10 @@ def ideal_equal(a: CommIdeal, b: CommIdeal) -> bool:
     return list(a.reduced_gb) == list(b.reduced_gb)
 
 
-# A derivation row: for one variable x_k, one (shift of x_i's exponent field,
-# weight of x_i, packed {x_i, x_k}, its field max) per nonzero table entry.
-Row = list[tuple[int, int, Terms, int]]
-
-
 def _derivations(algebra: PoissonAlgebra, ring: _Ring) -> tuple[list[Row], int]:
     """The algebra's derivation table on packed terms, once per call, every
     entry times the entries' common denominator d: (rows by k, d).  A
-    constant factor changes neither a span nor a membership."""
+    constant factor changes no membership."""
     table = algebra._derivations
     d = _denominator(terms for row in table for _, terms in row)
     rows = []
@@ -517,19 +531,6 @@ def _ad(terms: Terms, row: Row, ring: _Ring) -> Terms:
     return out
 
 
-def _bracket_remainders(algebra: PoissonAlgebra, ring: _Ring,
-                        basis: Sequence[Entry], polys: Iterable[tuple[Terms, int]]
-                        ) -> Iterator[tuple[Terms, int]]:
-    """(r, s) with r / s, packed, the remainder modulo the basis of {p / d, x_k},
-    for each (p, d) in polys and every k whose remainder is nonzero."""
-    rows, d_table = _derivations(algebra, ring)
-    for terms, d in polys:
-        for row in rows:
-            remainder, scale = _reduce(_ad(terms, row, ring), basis, ring)
-            if remainder:
-                yield remainder, d_table * d * scale
-
-
 def is_poisson_ideal(ideal: CommIdeal, algebra: PoissonAlgebra) -> bool:
     """True iff {g, x} lies in the ideal for every basis element g and
     variable x; by Leibniz this already gives {I, A} contained in I."""
@@ -537,114 +538,26 @@ def is_poisson_ideal(ideal: CommIdeal, algebra: PoissonAlgebra) -> bool:
         raise ValueError("ideal is not over the algebra's variables")
 
     def job(ring: _Ring, basis: list[Entry]) -> bool:
-        entries = (({lead: lc, **tail}, 1) for lead, lc, tail, _, _ in basis)
-        return next(_bracket_remainders(algebra, ring, basis, entries), None) is None
+        rows, _ = _derivations(algebra, ring)
+        return not any(_reduce(_ad({lead: lc, **tail}, row, ring), basis, ring)[0]
+                       for lead, lc, tail, _, _ in basis for row in rows)
 
     return ideal._run(job)[1]
 
 
 def poisson_closure(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
-    """Smallest Poisson ideal containing the given one.
+    """Smallest Poisson ideal containing the given one: one run of `_extend`
+    with the algebra's derivation table, whatever the degree of its entries.
 
-    For a table whose entries all have degree <= 1 this is (M), M the
-    smallest ad-stable span of the ideal's generators (see the module
-    docstring).  Each breadth-first level brackets the vectors new at the
-    level before with every variable and keeps their remainders modulo a
-    fully reduced row echelon of M so far, fraction-free: every row is
-    primitive.  The closure is then the reduced Groebner basis of M in the
-    ideal's order.  M starts from the generators, not the reduced basis,
-    whose ring multiples (e^(n-1)h^2 and the like) would make it far larger.
-    Other tables go to `_closure_by_rounds`.  Linear brackets never raise
-    degree, so M lies in the polynomials of degree at most the generators'
-    top degree; each level adds at least one dimension to M, so the levels
-    end without a cap.
+    The run starts from the ideal's generators, not its reduced basis, whose
+    ring multiples (e^(n-1)h^2 and the like) would each be bracketed too.
     """
     if ideal.variables != algebra.variables:
         raise ValueError("ideal is not over the algebra's variables")
-    if any(p.degree() > 1 for p in algebra._table.values()):
-        return _closure_by_rounds(ideal, algebra)
-    ring, (rows, spanned) = _on_fields(
-        ideal._ring, lambda ring: _span(ideal.generators, algebra, ring))
-    if len(rows) == spanned:  # the generators span an ad-stable space
-        return ideal
-    basis = [(pivot, lc, tail) for pivot, (lc, tail) in rows.items()]
-    return CommIdeal(ideal.variables, _polys(ring, ideal.variables, basis), ideal.order)
-
-
-def _span(gens: Sequence[CPoly], algebra: PoissonAlgebra,
-          ring: _Ring) -> tuple[dict[int, tuple[int, Terms]], int]:
-    """The ad-stable span of the generators as a fully reduced row echelon,
-    pivot -> (leading coefficient, tail), with the generators' own rank."""
-    # No tail holds a pivot; each row is primitive with a positive pivot.
-    rows: dict[int, tuple[int, Terms]] = {}
-
-    def eliminate(work: Terms, pivot: int, lc: int, tail: Terms) -> None:
-        """work := a * work - b * (lc x^pivot + tail), a > 0, so that the
-        pivot's term cancels."""
-        c = work.pop(pivot)
-        common = gcd(c, lc)
-        up = lc // common
-        if up != 1:
-            for e in work:
-                work[e] *= up
-        _add_shifted(work, tail, 0, -(c // common), 0, ring.guard)
-
-    def insert(terms: Terms) -> Terms:
-        """Remainder of `terms` modulo the rows, added to them when nonzero."""
-        work = dict(terms)
-        for pivot in [e for e in work if e in rows]:
-            eliminate(work, pivot, *rows[pivot])
-        if not work:
-            return work
-        pivot, lc, tail, _, _ = _entry(work, ring)
-        for other, (olc, otail) in rows.items():
-            if pivot in otail:
-                otail[other] = olc
-                eliminate(otail, pivot, lc, tail)
-                olc, otail = _entry(otail, ring)[1:3]
-                rows[other] = olc, otail
-        rows[pivot] = lc, tail
-        return {pivot: lc, **tail}
-
-    level = [r for g in gens if (r := insert(_pack(ring, g.terms)))]
-    spanned = len(rows)
-    table, _ = _derivations(algebra, ring)
-    while level:
-        level = [r for t in level for row in table if (r := insert(_ad(t, row, ring)))]
-    return rows, spanned
-
-
-def _closure_by_rounds(ideal: CommIdeal, algebra: PoissonAlgebra) -> CommIdeal:
-    """Poisson closure for any bracket table, by rounds of new bases.
-
-    Each round brackets the remainders the round before added (at first, the
-    ideal's generators) with every variable, and takes the ideal generated
-    by the current reduced basis and the remainders of those brackets.
-    Earlier generators need no new bracket: theirs lie in the current ideal
-    already.  So the round that adds nothing leaves an ideal whose
-    generators all bracket into it, which by Leibniz is Poisson.  The
-    ascending chain of ideals stabilizes.
-    """
-    zero = CPoly.zero(ideal.variables)
-
-    def job(ring: _Ring, basis: list[Entry]) -> list[CPoly]:
-        """The round's new remainders, from the last round's `fresh`."""
-        packed = []
-        for p in fresh:
-            d = _denominator([p.terms])
-            packed.append((_pack(ring, p.terms, d), d))
-        return [zero._new(_unpack(ring, r, s))
-                for r, s in _bracket_remainders(algebra, ring, basis, packed)]
-
-    current, fresh = ideal, ideal.generators
-    for _ in range(_MAX_CLOSURE_ROUNDS):
-        fresh = current._run(job)[1]
-        if not fresh:
-            return current
-        current = CommIdeal(current.variables, current.reduced_gb + tuple(fresh),
-                            current.order)
-    raise BudgetExceeded(
-        f"poisson closure did not stabilize within {_MAX_CLOSURE_ROUNDS} rounds")
+    ring, entries = _on_fields(ideal._ring, lambda ring: _extend(
+        [_pack(ring, g.terms) for g in ideal.generators], ring,
+        _derivations(algebra, ring)[0]))
+    return CommIdeal._of_basis(ideal, ring, entries)
 
 
 class PrimalityCertificate:

@@ -346,11 +346,13 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
     of a pair add into the same groups.  A group unpacks once into balanced
     base-2^w digits, its ints over D_a·D_b·D_c, exactly: with N_a, N_b the
     sums of a's and b's numerator L1 norms and C the largest such sum in one
-    product (`p._one` counts as D_c), each int is at most N_a·N_b·C, or
-    2·N_a·N_b·C when both orders are summed, below 2^(w-2) as w is that
-    bound's bit_length + 2, since a product has one coefficient per monomial
-    and L1 norms are submultiplicative; balanced digits in [-2^(w-1),
-    2^(w-1)) are unique.  Constants need no width: w = 0.
+    product (`p._one` counts as D_c), w is the bit_length of N_a·N_b·C plus
+    2, so N_a·N_b·C < 2^(w-2).  A product has one coefficient per monomial
+    and L1 norms are submultiplicative, so each int of a product is at most
+    N_a·N_b·C < 2^(w-2), and each int of a commutator, which sums both
+    orders, at most 2·N_a·N_b·C < 2^(w-1).  Either way it is a balanced
+    digit in (-2^(w-1), 2^(w-1)), and those are unique.  Constants need no
+    width: w = 0.
 
     The operands are split once per call (`_split`); a rewritten product's
     ints, lcm and norm come split from its table record (`_record`).
@@ -385,7 +387,7 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
                 cn = norm if norm > cn else cn
                 wide = wide or wide_c
     cn = dc if ordered and dc > cn else cn
-    w = (na * nb * cn << commute).bit_length() + 2 if wide or wide_b else 0
+    w = (na * nb * cn).bit_length() + 2 if wide or wide_b else 0
     b_packed = [(m, (_pack(x, w) if len(x) > 1 else x[0]) * (db // d), r, v)
                 for m, x, d, r, v in b_parts]
     groups: dict[tuple, int] = {}

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from sclim import pbw
 from sclim.arith import Scalar, UniPoly
+from sclim.ideals import CommIdeal
 from sclim.pbw import B, NCPoly, PBWPresentation, SwapRule
 from sclim.poisson import CPoly, poisson_bracket
 
@@ -124,6 +125,27 @@ def gl_presentation(n: int) -> PBWPresentation:
                     tail[tuple(exps)] = tail.get(tuple(exps), 0) + sign
             rules[(j, i)] = SwapRule(one, {e: Scalar.of(c, "t") for e, c in tail.items()})
     return PBWPresentation(f"U(gl_{n})", names, rules)
+
+
+def closure_by_rounds(ideal: CommIdeal, algebra) -> CommIdeal:
+    """Poisson closure by rounds of new bases, over the public API.
+
+    Each round brackets the remainders the round before added (at first, the
+    ideal's generators) with every variable, and takes the ideal generated
+    by the current reduced basis and the nonzero remainders of those
+    brackets.  Earlier generators need no new bracket: theirs lie in the
+    current ideal already.  So the round that adds nothing leaves an ideal
+    whose generators all bracket into it, which by Leibniz is Poisson.
+    """
+    xs = [algebra.var(name) for name in algebra.variables]
+    current, fresh = ideal, ideal.generators
+    while True:
+        fresh = [r for p in fresh for x in xs
+                 if not (r := current.reduce(poisson_bracket(algebra, p, x))).is_zero()]
+        if not fresh:
+            return current
+        current = CommIdeal(current.variables, current.reduced_gb + tuple(fresh),
+                            current.order)
 
 
 def degree_slice_basis(generators, algebra, cap, variables=("e", "f", "h")):

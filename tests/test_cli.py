@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_cpoly, random_ncpoly
-from sclim import cli, exprs, ideals, pbw
+from sclim import cli, exprs, pbw
 from sclim.cli import main
 from sclim.errors import BudgetExceeded, ParseError
 from sclim.exprs import parse_cpoly, parse_expression, parse_scalar
@@ -616,16 +616,6 @@ class TestExitCodeCorpus:
         assert err.startswith("error: ") and "did not terminate" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert issubclass(BudgetExceeded, RuntimeError)
-
-    def test_span_closure_ignores_the_rounds_cap(self, capsys, monkeypatch):
-        # The closure of n=3 takes 2n+1 = 7 breadth-first levels; the rounds
-        # cap bounds only the closure of a table with an entry of degree >= 2.
-        argv = ["verify-paper", "--n-min", "3", "--n-max", "3", "--samples", "3"]
-        assert main(argv) == 0
-        expected = _strip_timings(json.loads(capsys.readouterr().out))
-        monkeypatch.setattr(ideals, "_MAX_CLOSURE_ROUNDS", 2)
-        assert main(argv) == 0
-        assert _strip_timings(json.loads(capsys.readouterr().out)) == expected
 
     def test_large_n_runs(self, capsys):
         # The closure of e^50 takes more than 100 bracket passes.

@@ -3,14 +3,16 @@
 `sympy.groebner` is a test-only oracle: on seeded random ideals in both
 orders its reduced basis must be the engine's.  sympy's `reduced` and an
 S-polynomial built in sympy check division by non-monic divisors that are
-not a Groebner basis, in both orders.  A closure loop written
-here on sympy polynomials must give `poisson_closure`'s basis.  A sympy
-biderivation built from a bracket table checks `poisson_bracket` over four
-tables, and the closure of the one quadratic table in both orders.  Inputs
-whose exponents sit just below, at and just above the engine's first field
-width check that a packed exponent never wraps into the next field.
+not a Groebner basis, in both orders.  A sympy biderivation built from a
+bracket table checks `poisson_bracket` over four tables, and a closure loop
+written here on sympy polynomials over that biderivation must give
+`poisson_closure`'s basis, in both orders, over the linear, constant and
+quadratic tables.  Inputs whose exponents sit just below, at and just above
+the engine's first field width check that a packed exponent never wraps
+into the next field.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -45,27 +47,6 @@ def sympy_basis(gens, kind: str) -> set:
     gb = sympy.groebner([to_sympy(g).as_expr() for g in gens], *SYMBOLS,
                         order=SYMPY_ORDER[kind], domain="QQ")
     return {from_sympy(g) for g in gb.exprs}
-
-
-def sympy_bracket(a, b):
-    # {e,f} = h, {h,e} = 2e, {h,f} = -2f, extended as a biderivation.
-    table = {(E, F): H, (E, H): -2 * E, (F, H): 2 * F}
-    return sympy.expand(sum((sympy.diff(a, x) * sympy.diff(b, y)
-                             - sympy.diff(a, y) * sympy.diff(b, x)) * value
-                            for (x, y), value in table.items()))
-
-
-def sympy_closure(gens) -> set:
-    """Adjoin brackets with e, f, h until all lie in the ideal."""
-    gb = sympy.groebner([to_sympy(g).as_expr() for g in gens], *SYMBOLS,
-                        order="grevlex", domain="QQ")
-    while True:
-        new = [sympy_bracket(g, x) for g in gb.exprs for x in SYMBOLS]
-        new = [p for p in new if not gb.contains(p)]
-        if not new:
-            return {from_sympy(g) for g in gb.exprs}
-        gb = sympy.groebner(list(gb.exprs) + new, *SYMBOLS, order="grevlex",
-                            domain="QQ")
 
 
 # Bracket tables {(x, y): {x, y}} over e, f, h, one per kind of entry: linear
@@ -123,23 +104,29 @@ class TestAgainstSympy:
             assert len(ours) == len(set(ours))
             assert set(ours) == sympy_basis(gens, kind)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_closure_of_the_paper_images(self, n):
         # n = 2 is the closure golden case: all six quadratic monomials.
         gens = [mono((n, 0, 0)), 4 * mono((1, 1, 0)) + mono((0, 0, 2))]
         b1 = semiclassical_limit(B())
-        closure = poisson_closure(CommIdeal(b1, gens), b1)
-        assert set(closure.reduced_gb) == sympy_closure(gens)
+        for kind in ("degrevlex", "lex"):
+            closure = poisson_closure(CommIdeal(b1, gens, MonomialOrder(kind, VARS)), b1)
+            assert set(closure.reduced_gb) == table_closure(TABLES["B1"], gens, kind)
 
     def test_closure_of_random_ideals(self):
-        rng = random.Random(503)
-        b1 = semiclassical_limit(B())
-        for _ in range(15):
-            gens = [random_cpoly(rng, VARS, max_degree=2, max_terms=2)
-                    for _ in range(rng.randint(1, 2))]
-            gens = [g for g in gens if not g.is_zero()]
-            closure = poisson_closure(CommIdeal(b1, gens), b1)
-            assert set(closure.reduced_gb) == sympy_closure(gens)
+        # The linear and constant tables; the quadratic one has its own test.
+        for name, kind in itertools.product(["B1", "heisenberg", "constant"],
+                                            ["degrevlex", "lex"]):
+            table = TABLES[name]
+            algebra = table_algebra(table)
+            rng = random.Random(f"closure-{name}-{kind}")
+            for _ in range(15):
+                gens = [random_cpoly(rng, VARS, max_degree=2, max_terms=2)
+                        for _ in range(rng.randint(1, 2))]
+                gens = [g for g in gens if not g.is_zero()]
+                ideal = CommIdeal(algebra, gens, MonomialOrder(kind, VARS))
+                closure = poisson_closure(ideal, algebra)
+                assert set(closure.reduced_gb) == table_closure(table, gens, kind)
 
 
 def non_monic(rng, key, max_degree):
@@ -205,7 +192,7 @@ class TestBracketAgainstSympy:
 
     @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
     def test_closure_over_the_log_canonical_table(self, kind):
-        # A quadratic table: `poisson_closure` takes its rounds.
+        # A quadratic table: brackets raise the degree.
         table = TABLES["log-canonical"]
         algebra = table_algebra(table)
         order = MonomialOrder(kind, VARS)

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import degree_slice_basis, random_cpoly
+from helpers import closure_by_rounds, degree_slice_basis, random_cpoly
 from sclim import ideals
-from sclim.errors import BudgetExceeded
 from sclim.ideals import (CommIdeal, MonomialOrder, groebner, ideal_equal,
                           is_poisson_ideal, membership,
                           nilpotent_nonprime_witness, poisson_closure,
@@ -132,13 +131,18 @@ class TestGroebner:
                 assert reduce_poly(s, gb, key).is_zero()
 
     def test_pair_count_does_not_depend_on_generator_order(self, monkeypatch):
-        # The n = 12 closure's span, fed smallest or largest leading term
-        # first, once formed 299 and 1,044 S-polynomials.
-        closure = poisson_closure(
-            CommIdeal(VARS, [mono((12, 0, 0)),
-                             4 * mono((1, 1, 0)) + mono((0, 0, 2))]), b1())
+        # The 2n + 2 vectors that span the n = 12 closure as a vector space:
+        # e^n, its 2n iterated brackets with f, and the Casimir; not a
+        # Groebner basis.  Taken in the caller's order, an echelon form of
+        # them formed 299 S-polynomials fed smallest leading term first and
+        # 1,044 fed largest first.
+        algebra, casimir = b1(), 4 * mono((1, 1, 0)) + mono((0, 0, 2))
+        orbit = [mono((12, 0, 0))]
+        for _ in range(24):
+            orbit.append(poisson_bracket(algebra, orbit[-1], v("f")))
+        closure = poisson_closure(CommIdeal(VARS, [orbit[0], casimir]), algebra)
         key = closure.order.key_for(closure.variables)
-        gens = sorted(closure.generators, key=lambda g: key(max(g.terms, key=key)))
+        gens = sorted(orbit + [casimir], key=lambda g: key(max(g.terms, key=key)))
         s_terms, counts, bases = ideals._s_terms, [], []
         for ordered in (gens, gens[::-1]):
             calls = []
@@ -282,9 +286,8 @@ def xyz(name):
 
 # Bracket tables by the degree of their entries: five linear ones (sl2*,
 # Heisenberg, a constant {x, y} = 1 with z central, and sl2* and Heisenberg
-# with non-integer coefficients, whose denominators the engine clears) take
-# the span route; the log-canonical {x, y} = xy, {y, z} = yz, {x, z} = xz
-# takes the rounds.
+# with non-integer coefficients, whose denominators the engine clears) and
+# the quadratic log-canonical {x, y} = xy, {y, z} = yz, {x, z} = xz.
 TABLES = {
     "B1": b1,
     "B1/3": lambda: PoissonAlgebra(VARS, {
@@ -302,11 +305,7 @@ TABLES = {
 class TestClosureRoutes:
     @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
     @pytest.mark.parametrize("name", sorted(TABLES))
-    def test_routes_agree(self, name, kind, monkeypatch):
-        rounds = []
-        by_rounds = ideals._closure_by_rounds
-        monkeypatch.setattr(ideals, "_closure_by_rounds",
-                            lambda *args: rounds.append(args) or by_rounds(*args))
+    def test_routes_agree(self, name, kind):
         algebra = TABLES[name]()
         order = MonomialOrder(kind, algebra.variables)
         rng = random.Random(f"{name}-{kind}")
@@ -316,17 +315,8 @@ class TestClosureRoutes:
                     for _ in range(rng.randint(1, 2))]
             ideal = CommIdeal(algebra, gens, order)
             closure = poisson_closure(ideal, algebra)
-            assert closure.reduced_gb == by_rounds(ideal, algebra).reduced_gb
+            assert closure.reduced_gb == closure_by_rounds(ideal, algebra).reduced_gb
             assert is_poisson_ideal(closure, algebra)
-        assert len(rounds) == (20 if name == "quadratic" else 0)
-
-    def test_rounds_cap(self, monkeypatch):
-        # {x + z, y} = xy - yz is -2yz modulo x + z, so one round adds it and
-        # the closure is not reached within one round.
-        monkeypatch.setattr(ideals, "_MAX_CLOSURE_ROUNDS", 1)
-        algebra = TABLES["quadratic"]()
-        with pytest.raises(BudgetExceeded, match="within 1 rounds"):
-            poisson_closure(CommIdeal(algebra, [xyz("x") + xyz("z")]), algebra)
 
 
 class TestBracketLoops:

@@ -330,6 +330,20 @@ class TestPackedProducts:
             got = multiply(a, p.generator(1).scale(Fraction(1, 3)))
             assert got.terms == {(1, 1, 0): Scalar(UniPoly([0, Fraction(top, 3)], "t"))}
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 63, 64, 100])
+    def test_width_covers_a_commutator_at_the_bound(self, k):
+        # y x = -x y, so both orders of the one pair add into the group of
+        # x y with the same sign: its top int is 2·N_a·N_b·C, C = 1, twice
+        # a product's bound, and needs the width's second spare bit.
+        one = Scalar.of(1, "t")
+        p = PBWPresentation("anti", ("x", "y"), {(1, 0): SwapRule(-one, {})},
+                            parameter="t")
+        t = Scalar(UniPoly([0, 1], "t"))
+        for top in (2 ** k - 1, -(2 ** k - 1), 2 ** k):
+            a = p.generator(0).scale(Scalar(UniPoly([0, top], "t")))
+            got = commutator(a, p.generator(1).scale(t))
+            assert got.terms == {(1, 1): Scalar(UniPoly([0, 0, 2 * top], "t"))}
+
     def test_constant_calls_need_no_width(self, monkeypatch):
         def unpack(x, w):
             raise AssertionError("a constant call unpacked digits")
