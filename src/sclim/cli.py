@@ -141,16 +141,13 @@ def _cmd_limit(args) -> int:
     started = time.perf_counter()
     config = {"command": "limit", "algebra": presentation.name}
     try:
-        algebra = semiclassical_limit(presentation)
+        passed, details = True, json.dumps(semiclassical_limit(presentation).to_json())
     except NotCommutativeAtOne as exc:
-        check = _timed_check("commutative_at_1", False, str(exc),
-                             (time.perf_counter() - started) * 1000)
-        print(_render(_make_report(config, [check], False), args.format))
-        return EXIT_CHECK_FAILED
-    check = _timed_check("commutative_at_1", True, json.dumps(algebra.to_json()),
+        passed, details = False, str(exc)
+    check = _timed_check("commutative_at_1", passed, details,
                          (time.perf_counter() - started) * 1000)
-    print(_render(_make_report(config, [check], True), args.format))
-    return EXIT_OK
+    print(_render(_make_report(config, [check], passed), args.format))
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _cmd_closure(args) -> int:

@@ -452,6 +452,8 @@ class CommIdeal:
 
     def _remainder(self, p: CPoly) -> tuple[_Ring, Terms, int]:
         """(ring, r, d): r / d packed on the ring is p's remainder."""
+        if p.variables != self.variables:
+            raise ValueError("polynomial over the wrong variable list")
         d = _denominator([p.terms])
         ring, (remainder, scale) = self._run(
             lambda ring, basis: _reduce(_pack(ring, p.terms, d), basis, ring))
@@ -459,15 +461,9 @@ class CommIdeal:
 
     def reduce(self, p: CPoly) -> CPoly:
         """Remainder of p modulo the ideal (zero iff p is a member)."""
-        if p.variables != self.variables:
-            raise ValueError("polynomial over the wrong variable list")
-        if not self.reduced_gb:
-            return p
         return p._new(_unpack(*self._remainder(p)))
 
     def contains(self, p: CPoly) -> bool:
-        if p.variables != self.variables:
-            raise ValueError("polynomial over the wrong variable list")
         return not self._remainder(p)[1]
 
     def is_trivial(self) -> bool:

@@ -181,18 +181,19 @@ def gamma_hat_via_family(z: NCPoly, samples: SampleSet) -> CPoly:
 
 
 @lru_cache(maxsize=None)
-def _rescaling() -> Optional[Scalar]:
+def _rescaling() -> Scalar:
     """q - 1, once x_k -> (t-1) X_k from B_q into U(sl2) over Q(t), sending q
     to t, and X_k -> x_k / (q-1) back are certified as algebra morphisms, the
-    first undoing the second on generators; None when a certificate fails."""
+    first undoing the second on generators; else `ValueError`."""
     bq, u = B_q(), Usl2()
     t = Scalar.variable(u.coeff_var)
     s = bq.parameter_scalar() - 1
     xs, ys = [bq.generator(k) for k in range(3)], [u.generator(k) for k in range(3)]
     down = AlgebraMorphism(bq, u, dict(zip(bq.generators, [y.scale(t - 1) for y in ys])), t)
     up = AlgebraMorphism(u, bq, dict(zip(u.generators, [x.scale(1 / s) for x in xs])))
-    ok = down.holds and up.holds and all(down(up(y)) == y for y in ys)
-    return s if ok else None
+    if not (down.holds and up.holds and all(down(up(y)) == y for y in ys)):
+        raise ValueError("the rescaling onto U(sl2) is not an isomorphism")
+    return s
 
 
 def _over_q(z: NCPoly, s: Scalar) -> NCPoly:
@@ -284,8 +285,6 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
     try:
         rep = sl2_representation(n, Usl2())
         s = _rescaling()
-        if s is None:
-            raise ValueError("the rescaling onto U(sl2) is not an isomorphism")
         kills_power, kills_central = (annihilates(rep, _over_q(z, s))
                                       for z in (gen_power, gen_central))
         ok = kills_power and kills_central
@@ -306,12 +305,11 @@ def verify_counterexample(n: int, samples: SampleSet) -> CounterexampleReport:
     image_central = gamma_hat(gen_central)
     sampled_power = gamma_hat_via_family(gen_power, samples)
     sampled_central = gamma_hat_via_family(gen_central, samples)
-    ok = (image_power == expected_power and image_central == expected_central
-          and sampled_power == image_power and sampled_central == image_central)
+    sampled_agree = sampled_power == image_power and sampled_central == image_central
+    ok = image_power == expected_power and image_central == expected_central and sampled_agree
     checks.append(CheckResult(
         "generator_images", ok,
-        f"images at 1: {image_power}; {image_central} "
-        f"(sampled route agrees: {sampled_power == image_power and sampled_central == image_central})",
+        f"images at 1: {image_power}; {image_central} (sampled route agrees: {sampled_agree})",
         _ms_since(started)))
 
     # (d) Poisson closure of the image ideal

@@ -140,9 +140,7 @@ class PBWPresentation:
         return self.scalar(1)
 
     def scalar(self, value) -> "NCPoly":
-        s = value if isinstance(value, Scalar) else Scalar.of(value, self.coeff_var)
-        unit = (0,) * len(self.generators)
-        return NCPoly(self, {unit: s})
+        return self.monomial((0,) * len(self.generators), value)
 
     def parameter_scalar(self) -> Scalar:
         if self.parameter is None:
@@ -199,6 +197,12 @@ class PBWPresentation:
         return self.overlap_report.passed
 
     # -- rewriting engine ----------------------------------------------------
+
+    def _rhs(self, j: int, i: int) -> dict[Exponents, Scalar]:
+        """c·x_i x_j + tail, the right-hand side of rule (j, i), as terms,
+        x_i x_j first."""
+        rule = self.swap_rules[(j, i)]
+        return {_bump(_bump((0,) * len(self.generators), i), j): rule.coeff, **rule.tail}
 
     def _rewrite(self, a: Exponents, b: Exponents) -> tuple:
         """The table's record of a·b, for a pair that is not ordered.
@@ -547,12 +551,7 @@ class SparsePoly:
         self._check_compatible(o)
         out = dict(self.terms)
         for e, c in o.terms.items():
-            cur = out.get(e)
-            total = -c if cur is None else cur - c
-            if total:
-                out[e] = total
-            else:
-                del out[e]
+            _accumulate(out, e, -c)
         return self._new(out)
 
     def __rsub__(self, other):
@@ -763,22 +762,18 @@ def check_pbw_overlaps(p: PBWPresentation) -> OverlapReport:
 
 def _reduce_after_first_step(p: PBWPresentation, word: tuple[int, int, int],
                              left_first: bool) -> NCPoly:
-    """Apply one rule to `word` at its left or right pair, then fold each word
-    of the result (it holds k or i) letter by letter through `_apply`."""
+    """Apply one rule to `word` at its left or right pair and reduce the
+    result: the left reduct is the rule's right-hand side times x_i, one
+    `_apply`; the right one folds x_k into each term letter by letter."""
     k, j, i = word
+    active: set[tuple[Exponents, int]] = set()
     if left_first:
-        rule = p.swap_rules[(k, j)]
-        seeds = [((j, k, i), rule.coeff)]
-        seeds += [(_exponents_to_word(te) + (i,), tc) for te, tc in rule.tail.items()]
-    else:
-        rule = p.swap_rules[(j, i)]
-        seeds = [((k, i, j), rule.coeff)]
-        seeds += [((k,) + _exponents_to_word(te), tc) for te, tc in rule.tail.items()]
+        return NCPoly(p, p._apply(p._rhs(k, j), i, active))
     unit = (0,) * len(p.generators)
     out: dict[Exponents, Scalar] = {}
-    for w, c in seeds:
-        terms, active = {_bump(unit, w[0]): p._one}, set()
-        for g in w[1:]:
+    for u, c in p._rhs(j, i).items():
+        terms = {_bump(unit, k): p._one}
+        for g in _exponents_to_word(u):
             terms = p._apply(terms, g, active)
         _add_scaled(out, terms, c, p._one)
     return NCPoly(p, out)
@@ -866,10 +861,9 @@ def check_morphism(m: AlgebraMorphism) -> bool:
     if not m.target.is_confluent:
         raise ValueError("target presentation is not confluent")
     src = m.source
-    for (j, i), rule in src.swap_rules.items():
+    for j, i in src.swap_rules:
         xj, xi = m.images[src.generators[j]], m.images[src.generators[i]]
-        rhs = multiply(xi, xj).scale(m.apply_scalar(rule.coeff)) + m(NCPoly(src, rule.tail))
-        if multiply(xj, xi) != rhs:
+        if multiply(xj, xi) != m(NCPoly(src, src._rhs(j, i))):
             return False
     return True
 
@@ -901,10 +895,9 @@ class Representation:
         self.actions = {g: tuple({j: c for j, c in image.items() if c}
                                  for image in images)
                         for g, images in actions.items()}
-        one = Scalar.of(1, presentation.coeff_var)
-        for (j, i), rule in presentation.swap_rules.items():
-            relation = [((j, i), one), ((i, j), -rule.coeff)]
-            relation += [(_exponents_to_word(t), -c) for t, c in rule.tail.items()]
+        for j, i in presentation.swap_rules:
+            relation = [((j, i), presentation._one)]
+            relation += [(_exponents_to_word(t), -c) for t, c in presentation._rhs(j, i).items()]
             for k in range(dimension):
                 if self._act(relation, k):
                     raise ValueError(f"relation for pair {(j, i)} fails on v_{k}")
@@ -1035,9 +1028,8 @@ def casimir(p: PBWPresentation) -> NCPoly:
     """The central element 4ef + h^2 - 2(par-1)h of a deformation algebra."""
     if p.parameter is None:
         raise ValueError("casimir needs a parametric presentation")
-    e, f, h = (p.generator(i) for i in range(3))
     pm1 = p.parameter_scalar() - 1
-    return multiply(e, f).scale(4) + multiply(h, h) - h.scale(pm1 * 2)
+    return p.monomial((1, 1, 0), 4) + p.monomial((0, 0, 2)) - p.generator(2).scale(pm1 * 2)
 
 
 # -- presentation files ----------------------------------------------------------
@@ -1076,11 +1068,14 @@ def presentation_from_json(data: dict) -> PBWPresentation:
 
     try:
         name = data["name"]
-        generators = list(data["generators"])
+        generators = data["generators"]
         parameter = data.get("parameter")
         relations = data["relations"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"presentation file missing field: {exc}") from exc
+    for field, value in (("generators", generators), ("relations", relations)):
+        if not isinstance(value, list):
+            raise ParseError(f"{field} must be a list")
     symbol = None
     value = None
     if parameter is not None:
@@ -1093,8 +1088,6 @@ def presentation_from_json(data: dict) -> PBWPresentation:
         if not isinstance(symbol, str) or symbol in generators:
             raise ParseError(f"parameter symbol {symbol!r} must be a string "
                              f"that names no generator")
-    if not isinstance(relations, list):
-        raise ParseError("relations must be a list")
     var = symbol if symbol is not None else "t"
     if not all(isinstance(g, str) for g in generators):
         raise ParseError("generator names must be strings")
@@ -1104,6 +1097,8 @@ def presentation_from_json(data: dict) -> PBWPresentation:
     rules: dict[tuple[int, int], SwapRule] = {}
     for rel in relations:
         try:
+            if not isinstance(rel["lhs"], list):
+                raise TypeError("lhs must be a list")
             gj, gi = rel["lhs"]
             j, i = index[gj], index[gi]
             coeff = parse_scalar(rel["coeff"], var)
@@ -1111,7 +1106,9 @@ def presentation_from_json(data: dict) -> PBWPresentation:
             for term in rel["rhs"]:
                 exps = [0] * len(generators)
                 for gen_name, e in term["monomial"].items():
-                    exps[index[gen_name]] += int(e)
+                    if type(e) is not int:
+                        raise TypeError(f"exponent {e!r} of {gen_name} must be an integer")
+                    exps[index[gen_name]] += e
                 tail[tuple(exps)] = parse_scalar(term["coeff"], var)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad relation entry: {exc}") from exc

@@ -15,8 +15,8 @@ identity holds is a property of the table; it is checked on generator triples
 at construction and the residuals are kept as a certificate.
 
 `semiclassical_limit` extracts such a bracket table from a parametric PBW
-presentation: each generator commutator must vanish at parameter value 1, is
-divided exactly by (par - 1), and is then evaluated at 1.
+presentation: each generator commutator, read off its swap rule, must vanish
+at 1, is divided exactly by (par - 1), and is then evaluated at 1.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from typing import Mapping, Sequence
 
 from .arith import Rational, Scalar, _as_rational
 from .errors import NotCommutativeAtOne, PoleAtPoint
-from .pbw import (B, PBWPresentation, SparsePoly, _add_shifted, _format_terms,
-                  commutator)
+from .pbw import B, PBWPresentation, SparsePoly, _accumulate, _add_shifted, _format_terms
 
 Exponents = tuple[int, ...]
 
@@ -222,9 +221,9 @@ def jacobi_residuals(algebra: PoissonAlgebra) -> list[CPoly]:
 def semiclassical_limit(p: PBWPresentation) -> PoissonAlgebra:
     """Bracket table of the commutative fiber at parameter value 1.
 
-    For each generator pair computes the commutator, checks that every
-    coefficient vanishes at 1 (else `NotCommutativeAtOne`), divides exactly
-    by (par - 1) and evaluates at 1.
+    For each generator pair reads the commutator off its swap rule, checks
+    that every coefficient vanishes at 1 (else `NotCommutativeAtOne`),
+    divides exactly by (par - 1) and evaluates at 1.
     """
     if not p.has_symbolic_parameter():
         raise ValueError(f"{p.name} has no symbolic parameter")
@@ -235,9 +234,11 @@ def semiclassical_limit(p: PBWPresentation) -> PoissonAlgebra:
     n = len(p.generators)
     for i in range(n):
         for j in range(i + 1, n):
-            cm = commutator(p.generator(i), p.generator(j))
+            # [x_i, x_j] = x_i x_j - (c·x_i x_j + tail), x_i x_j first.
+            cm = {exps: -c for exps, c in p._rhs(j, i).items()}
+            _accumulate(cm, next(iter(cm)), p._one)
             entry: dict[Exponents, Rational] = {}
-            for exps, c in cm.terms.items():
+            for exps, c in cm.items():
                 try:
                     at_one = c.evaluate(1)
                 except PoleAtPoint as exc:

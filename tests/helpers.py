@@ -6,9 +6,10 @@ from fractions import Fraction
 
 from sclim import pbw
 from sclim.arith import Scalar, UniPoly
+from sclim.errors import NotCommutativeAtOne, PoleAtPoint
 from sclim.ideals import CommIdeal
-from sclim.pbw import B, NCPoly, PBWPresentation, SwapRule
-from sclim.poisson import CPoly, poisson_bracket
+from sclim.pbw import B, NCPoly, PBWPresentation, SwapRule, commutator
+from sclim.poisson import CPoly, PoissonAlgebra, poisson_bracket
 
 
 def random_fraction(rng, lo=-6, hi=6):
@@ -64,6 +65,48 @@ def corrupted_b() -> PBWPresentation:
     rules = dict(B().swap_rules)
     rules[(2, 0)] = SwapRule(Scalar.of(1, "t"), {(0, 1, 0): shift * 2})
     return PBWPresentation("B_corrupted", ("e", "f", "h"), rules, parameter="t")
+
+
+def two_copies_of_b() -> PBWPresentation:
+    """B on e < f < h next to a copy on E < F < H that commutes with it."""
+    one = Scalar.of(1, "t")
+    pad = (0, 0, 0)
+    rules = {(j, i): SwapRule(one, {}) for j in range(3, 6) for i in range(3)}
+    for (j, i), rule in B().swap_rules.items():
+        rules[(j, i)] = SwapRule(rule.coeff, {e + pad: c for e, c in rule.tail.items()})
+        rules[(j + 3, i + 3)] = SwapRule(rule.coeff,
+                                         {pad + e: c for e, c in rule.tail.items()})
+    return PBWPresentation("B2", ("e", "f", "h", "E", "F", "H"), rules, parameter="t")
+
+
+def limit_by_commutators(p: PBWPresentation) -> PoissonAlgebra:
+    """The bracket table of `semiclassical_limit`, with each generator
+    commutator multiplied out through the product table rather than read
+    off its swap rule: an oracle for the table, the first
+    `NotCommutativeAtOne` and its message."""
+    if not p.has_symbolic_parameter():
+        raise ValueError(f"{p.name} has no symbolic parameter")
+    if not p.is_confluent:
+        raise ValueError(f"{p.name}: overlap check failed")
+    shift = Scalar.variable(p.coeff_var) - 1
+    table = {}
+    n = len(p.generators)
+    for i in range(n):
+        for j in range(i + 1, n):
+            entry = {}
+            for exps, c in commutator(p.generator(i), p.generator(j)).terms.items():
+                try:
+                    at_one = c.evaluate(1)
+                except PoleAtPoint as exc:
+                    raise NotCommutativeAtOne(
+                        f"[{p.generators[i]},{p.generators[j]}] has a pole at 1") from exc
+                if at_one != 0:
+                    raise NotCommutativeAtOne(
+                        f"[{p.generators[i]},{p.generators[j]}] does not vanish at 1: "
+                        f"coefficient {c} of {exps}")
+                entry[exps] = (c / shift).evaluate(1)
+            table[(p.generators[i], p.generators[j])] = CPoly(p.generators, entry)
+    return PoissonAlgebra(p.generators, table)
 
 
 def word_normal_form(p: PBWPresentation, word: tuple[int, ...]) -> dict:

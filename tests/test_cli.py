@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_cpoly, random_ncpoly
+from helpers import random_cpoly, random_ncpoly, two_copies_of_b
 from sclim import cli, exprs, pbw
 from sclim.cli import main
 from sclim.errors import BudgetExceeded, ParseError
@@ -507,6 +507,27 @@ class TestExitCodeCorpus:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field, message", [
+        ("generators", "generators must be a list"),
+        ("lhs", "bad relation entry: lhs must be a list"),
+        ("exponent", "bad relation entry: exponent True of h must be an integer"),
+    ])
+    def test_schema_types_exit_two(self, tmp_path, capsys, field, message):
+        # Unchecked, "efh" reads as three generators, "fe" as the pair
+        # [f, e] and the exponent true as 1, and the file loads.
+        data = presentation_to_json(B())
+        if field == "generators":
+            data["generators"] = "efh"
+        elif field == "lhs":
+            data["relations"][0]["lhs"] = "fe"
+        else:
+            data["relations"][0]["rhs"][0]["monomial"] = {"h": True}
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(data))
+        for argv in (["nf", "--file", str(path), "h"], ["overlaps", "--file", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("fault, message", [
         ("algebra", "zero denominator in '1/0'"),
         ("value", "bad parameter entry: zero denominator in '1/0'"),
@@ -667,7 +688,7 @@ class TestReportStability:
         # report cannot add up to more than the whole command took.  Two
         # commuting copies of B have twenty triples, B only one.
         path = tmp_path / "two_copies.json"
-        path.write_text(json.dumps(presentation_to_json(_two_copies_of_b())))
+        path.write_text(json.dumps(presentation_to_json(two_copies_of_b())))
         for argv, count in ((["overlaps", "--algebra", "B"], 1),
                             (["overlaps", "--file", str(path)], 20)):
             started = time.perf_counter()
@@ -685,18 +706,6 @@ class TestReportStability:
         assert list(report) == ["version", "config", "checks", "verdict"]
         for check in report["checks"]:
             assert list(check) == ["name", "status", "details", "timing"]
-
-
-def _two_copies_of_b() -> PBWPresentation:
-    """B on e < f < h next to a copy on E < F < H that commutes with it."""
-    one = Scalar.of(1, "t")
-    pad = (0, 0, 0)
-    rules = {(j, i): SwapRule(one, {}) for j in range(3, 6) for i in range(3)}
-    for (j, i), rule in B().swap_rules.items():
-        rules[(j, i)] = SwapRule(rule.coeff, {e + pad: c for e, c in rule.tail.items()})
-        rules[(j + 3, i + 3)] = SwapRule(rule.coeff,
-                                         {pad + e: c for e, c in rule.tail.items()})
-    return PBWPresentation("B2", ("e", "f", "h", "E", "F", "H"), rules, parameter="t")
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:

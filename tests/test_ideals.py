@@ -396,3 +396,65 @@ class TestClosureOracle:
             assert contains(m)
         assert not contains(v("e"))
         assert not contains(CPoly.const(1, VARS))
+
+
+# -- metamorphic checks past the oracle's reach ------------------------------------
+
+
+def chevalley(g):
+    """The Chevalley involution e <-> f, h -> -h, a Poisson automorphism of
+    B1: {f, e} = -h is the image of {e, f} = h."""
+    return CPoly(VARS, {(b, a, c): x * (-1) ** c for (a, b, c), x in g.terms.items()})
+
+
+def standard_counts(ideal, top):
+    """The ideal's standard monomials in each degree d = 0..top, from its
+    leads: least[a][b] is the least c with e^a f^b h^c a multiple of a lead."""
+    key = ideal.order.key_for(ideal.variables)
+    least = [[top + 1] * (top + 1) for _ in range(top + 1)]
+    for g in ideal.reduced_gb:
+        a, b, c = max(g.terms, key=key)
+        if a + b <= top:
+            least[a][b] = min(least[a][b], c)
+    for a in range(top + 1):
+        for b in range(top + 1 - a):
+            least[a][b] = min(least[a][b], least[a - 1][b] if a else top + 1,
+                              least[a][b - 1] if b else top + 1)
+    return [sum(d - a - b < least[a][b] for a in range(d + 1) for b in range(d + 1 - a))
+            for d in range(top + 1)]
+
+
+CLOSURE_ORDERS = [MonomialOrder("degrevlex", VARS),
+                  MonomialOrder("degrevlex", ("h", "e", "f")),
+                  MonomialOrder("lex", VARS)]
+
+
+class TestPaperClosureMetamorphic:
+    """The closure C of (e^n, 4ef + h^2), at sizes where no second engine
+    checks it: θ(C) = C, one ideal in three orders, and 2d + 1 standard
+    monomials in each degree d < n and none from n on (End(V_n) as an
+    sl2-module is V_1 + V_3 + ... + V_(2n-1))."""
+
+    @pytest.fixture(scope="class", params=[20, 50, 100])
+    def closures(self, request):
+        n = request.param
+        gens = [mono((n, 0, 0)), 4 * mono((1, 1, 0)) + mono((0, 0, 2))]
+        return n, [poisson_closure(CommIdeal(VARS, gens, order), b1())
+                   for order in CLOSURE_ORDERS]
+
+    def test_chevalley_involution_preserves_the_closure(self, closures):
+        # θ(C) ⊆ C, and θ is an involution, so θ(C) = C.
+        _, in_orders = closures
+        for closure in in_orders:
+            assert all(closure.contains(chevalley(g)) for g in closure.reduced_gb)
+
+    def test_one_ideal_in_every_order(self, closures):
+        _, in_orders = closures
+        for a, b in itertools.permutations(in_orders, 2):
+            assert all(b.contains(g) for g in a.reduced_gb)
+
+    def test_standard_monomials_by_degree(self, closures):
+        # Every monomial of degree above n is a multiple of one of degree n.
+        n, in_orders = closures
+        for closure in in_orders:
+            assert standard_counts(closure, n) == [2 * d + 1 for d in range(n)] + [0]

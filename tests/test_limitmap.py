@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_ncpoly
+from helpers import nonzero, random_ncpoly
 from sclim import arith, cli, limitmap, pbw, poisson
 from sclim.arith import Scalar, UniPoly, interpolate_band
 from sclim.errors import (InconsistentFamily, InsufficientSamples, PoleAtOne,
@@ -20,6 +20,7 @@ from sclim.limitmap import (FamilyElement, SampleSet, gamma_eval, gamma_hat,
 from sclim.pbw import (AlgebraMorphism, B, B_lambda, B_q, Usl2, annihilates,
                        casimir, commutator, multiply, presentation_from_json,
                        sl2_representation)
+from sclim.ideals import CommIdeal, poisson_closure
 from sclim.poisson import CPoly, poisson_bracket, semiclassical_limit
 
 VARS = ("e", "f", "h")
@@ -567,3 +568,43 @@ class TestIdealProperOverQ:
         check = _ideal_proper(verify_counterexample(3, SampleSet([2, 3, 5])))
         assert not check.passed
         assert check.details == "the rescaling onto U(sl2) is not an isomorphism"
+
+
+class TestGammaHatOfPInTheClosure:
+    """Γ̂ of sampled elements of P = (e^n, Ω - (q-1)^2 (n^2-1)) over Q(q)
+    lies in C, the Poisson closure of the generators' images: sums of
+    products a·g·b, and iterated commutators, each divided by q - 1 while
+    its coefficients all vanish at 1 (at most three times)."""
+
+    @staticmethod
+    def _lowest(z, shift):
+        for _ in range(3):
+            if z.is_zero() or any(c.evaluate(1) for c in z.terms.values()):
+                break
+            z = z.scale(shift.inverse())
+        return z
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sampled_elements_of_p_land_in_the_closure(self, n):
+        bq, b1 = B_q(), poisson.B1()
+        gens = limitmap._ideal_generators(n, casimir(bq))
+        closure = poisson_closure(CommIdeal(b1, [gamma_hat(g) for g in gens]), b1)
+        shift, rng = bq.parameter_scalar() - 1, random.Random(900 + n)
+        elements = []
+        for _ in range(60):
+            z = bq.zero()
+            for _ in range(2):
+                a, b = (random_ncpoly(rng, bq, max_degree=2) for _ in range(2))
+                z = z + multiply(multiply(a, rng.choice(gens)), b)
+            elements.append(z)
+        for _ in range(40):
+            z = gens[0]         # the other generator is central
+            for _ in range(rng.randint(1, 3)):
+                z = nonzero(rng, lambda rng: commutator(z, random_ncpoly(rng, bq, max_degree=2)))
+            elements.append(z)
+        divisions = []
+        for z in elements:
+            low = self._lowest(z, shift)
+            divisions.append(low != z)
+            assert closure.contains(gamma_hat(low))
+        assert all(divisions[60:])      # every commutator divides at least once

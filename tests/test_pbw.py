@@ -651,6 +651,15 @@ class TestCentrality:
     def test_quadratic_central_element(self):
         assert is_central(casimir(B_q()))
 
+    @pytest.mark.parametrize("name", ["B", "B_q", "B_lambda(2)"])
+    def test_casimir_equals_its_products(self, name):
+        # casimir writes e*f and h^2 as the ordered monomials they are.
+        p = {"B": B, "B_q": B_q, "B_lambda(2)": lambda: B_lambda(2)}[name]()
+        e, f, h = (p.generator(k) for k in range(3))
+        products = (multiply(e, f).scale(4) + multiply(h, h)
+                    - h.scale((p.parameter_scalar() - 1) * 2))
+        assert list(casimir(p).terms.items()) == list(products.terms.items())
+
     def test_generator_not_central(self):
         assert not is_central(B_q().generator(2))
 
