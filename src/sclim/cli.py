@@ -19,16 +19,15 @@ the per-check `timing` fields (milliseconds).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .errors import KernelError, NotCommutativeAtOne, ParseError
-# exprs, poisson, ideals and limitmap are imported by the handlers that use
-# them: a cold `nf` or `comm` process never loads poisson, ideals or limitmap,
-# and a cold `verify-paper`, `limit`, `gk` or `overlaps` never loads exprs.
+# json, exprs, poisson, ideals and limitmap are imported where they are used:
+# a cold `nf` or `comm` process loads none of them but exprs, and a cold
+# `verify-paper`, `limit`, `gk` or `overlaps` process never loads exprs.
 from .pbw import (B, B_lambda, B_q, PBWPresentation, Usl2, commutator,
                   growth_dimensions, growth_slope, presentation_from_json)
 
@@ -44,6 +43,7 @@ _BUILTIN_ALGEBRAS = ("B", "B_q", "Usl2", "B_lambda:<value>")
 
 def _load_presentation(algebra: Optional[str], path: Optional[str]) -> PBWPresentation:
     if path is not None:
+        import json
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -85,6 +85,7 @@ def _make_report(config: dict, checks: list[dict], passed: bool) -> dict:
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
+        import json
         return json.dumps(report, indent=2)
     lines = [f"# sclim report (v{report['version']})", ""]
     lines.append(f"verdict: **{report['verdict']}**")
@@ -136,6 +137,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_limit(args) -> int:
+    import json
     from .poisson import semiclassical_limit
     presentation = _load_presentation(args.algebra, args.file)
     started = time.perf_counter()
@@ -159,9 +161,9 @@ def _cmd_closure(args) -> int:
     gens = [parse_cpoly(text, variables) for text in _split_polys(args.ideal)]
     ideal = CommIdeal(variables, gens, MonomialOrder(args.order, tuple(variables)))
     closure = poisson_closure(ideal, algebra)
-    print(json.dumps({"vars": list(variables),
-                      "generators": _split_polys(args.ideal),
-                      "closure_basis": closure.basis_strings()}, indent=2))
+    print(_render({"vars": list(variables),
+                   "generators": _split_polys(args.ideal),
+                   "closure_basis": closure.basis_strings()}, "json"))
     return EXIT_OK
 
 
@@ -183,11 +185,11 @@ def _cmd_gk(args) -> int:
     lo = args.window_lo if args.window_lo is not None else max(1, args.dmax // 2)
     hi = args.window_hi if args.window_hi is not None else args.dmax
     slope = growth_slope(dims, lo, hi)
-    print(json.dumps({"algebra": presentation.name,
-                      "dimensions": dims,
-                      "window": [lo, hi],
-                      "slope": str(slope),
-                      "slope_float": float(slope)}, indent=2))
+    print(_render({"algebra": presentation.name,
+                   "dimensions": dims,
+                   "window": [lo, hi],
+                   "slope": str(slope),
+                   "slope_float": float(slope)}, "json"))
     return EXIT_OK
 
 

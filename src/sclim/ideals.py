@@ -68,6 +68,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
+from .pbw import _Overflow
 from .poisson import CPoly, PoissonAlgebra
 
 Exponents = tuple[int, ...]
@@ -109,10 +110,6 @@ class MonomialOrder:
                 or sorted(precedence) != sorted(variables)):
             raise ValueError("precedence list must mention every variable once")
         return _ring(self.kind, tuple(map(variables.index, precedence)), _FIELD_BITS)
-
-
-class _Overflow(Exception):
-    """A packed exponent field would reach its guard bit."""
 
 
 class _Ring:
@@ -401,12 +398,13 @@ class _Basis(list):
 def groebner(gens: Iterable[CPoly], order: MonomialOrder | None = None,
              variables: Sequence[str] | None = None) -> list[CPoly]:
     """Reduced Groebner basis; deterministic for fixed input and order."""
-    gens = [g for g in gens if not g.is_zero()]
+    gens = list(gens)
     if not gens and variables is None:
         return []
     variables = tuple(gens[0].variables if variables is None else variables)
     if any(g.variables != variables for g in gens):
         raise ValueError("generator over the wrong variable list")
+    gens = [g for g in gens if not g.is_zero()]
     order = order or MonomialOrder(precedence=variables)
     ring, entries = _on_fields(order.key_for(variables), lambda ring: _extend(
         [_pack(ring, g.terms) for g in gens], ring))
@@ -426,8 +424,6 @@ class CommIdeal:
         else:
             self.variables = tuple(ambient)
         self.generators = tuple(generators)
-        if any(g.variables != self.variables for g in self.generators):
-            raise ValueError("generator over the wrong variable list")
         self.order = order or MonomialOrder(precedence=self.variables)
         basis = groebner(self.generators, self.order, self.variables)
         self.reduced_gb = tuple(basis)

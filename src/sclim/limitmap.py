@@ -153,8 +153,7 @@ def gamma_hat(b: NCPoly) -> CPoly:
     elements whose coefficients are regular at 1; a pole raises `PoleAtOne`.
     """
     p = b.presentation
-    if not p.has_symbolic_parameter():
-        raise ValueError(f"{p.name} has no symbolic parameter")
+    p.require_symbolic_parameter()
     terms = {}
     for exps, c in b.terms.items():
         try:

@@ -12,9 +12,11 @@ ordered monomial x_0^i x_1^j x_2^k.
 
 Multiplication reads products of a normal monomial and one generator from a
 memoized table, which the swap rules fill one generator at a time (see
-`PBWPresentation._times`).  The rules are degree-compatible (rewriting never
-raises total degree), so products terminate and normal forms are well defined
-whenever the overlap check below passes.
+`PBWPresentation._times`) on numerators packed at 2^W over int denominators:
+no `Scalar` is made until a product leaves the table.  The rules are
+degree-compatible (rewriting never raises total degree), so products
+terminate and normal forms are well defined whenever the overlap check
+below passes.
 
 `check_pbw_overlaps` is the confluence certificate: for every generator triple
 k > j > i it reduces x_k x_j x_i along both association orders, through the
@@ -43,17 +45,23 @@ _MAX_TABLE_ENTRIES = 20_000
 # Entries a presentation's fiber memo holds at most.
 _MAX_FIBERS = 64
 
+# Bits per coefficient at which a new product table packs its numerators.
+_START_WIDTH = 128
+
 
 class SwapRule:
-    """x_j * x_i  ->  coeff * x_i * x_j + tail  (tail: exponents -> Scalar)."""
+    """x_j * x_i  ->  coeff * x_i * x_j + tail  (tail: exponents -> Scalar);
+    `ints` is `_split` of coeff, keyed None, and of the tail, keyed by word."""
 
-    __slots__ = ("coeff", "tail")
+    __slots__ = ("coeff", "tail", "ints")
 
     def __init__(self, coeff: Scalar, tail: Mapping[Exponents, Scalar]):
         if coeff.is_zero():
             raise ValueError("swap coefficient must be nonzero")
         self.coeff = coeff
         self.tail = {exps: c for exps, c in tail.items() if not c.is_zero()}
+        self.ints = _split({None: coeff, **{_exponents_to_word(t): c
+                                            for t, c in self.tail.items()}})[3]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SwapRule):
@@ -71,11 +79,12 @@ class PBWPresentation:
     i to the record of m·x_i, for every such product with a generator of m
     above i, and a pair (a, b) of normal monomials, b with more than one
     generator, to the record of a·b when it is not a + b.  A record is the
-    normal form together with its coefficients split into ints (`_record`),
-    so products read from the table do no rational arithmetic.  The table
-    gains an entry for each product not seen before, holds at most
-    `_MAX_TABLE_ENTRIES` and is emptied when full.  `_fibers` maps a
-    parameter value to the fiber at that value (see
+    normal form, its numerators packed at 2^`_width` over one int
+    denominator (`_combine`), so neither filling nor reading the table does
+    rational arithmetic; a numerator that outgrows the width doubles it and
+    empties the table.  The table gains an entry for each product not seen
+    before, holds at most `_MAX_TABLE_ENTRIES` and is emptied when full.
+    `_fibers` maps a parameter value to the fiber at that value (see
     `specialize_presentation`) and holds at most `_MAX_FIBERS`; when it is
     full, a new fiber replaces the newest one.
     """
@@ -100,8 +109,8 @@ class PBWPresentation:
         for (j, i), rule in self.swap_rules.items():
             self._validate_tail(j, i, rule)
         self._one = Scalar.of(1, self.coeff_var)
-        self._table: dict[tuple[Exponents, int | Exponents],
-                          dict[Exponents, Scalar]] = {}
+        self._table: dict[tuple[Exponents, int | Exponents], tuple] = {}
+        self._width = _START_WIDTH
         self._fibers: dict[Rational, PBWPresentation] = {}
         # The parametric presentation whose fiber this is, set only by
         # `specialize_presentation` before the fiber is handed out.
@@ -130,6 +139,10 @@ class PBWPresentation:
 
     def has_symbolic_parameter(self) -> bool:
         return self.parameter is not None and self.parameter_value is None
+
+    def require_symbolic_parameter(self) -> None:
+        if not self.has_symbolic_parameter():
+            raise ValueError(f"{self.name} has no symbolic parameter")
 
     # -- element constructors ----------------------------------------------
 
@@ -217,23 +230,23 @@ class PBWPresentation:
             return self._times(a, word[0], active)
         record = self._table.get((a, b))
         if record is None:
-            terms = self._times(a, word[0], active)[0]
+            record = self._times(a, word[0], active)
             for g in word[1:]:
-                terms = self._apply(terms, g, active)
-            record = self._store((a, b), terms)
+                record = self._apply(record, g, active)
+            record = self._store((a, b), record)
         return record
 
-    def _apply(self, terms: Mapping[Exponents, Scalar], g: int,
-               active: set) -> dict[Exponents, Scalar]:
-        """The sum of c·(u·x_g) over the terms u -> c."""
-        one = self._one
-        out: dict[Exponents, Scalar] = {}
-        for u, c in terms.items():
-            if any(u[g + 1:]):
-                _add_scaled(out, self._times(u, g, active)[0], c, one)
-            else:
-                _accumulate(out, _bump(u, g), c)
-        return out
+    def _apply(self, record: tuple, g: int, active: set) -> tuple:
+        """The record of the sum of c·(u·x_g) over the parts c·u of `record`;
+        u·x_g is u with x_g appended if u has no generator above g."""
+        den, norm, wide, parts = record
+        moved = [(u[:g] + (u[g] + 1,) + u[g + 1:], x, r, v, n)
+                 for u, x, r, v, n in parts if not any(u[g + 1:])]
+        if len(moved) == len(parts):
+            return den, norm, wide, moved
+        return _combine([(1, 1, None, 1, (den, norm, wide, moved))] + [
+            (x, den, r, n, self._times(u, g, active)) for u, x, r, _, n in parts
+            if any(u[g + 1:])], self._width, self.coeff_var)
 
     def _times(self, m: Exponents, i: int, active: set) -> tuple:
         """The record of m·x_i, for a monomial m with a generator above i.
@@ -257,44 +270,39 @@ class PBWPresentation:
         if key in active:
             raise BudgetExceeded("rewriting did not terminate; rules are invalid")
         active.add(key)
-        k = max(g for g, e in enumerate(m) if e)
-        rule = self.swap_rules[(k, i)]
-        coeff = None if rule.coeff == self._one else rule.coeff
-        head, rest = m[:k], m[k + 1:]
+        k = max(filter(m.__getitem__, range(len(m))))
+        (_, cx, cd, cr, _), *tail = self.swap_rules[(k, i)].ints
+        head, rest, w = m[:k], m[k + 1:], self._width
 
         def power(b: int) -> Exponents:             # m0·x_k^b
             return head + (b,) + rest
 
         b = m[k] - 1
-        found = table.get((power(b), i))
-        if found is None:
+        record = table.get((power(b), i))
+        if record is None:
             b = 0
-            terms = self._apply({power(0): self._one}, i, active)
-        else:
-            terms = found[0]
+            record = self._apply(_unit_record(power(0)), i, active)
         for b in range(b + 1, m[k] + 1):
-            out = self._apply(terms, k, active)
-            if coeff is not None:
-                out = {v: c * coeff for v, c in out.items()}
-            for t, tc in rule.tail.items():
-                word = _exponents_to_word(t)
+            summands = [(_pack(cx, w), cd, cr, sum(map(abs, cx)),
+                         self._apply(record, k, active))]
+            for word, tx, td, tr, _ in tail:
                 # (m0 x_k^(b-1))·x_i is the previous step's product.
                 if word[:1] == (i,):
-                    part, word = terms, word[1:]
+                    part, word = record, word[1:]
                 else:
-                    part = {power(b - 1): self._one}
+                    part = _unit_record(power(b - 1))
                 for g in word:
                     part = self._apply(part, g, active)
-                _add_scaled(out, part, tc, self._one)
-            terms = out
+                summands.append((_pack(tx, w), td, tr, sum(map(abs, tx)), part))
+            record = _combine(summands, w, self.coeff_var)
         active.discard(key)
-        return self._store(key, terms)
+        return self._store(key, record)
 
-    def _store(self, key: tuple, terms: dict[Exponents, Scalar]) -> tuple:
-        """Enter the record of a rewritten product (`_record`) and return it."""
+    def _store(self, key: tuple, record: tuple) -> tuple:
+        """Enter the record of a rewritten product and return it."""
         if len(self._table) >= _MAX_TABLE_ENTRIES:
             self._table.clear()
-        record = self._table[key] = _record(terms)
+        self._table[key] = record
         return record
 
 
@@ -308,13 +316,9 @@ def _exponents_to_word(exps: Exponents) -> tuple[int, ...]:
 
 
 def _accumulate(table: dict, key, value) -> None:
-    """Add `value` into table[key], dropping the entry when the sum is zero.
-
-    The only place a term is added into a term dict outside the packed
-    ideal engine; coefficients are `Scalar` or `Fraction`, both false
-    exactly when zero.  `_add_scaled` and `_add_shifted` add whole term
-    dicts through it, `_sum_products` its groups.
-    """
+    """Add `value` into table[key], dropping the entry when the sum is zero:
+    the one place a `Scalar` or `Fraction` term (false exactly when zero) is
+    added into a term dict; `_add_scaled` and `_add_shifted` add through it."""
     cur = table.get(key)
     total = value if cur is None else cur + value
     if total:
@@ -339,9 +343,8 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
                   commute: bool = False) -> dict:
     """Σ c_a·c_b·c over the term pairs c_a·e_a, c_b·e_b and the terms c·m of
     the normal form of e_a·e_b, less the same sum for e_b·e_a when `commute`
-    (the terms of a·b - b·a); an ordered product's one term a + b has c =
-    `p._one`, which is not multiplied in, and a pair ordered both ways
-    cancels, so it is skipped.
+    (the terms of a·b - b·a); an ordered product's one term a + b has c = 1,
+    and a pair ordered both ways cancels, so it is skipped.
 
     Numerators over common denominators D_a, D_b, D_c of a, b and the products
     are packed into ints at 2^w (Kronecker substitution, D. Harvey, JSC 2009),
@@ -350,48 +353,57 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
     of a pair add into the same groups.  A group unpacks once into balanced
     base-2^w digits, its ints over D_a·D_b·D_c, exactly: with N_a, N_b the
     sums of a's and b's numerator L1 norms and C the largest such sum in one
-    product (`p._one` counts as D_c), w is the bit_length of N_a·N_b·C plus
-    2, so N_a·N_b·C < 2^(w-2).  A product has one coefficient per monomial
-    and L1 norms are submultiplicative, so each int of a product is at most
-    N_a·N_b·C < 2^(w-2), and each int of a commutator, which sums both
-    orders, at most 2·N_a·N_b·C < 2^(w-1).  Either way it is a balanced
-    digit in (-2^(w-1), 2^(w-1)), and those are unique.  Constants need no
-    width: w = 0.
-
-    The operands are split once per call (`_split`); a rewritten product's
-    ints, lcm and norm come split from its table record (`_record`).
+    product (an ordered one's is D_c), w is at least the bit_length of
+    N_a·N_b·C plus 2.  A product has one coefficient per monomial and L1
+    norms are submultiplicative, so each int of a product is at most
+    N_a·N_b·C < 2^(w-2), and each int of a commutator at most twice that: a
+    balanced digit, and those are unique.  Constants need no width, w = 0.
+    Operand numerators of up to 16 ints pack at the table's width, as the
+    records do; longer ones at the least w, with the records' ints repacked.
     """
     get, rewrite, n, var = p._table.get, p._rewrite, len(p.generators), p.coeff_var
-    da, na, wide, a_parts = _split(a_terms)
-    db, nb, wide_b, b_parts = _split(b_terms)
+    da, na, size, a_parts = _split(a_terms)
+    db, nb, size_b, b_parts = _split(b_terms)
+    size = max(size, size_b)
+    wide = size > 1
     b_keys = _keys(b_terms, n)
     # Only a commutator looks up b·a, by a's lowest generators and keys.
     a_keys = _keys(a_terms, n) if commute else [(ma, None, None) for ma in a_terms]
     # Per pair, the records of its products, None for an ordered one; the
     # second, b·a, is subtracted.  A pair ordered both ways has none.
     records, dc, cn, ordered = [], 1, 0, False
-    for ma, la, ka in a_keys:
-        for mb, lb, kb in b_keys:
-            ab = get((ma, kb)) or rewrite(ma, mb) if any(ma[lb + 1:]) else None
-            if commute:
-                ba = get((mb, ka)) or rewrite(mb, ma) if any(mb[la + 1:]) else None
-                pair = () if ab is None is ba else (ab, ba)
-            else:
-                pair = (ab,)
-            records.append(pair)
-            for record in pair:
-                if record is None:
-                    ordered = True
-                    continue
-                _, lc, norm, wide_c, _ = record
-                if lc != dc:
-                    new = math.lcm(dc, lc)
-                    cn, dc = cn * (new // dc), new
-                norm *= dc // lc
-                cn = norm if norm > cn else cn
-                wide = wide or wide_c
-    cn = dc if ordered and dc > cn else cn
-    w = (na * nb * cn).bit_length() + 2 if wide or wide_b else 0
+    try:
+        for ma, la, ka in a_keys:
+            for mb, lb, kb in b_keys:
+                ab = get((ma, kb)) or rewrite(ma, mb) if any(ma[lb + 1:]) else None
+                if commute:
+                    ba = get((mb, ka)) or rewrite(mb, ma) if any(mb[la + 1:]) else None
+                    pair = () if ab is None is ba else (ab, ba)
+                else:
+                    pair = (ab,)
+                records.append(pair)
+                for record in pair:
+                    if record is None:
+                        ordered = True
+                        continue
+                    lc, norm, wide_c, _ = record
+                    if lc != dc:
+                        new = math.lcm(dc, lc)
+                        cn, dc = cn * (new // dc), new
+                    norm *= dc // lc
+                    cn = norm if norm > cn else cn
+                    wide = wide or wide_c
+        cn = dc if ordered and dc > cn else cn
+        w = (na * nb * cn).bit_length() + 2 if wide else 0
+        if size <= 16 and w > p._width:
+            raise _Overflow(w)
+    except _Overflow as exc:            # double the width and start again
+        p._table.clear()
+        while p._width < exc.args[0]:
+            p._width *= 2
+        return _sum_products(p, a_terms, b_terms, commute)
+    width, repack = p._width, w and size > 16
+    w = width if w and size <= 16 else w
     b_packed = [(m, (_pack(x, w) if len(x) > 1 else x[0]) * (db // d), r, v)
                 for m, x, d, r, v in b_parts]
     groups: dict[tuple, int] = {}
@@ -409,14 +421,14 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
                     key = (tuple(map(operator.add, ma, mb)), r, v or var)
                     groups[key] = groups.get(key, 0) + f * dc
                 else:
-                    g = f * (dc // record[1])
-                    for m, x, rc, vc in record[4]:
+                    g = f * (dc // record[0])
+                    for m, x, rc, vc, _ in record[3]:
                         if v and vc and v != vc:
                             raise ValueError(f"cannot mix variables {v!r} and {vc!r}")
                         key = (m, r if rc is None else rc if r is None else r * rc,
                                v or vc or var)
                         groups[key] = groups.get(key, 0) + g * (
-                            _pack(x, w) if len(x) > 1 else x[0])
+                            _pack(_unpack(x, width), w) if repack else x)
                 f = -f
     out: dict[Exponents, Scalar] = {}
     for (m, r, v), x in groups.items():
@@ -434,11 +446,11 @@ def _keys(terms: Mapping, n: int) -> list[tuple]:
 
 
 def _split(terms: Mapping) -> tuple:
-    """(L, N, wide, parts): the lcm L of the coefficients' int denominators,
-    the sum N of their numerator L1 norms over L, whether a numerator is
-    nonconstant, and per term (monomial, numerator ints, int denominator,
+    """(L, N, size, parts): the lcm L of the coefficients' int denominators,
+    the sum N of their numerator L1 norms over L, the most ints in a
+    numerator, and per term (monomial, numerator ints, int denominator,
     denominator or None if 1, variable or None if constant)."""
-    lcm, norm, wide, parts = 1, 0, False, []
+    lcm, norm, size, parts = 1, 0, 0, []
     for m, c in terms.items():
         num, s = c.num, c.den
         x, d = num._ints, num._den
@@ -447,19 +459,64 @@ def _split(terms: Mapping) -> tuple:
             norm, lcm = norm * (new // lcm), new
         norm += sum(map(abs, x)) * (lcm // d)
         r = None if len(s._ints) == 1 else s
-        wide = wide or len(x) > 1
+        size = len(x) if len(x) > size else size
         parts.append((m, x, d, r, num.var if r is not None or len(x) > 1 else None))
-    return lcm, norm, wide, parts
+    return lcm, norm, size, parts
 
 
-def _record(terms: dict[Exponents, Scalar]) -> tuple:
-    """A rewritten product as the table holds it: (terms, L, N, wide, parts),
-    split once (`_split`), each part (monomial, numerator ints over L,
-    denominator or None, variable or None)."""
-    lcm, norm, wide, parts = _split(terms)
-    return terms, lcm, norm, wide, [
-        (m, x if d == lcm else [c * (lcm // d) for c in x], r, v)
-        for m, x, d, r, v in parts]
+class _Overflow(Exception):
+    """A packed field would reach its guard bit (`ideals`), or a numerator
+    bound the product table's width, args[0] the width that holds it."""
+
+
+def _combine(summands: Sequence[tuple], w: int, var: str) -> tuple:
+    """The record of the sum of x·record/(d·r) over the summands (x, d, r,
+    n, record): x a numerator packed at 2^w of L1 norm at most n, d an int,
+    r a denominator or None.  The numerators share one int denominator, the
+    lcm; r is part of a term's key, so no fraction is reduced.  Each term
+    carries a bound on its L1 norm (those are submultiplicative); while it
+    is below 2^(w-1), the term's balanced base-2^w digits are unique, and it
+    is constant exactly when it lies in (-2^(w-1), 2^(w-1)).  A bound that
+    reaches 2^(w-1) raises `_Overflow`."""
+    out: dict[tuple, tuple[int, int]] = {}
+    den = math.lcm(*[d * record[0] for _, d, _, _, record in summands])
+    for x, d, r, n, record in summands:
+        s = den // (d * record[0])
+        x, n = x * s, n * s
+        for m, y, ry, _, ny in record[3]:
+            key = (m, r if ry is None else ry if r is None else r * ry)
+            old = out.get(key)
+            out[key] = (x * y, n * ny) if old is None else (old[0] + x * y, old[1] + n * ny)
+    if any(map(operator.itemgetter(1), out)):
+        out = _merge_powers(out, w)
+    half = 1 << (w - 1)
+    norm, wide, parts = 0, False, []
+    for (m, r), (x, n) in out.items():
+        if n >= half:
+            raise _Overflow(n.bit_length() + 1)
+        if x:
+            const = -half < x < half
+            norm, wide = norm + n, wide or not const
+            parts.append((m, x, r, None if r is None and const else var, n))
+    return den, norm, wide, parts
+
+
+def _merge_powers(out: dict, w: int) -> dict:
+    """`out` with the terms of a monomial whose denominators differ by a power
+    of the variable merged: x/(t^k·r) is x·t^(j-k)/(t^j·r), a shift by w·(j-k)."""
+    merged: dict[tuple, tuple] = {}
+    for (m, r), (x, n) in out.items():
+        k = 0 if r is None else next(k for k, c in enumerate(r._ints) if c)
+        key = (m, (1,), 1) if r is None else (m, r._ints[k:], r._den)
+        k0, r0, x0, n0 = merged.get(key, (k, r, 0, 0))
+        j = max(k, k0)
+        merged[key] = (j, r if k == j else r0, (x << w * (j - k)) + (x0 << w * (j - k0)),
+                       n + n0)
+    return {(m, r): (x, n) for (m, _, _), (_, r, x, n) in merged.items()}
+
+
+def _unit_record(m: Exponents) -> tuple:
+    return 1, 1, False, [(m, 1, None, None, 1)]
 
 
 def _pack(ints: Sequence[int], w: int) -> int:
@@ -467,9 +524,10 @@ def _pack(ints: Sequence[int], w: int) -> int:
 
     A long list is packed in halves joined by one shift (R. Brent,
     P. Zimmermann, "Modern Computer Arithmetic", 1.7), so the work is not
-    quadratic in its length; up to 16 ints, by Horner's rule.
+    quadratic in its length; up to 16 ints, or while the packing has at
+    most 4096 bits, by Horner's rule.
     """
-    if len(ints) > 16:
+    if len(ints) > 16 and len(ints) * w > 4096:
         h = len(ints) // 2
         return _pack(ints[:h], w) + (_pack(ints[h:], w) << (w * h))
     x = 0
@@ -737,46 +795,23 @@ def check_pbw_overlaps(p: PBWPresentation) -> OverlapReport:
     first at the right pair (j, i); agreement of the two reductions for all
     triples certifies that normal forms are unique and the ordered monomials
     form a basis (G. M. Bergman, "The diamond lemma for ring theory", Adv.
-    Math. 29, 1978).
-
-    Each one-step reduct is taken to a normal form through the product
-    table (`_reduce_after_first_step`).  The lemma needs each reduct taken
-    to a normal form by some sequence of rule applications, and every
-    table record is one: `_times` applies rule (k, i) inside
-    m0·x_k^(b-1)·(x_k x_i) and goes on from normal forms.  So when the two
-    sides agree, the ambiguity resolves.  When the rules are confluent,
-    every sequence reaches the one normal form, so a disagreement is a real
-    failure.  Pass or fail is thus the same under any reduction strategy;
-    only a failing triple's `left` and `right` depend on it.
+    Math. 29, 1978).  `_sum_products` takes each one-step reduct, rule (k, j)'s
+    right-hand side times x_i or x_k times rule (j, i)'s, to a normal form
+    through the product table, each of whose records a sequence of rule
+    applications reaches (`_times`), as the lemma needs.  When the rules are
+    confluent, every sequence reaches the one normal form, so pass or fail
+    does not depend on the reduction strategy; only a failing triple's
+    `left` and `right` do.
     """
-    n = len(p.generators)
+    n, unit = len(p.generators), (0,) * len(p.generators)
     checks = []
     for k, j, i in itertools.combinations(range(n - 1, -1, -1), 3):
         started = time.perf_counter()
-        left = _reduce_after_first_step(p, (k, j, i), left_first=True)
-        right = _reduce_after_first_step(p, (k, j, i), left_first=False)
+        left = NCPoly(p, _sum_products(p, p._rhs(k, j), {_bump(unit, i): p._one}))
+        right = NCPoly(p, _sum_products(p, {_bump(unit, k): p._one}, p._rhs(j, i)))
         checks.append(OverlapCheck((k, j, i), left == right, left, right,
                                    (time.perf_counter() - started) * 1000))
     return OverlapReport(tuple(checks))
-
-
-def _reduce_after_first_step(p: PBWPresentation, word: tuple[int, int, int],
-                             left_first: bool) -> NCPoly:
-    """Apply one rule to `word` at its left or right pair and reduce the
-    result: the left reduct is the rule's right-hand side times x_i, one
-    `_apply`; the right one folds x_k into each term letter by letter."""
-    k, j, i = word
-    active: set[tuple[Exponents, int]] = set()
-    if left_first:
-        return NCPoly(p, p._apply(p._rhs(k, j), i, active))
-    unit = (0,) * len(p.generators)
-    out: dict[Exponents, Scalar] = {}
-    for u, c in p._rhs(j, i).items():
-        terms = {_bump(unit, k): p._one}
-        for g in _exponents_to_word(u):
-            terms = p._apply(terms, g, active)
-        _add_scaled(out, terms, c, p._one)
-    return NCPoly(p, out)
 
 
 # -- growth -------------------------------------------------------------------
@@ -991,8 +1026,7 @@ def specialize_presentation(p: PBWPresentation, value: Rational) -> PBWPresentat
     memoized in `p._fibers`, so each fiber of p is built, and gets its
     overlap certificate, once.
     """
-    if not p.has_symbolic_parameter():
-        raise ValueError(f"{p.name} has no symbolic parameter")
+    p.require_symbolic_parameter()
     value = _as_rational(value)
     fiber = p._fibers.get(value)
     if fiber is None:

@@ -225,8 +225,7 @@ def semiclassical_limit(p: PBWPresentation) -> PoissonAlgebra:
     that every coefficient vanishes at 1 (else `NotCommutativeAtOne`),
     divides exactly by (par - 1) and evaluates at 1.
     """
-    if not p.has_symbolic_parameter():
-        raise ValueError(f"{p.name} has no symbolic parameter")
+    p.require_symbolic_parameter()
     if not p.is_confluent:
         raise ValueError(f"{p.name}: overlap check failed")
     shift = Scalar.variable(p.coeff_var) - 1

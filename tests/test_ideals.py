@@ -162,6 +162,15 @@ class TestGroebner:
             groebner(gens, MonomialOrder("lex"), hfe)
         with pytest.raises(ValueError, match="generator over the wrong variable list"):
             groebner([v("e"), CPoly.variable("e", hfe)])
+        # A zero generator over another variable list is rejected too, by
+        # `groebner` itself and through `CommIdeal`, with the same message.
+        zero = CPoly.variable("e", hfe) - CPoly.variable("e", hfe)
+        with pytest.raises(ValueError, match="^generator over the wrong variable list$"):
+            groebner([v("e"), zero], variables=VARS)
+        with pytest.raises(ValueError, match="^generator over the wrong variable list$"):
+            groebner([zero], variables=VARS)
+        with pytest.raises(ValueError, match="^generator over the wrong variable list$"):
+            CommIdeal(VARS, [v("e"), zero])
         # The h > f > e basis is asked for by precedence.
         gb = groebner(gens, MonomialOrder("lex", hfe), VARS)
         assert [str(g) for g in gb] == ["-e^3 + f", "e^2 + h"]

@@ -129,6 +129,14 @@ def copy_of(p: PBWPresentation) -> PBWPresentation:
                            p.parameter_value)
 
 
+def record_terms(p: PBWPresentation, record: tuple) -> dict:
+    """A product table record's terms as scalars."""
+    den, _, _, parts = record
+    return {m: Scalar(UniPoly([Fraction(c, den) for c in pbw._unpack(x, p._width)],
+                              p.coeff_var), UniPoly([1] if r is None else r.coeffs, p.coeff_var))
+            for m, x, r, _, _ in parts}
+
+
 def stack_depth() -> int:
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -232,16 +240,16 @@ class TestProductEngine:
     def test_repeated_multi_generator_product_does_no_rewriting(
             self, monkeypatch, name, a, b):
         p = copy_of(ENGINE_ALGEBRAS[name]())
-        first = p._rewrite(a, b)[0]
+        first = p._rewrite(a, b)
         word = _exponents_to_word(a) + _exponents_to_word(b)
-        assert first == word_normal_form(p, word)
+        assert record_terms(p, first) == word_normal_form(p, word)
 
         def rewrite(*args):
             raise AssertionError("a memoized product was rewritten")
 
         monkeypatch.setattr(p, "_times", rewrite)
         monkeypatch.setattr(p, "_apply", rewrite)
-        assert p._rewrite(a, b)[0] is first
+        assert p._rewrite(a, b) is first
 
     def test_looping_rules_raise(self):
         one = Scalar.of(1, "t")
@@ -254,6 +262,76 @@ class TestProductEngine:
         p._table.clear()
         with pytest.raises(RuntimeError, match="did not terminate"):
             p._rewrite((0, 0, 2), (0, 1, 0))
+
+
+def degree_six_pairs(p: PBWPresentation) -> list[tuple]:
+    """Pairs of monomials whose product has degree 6, two per split 1 + 5,
+    2 + 4, ..., 5 + 1, drawn with a fixed seed."""
+    rng = random.Random(f"six-{p.name}")
+
+    def monomial(degree):
+        exps = [0] * len(p.generators)
+        for _ in range(degree):
+            exps[rng.randrange(len(exps))] += 1
+        return tuple(exps)
+
+    return [(monomial(d), monomial(6 - d)) for d in range(1, 6) for _ in range(2)]
+
+
+class TestIntegerFill:
+    """The table filled on packed ints, from a cold table, at the narrowest
+    starting width and through a table emptied part-way, against whole-word
+    rewriting on every engine algebra."""
+
+    @pytest.mark.parametrize("mode", ["cold", "narrowest width", "evicting"])
+    @pytest.mark.parametrize("name", sorted(ENGINE_ALGEBRAS))
+    def test_degree_six_products_match_word_rewriting(self, monkeypatch, name, mode):
+        cap = 3
+        if mode == "narrowest width":
+            monkeypatch.setattr(pbw, "_START_WIDTH", 2)
+        if mode == "evicting":
+            monkeypatch.setattr(pbw, "_MAX_TABLE_ENTRIES", cap)
+        p = copy_of(ENGINE_ALGEBRAS[name]())
+        p._table.clear()
+        p._width = pbw._START_WIDTH
+        for a, b in degree_six_pairs(p):
+            word = _exponents_to_word(a) + _exponents_to_word(b)
+            assert multiply(p.monomial(a), p.monomial(b)).terms == word_normal_form(p, word)
+        if mode == "narrowest width":
+            assert p._width > 2
+        if mode == "evicting":
+            assert len(p._table) <= cap
+
+    def test_a_numerator_that_vanishes_at_the_width_widens_the_table(self, monkeypatch):
+        # 4 - t is 0 at t = 2^2: packed at the narrowest width, y·x would
+        # lose its term (4 - t)·x if the bound did not widen the table.
+        monkeypatch.setattr(pbw, "_START_WIDTH", 2)
+        one, t = Scalar.of(1, "t"), Scalar.variable("t")
+        p = PBWPresentation("V", ("x", "y"), {(1, 0): SwapRule(one, {(1, 0): 4 - t})},
+                            parameter="t")
+        assert multiply(p.generator(1), p.generator(0)).terms == {(1, 1): one, (1, 0): 4 - t}
+        assert p._width > 2
+
+    @pytest.mark.parametrize("name", ["B", "B_q", "S", "T"])
+    def test_long_numerators_match_word_rewriting(self, name):
+        # Operand numerators of more than 16 ints pack at the least width,
+        # and the records' ints are repacked at it.
+        p = copy_of(ENGINE_ALGEBRAS[name]())
+        t = Scalar.variable(p.coeff_var)
+        x, y, z = (p.generator(k) for k in range(3))
+        a = z.scale((t + 1) ** 20) + y.scale(t ** 17 - 3)
+        b = y.scale(t ** 18) + x + z
+        assert multiply(a, b).terms == word_rewriting_product(p, a.terms, b.terms)
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_ALGEBRAS))
+    def test_a_degree_six_fill_outgrows_the_evicting_table(self, name):
+        # So the evicting runs above empty the table in the middle of a fill.
+        p, entries = copy_of(ENGINE_ALGEBRAS[name]()), []
+        for a, b in degree_six_pairs(p):
+            p._table.clear()
+            multiply(p.monomial(a), p.monomial(b))
+            entries.append(len(p._table))
+        assert max(entries) > 3
 
 
 def word_rewriting_product(p, a, b):
@@ -438,14 +516,14 @@ class TestProductRecords:
         built = len(p._table)
         splits = []
 
-        def record(terms):
+        def record(key, entry):
             if splits:
                 raise AssertionError("a stored product was split again")
-            splits.append(terms)
-            return split(terms)
+            splits.append(key)
+            return split(key, entry)
 
-        split = pbw._record
-        monkeypatch.setattr(pbw, "_record", record)
+        split = p._store
+        monkeypatch.setattr(p, "_store", record)
         first = multiply(h, f)
         # h·f is rewritten once, through the swap rule (h, f) alone.
         assert len(splits) == 1 and len(p._table) == built + 1
