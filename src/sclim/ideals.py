@@ -68,7 +68,6 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
-from .pbw import _Overflow
 from .poisson import CPoly, PoissonAlgebra
 
 Exponents = tuple[int, ...]
@@ -110,6 +109,10 @@ class MonomialOrder:
                 or sorted(precedence) != sorted(variables)):
             raise ValueError("precedence list must mention every variable once")
         return _ring(self.kind, tuple(map(variables.index, precedence)), _FIELD_BITS)
+
+
+class _Overflow(Exception):
+    """A packed exponent field would reach its guard bit."""
 
 
 class _Ring:

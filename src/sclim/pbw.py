@@ -11,12 +11,10 @@ exponent vectors to scalars, the exponent vector (i, j, k) standing for the
 ordered monomial x_0^i x_1^j x_2^k.
 
 Multiplication reads products of a normal monomial and one generator from a
-memoized table, which the swap rules fill one generator at a time (see
-`PBWPresentation._times`) on numerators packed at 2^W over int denominators:
-no `Scalar` is made until a product leaves the table.  The rules are
-degree-compatible (rewriting never raises total degree), so products
-terminate and normal forms are well defined whenever the overlap check
-below passes.
+memoized table, which the swap rules fill one generator at a time on packed
+ints (see `PBWPresentation._times`).  The rules are degree-compatible
+(rewriting never raises total degree), so products terminate and normal
+forms are well defined whenever the overlap check below passes.
 
 `check_pbw_overlaps` is the confluence certificate: for every generator triple
 k > j > i it reduces x_k x_j x_i along both association orders, through the
@@ -79,11 +77,10 @@ class PBWPresentation:
     i to the record of m·x_i, for every such product with a generator of m
     above i, and a pair (a, b) of normal monomials, b with more than one
     generator, to the record of a·b when it is not a + b.  A record is the
-    normal form, its numerators packed at 2^`_width` over one int
-    denominator (`_combine`), so neither filling nor reading the table does
-    rational arithmetic; a numerator that outgrows the width doubles it and
-    empties the table.  The table gains an entry for each product not seen
-    before, holds at most `_MAX_TABLE_ENTRIES` and is emptied when full.
+    normal form on ints packed at 2^`_width` (`_combine`), so neither filling
+    nor reading the table does rational arithmetic; a numerator that outgrows
+    the width doubles it and empties the table (`_widen`).  The table holds
+    at most `_MAX_TABLE_ENTRIES` and is emptied when full.
     `_fibers` maps a parameter value to the fiber at that value (see
     `specialize_presentation`) and holds at most `_MAX_FIBERS`; when it is
     full, a new fiber replaces the newest one.
@@ -244,23 +241,21 @@ class PBWPresentation:
                  for u, x, r, v, n in parts if not any(u[g + 1:])]
         if len(moved) == len(parts):
             return den, norm, wide, moved
-        return _combine([(1, 1, None, 1, (den, norm, wide, moved))] + [
+        first = [(1, 1, None, 1, (den, norm, wide, moved))] if moved else []
+        return _combine(first + [
             (x, den, r, n, self._times(u, g, active)) for u, x, r, _, n in parts
             if any(u[g + 1:])], self._width, self.coeff_var)
 
     def _times(self, m: Exponents, i: int, active: set) -> tuple:
         """The record of m·x_i, for a monomial m with a generator above i.
 
-        With k the last generator of m and m = m0·x_k^a, the swap rule (k, i)
-        gives, for b = 1..a,
-
-            (m0 x_k^b)·x_i = c·((m0 x_k^(b-1))·x_i)·x_k + (m0 x_k^(b-1))·tail.
-
-        The loop starts from b = a when the table holds (m0 x_k^(a-1))·x_i,
-        and from m0·x_i otherwise, so the recursion only ever moves to
-        another generator and its depth does not grow with a.  `active`
-        holds the products being built; meeting one of them again means the
-        rules loop.
+        With k the last generator of m and m = m0·x_k^a, (m0 x_k^b)·x_i is
+        (m0 x_k^(b-1))·(x_k x_i) with rule (k, i) applied in the middle
+        (`_expand`), for b = 1..a.  The loop starts from b = a when the table
+        holds (m0 x_k^(a-1))·x_i, and from m0·x_i otherwise, so the recursion
+        only ever moves to another generator and its depth does not grow
+        with a.  `active` holds the products being built; meeting one of
+        them again means the rules loop.
         """
         table = self._table
         key = (m, i)
@@ -271,30 +266,15 @@ class PBWPresentation:
             raise BudgetExceeded("rewriting did not terminate; rules are invalid")
         active.add(key)
         k = max(filter(m.__getitem__, range(len(m))))
-        (_, cx, cd, cr, _), *tail = self.swap_rules[(k, i)].ints
-        head, rest, w = m[:k], m[k + 1:], self._width
-
-        def power(b: int) -> Exponents:             # m0·x_k^b
-            return head + (b,) + rest
-
+        head, rest = m[:k], m[k + 1:]               # m0·x_k^b is head + (b,) + rest
         b = m[k] - 1
-        record = table.get((power(b), i))
+        record = table.get((head + (b,) + rest, i))
         if record is None:
             b = 0
-            record = self._apply(_unit_record(power(0)), i, active)
+            record = self._apply(_unit_record(head + (0,) + rest), i, active)
         for b in range(b + 1, m[k] + 1):
-            summands = [(_pack(cx, w), cd, cr, sum(map(abs, cx)),
-                         self._apply(record, k, active))]
-            for word, tx, td, tr, _ in tail:
-                # (m0 x_k^(b-1))·x_i is the previous step's product.
-                if word[:1] == (i,):
-                    part, word = record, word[1:]
-                else:
-                    part = _unit_record(power(b - 1))
-                for g in word:
-                    part = self._apply(part, g, active)
-                summands.append((_pack(tx, w), td, tr, sum(map(abs, tx)), part))
-            record = _combine(summands, w, self.coeff_var)
+            # (m0 x_k^(b-1))·x_i is the previous step's product.
+            record = self._expand(head + (b - 1,) + rest, k, i, (), active, record)
         active.discard(key)
         return self._store(key, record)
 
@@ -304,6 +284,35 @@ class PBWPresentation:
             self._table.clear()
         self._table[key] = record
         return record
+
+    def _widen(self, bits: int) -> None:
+        """Empty the table and double its width until it has `bits`."""
+        self._table.clear()
+        while self._width < bits:
+            self._width *= 2
+
+    def _expand(self, a: Exponents, j: int, i: int, after: tuple, active: set,
+                known: Optional[tuple] = None) -> tuple:
+        """The record of x^a·(c·x_i x_j + tail)·x_after, rule (j, i)'s
+        right-hand side in the middle; `known`, if given, is that of x^a·x_i."""
+        w, summands = self._width, []
+        for word, x, d, r, _ in self.swap_rules[(j, i)].ints:
+            word, part = ((i, j) if word is None else word) + after, _unit_record(a)
+            if known is not None and word[:1] == (i,):
+                word, part = word[1:], known
+            for g in word:
+                part = self._apply(part, g, active)
+            summands.append((_pack(x, w), d, r, sum(map(abs, x)), part))
+        return _combine(summands, w, self.coeff_var)
+
+    def _reduct(self, a: Exponents, j: int, i: int, after: tuple) -> dict:
+        """The normal form of x^a·(right-hand side of rule (j, i))·x_after."""
+        try:
+            den, _, _, parts = self._expand(a, j, i, after, set())
+        except _Overflow as exc:
+            self._widen(exc.args[0])
+            return self._reduct(a, j, i, after)
+        return _as_terms(parts, den, self._width, self.coeff_var)
 
 
 def _bump(m: Exponents, g: int) -> Exponents:
@@ -358,8 +367,8 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
     norms are submultiplicative, so each int of a product is at most
     N_a·N_b·C < 2^(w-2), and each int of a commutator at most twice that: a
     balanced digit, and those are unique.  Constants need no width, w = 0.
-    Operand numerators of up to 16 ints pack at the table's width, as the
-    records do; longer ones at the least w, with the records' ints repacked.
+    Operands of at most 16 ints pack at the table's width when w fits in it;
+    others at the least w, the records' ints repacked.
     """
     get, rewrite, n, var = p._table.get, p._rewrite, len(p.generators), p.coeff_var
     da, na, size, a_parts = _split(a_terms)
@@ -393,17 +402,14 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
                     norm *= dc // lc
                     cn = norm if norm > cn else cn
                     wide = wide or wide_c
-        cn = dc if ordered and dc > cn else cn
-        w = (na * nb * cn).bit_length() + 2 if wide else 0
-        if size <= 16 and w > p._width:
-            raise _Overflow(w)
     except _Overflow as exc:            # double the width and start again
-        p._table.clear()
-        while p._width < exc.args[0]:
-            p._width *= 2
+        p._widen(exc.args[0])
         return _sum_products(p, a_terms, b_terms, commute)
-    width, repack = p._width, w and size > 16
-    w = width if w and size <= 16 else w
+    cn = dc if ordered and dc > cn else cn
+    w = (na * nb * cn).bit_length() + 2 if wide else 0
+    width = p._width
+    repack = w > width or size > 16
+    w = width if w and not repack else w
     b_packed = [(m, (_pack(x, w) if len(x) > 1 else x[0]) * (db // d), r, v)
                 for m, x, d, r, v in b_parts]
     groups: dict[tuple, int] = {}
@@ -430,11 +436,17 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
                         groups[key] = groups.get(key, 0) + g * (
                             _pack(_unpack(x, width), w) if repack else x)
                 f = -f
+    return _as_terms([(m, x, r, v) for (m, r, v), x in groups.items()], da * db * dc, w, var)
+
+
+def _as_terms(parts: Sequence[tuple], den: int, w: int, var: str) -> dict:
+    """The terms x/(den·r) at their monomials m over the parts (m, x, r, v,
+    ...), x packed at 2^w, v the variable or None; zero numerators are skipped."""
     out: dict[Exponents, Scalar] = {}
-    for (m, r, v), x in groups.items():
+    for m, x, r, v, *_ in parts:
         if x:
-            num = _canonical(_unpack(x, w) if w else [x], da * db * dc, v)
-            _accumulate(out, m, _over(num, _unit(v)) if r is None else Scalar(num, r))
+            num = _canonical(_unpack(x, w) if w else [x], den, v or var)
+            _accumulate(out, m, _over(num, _unit(v or var)) if r is None else Scalar(num, r))
     return out
 
 
@@ -465,19 +477,19 @@ def _split(terms: Mapping) -> tuple:
 
 
 class _Overflow(Exception):
-    """A packed field would reach its guard bit (`ideals`), or a numerator
-    bound the product table's width, args[0] the width that holds it."""
+    """A numerator bound reaches the table's width; args[0] is a width that holds it."""
 
 
 def _combine(summands: Sequence[tuple], w: int, var: str) -> tuple:
     """The record of the sum of x·record/(d·r) over the summands (x, d, r,
     n, record): x a numerator packed at 2^w of L1 norm at most n, d an int,
-    r a denominator or None.  The numerators share one int denominator, the
-    lcm; r is part of a term's key, so no fraction is reduced.  Each term
-    carries a bound on its L1 norm (those are submultiplicative); while it
-    is below 2^(w-1), the term's balanced base-2^w digits are unique, and it
-    is constant exactly when it lies in (-2^(w-1), 2^(w-1)).  A bound that
-    reaches 2^(w-1) raises `_Overflow`."""
+    r a denominator or None, part of a term's key, so no fraction is reduced.
+    Each term carries a bound on its L1 norm (those are submultiplicative);
+    below 2^(w-1), its balanced base-2^w digits are unique, and it is
+    constant exactly when it lies in (-2^(w-1), 2^(w-1)).  A bound that
+    reaches 2^(w-1) raises `_Overflow`.  One summand 1·record is the record."""
+    if len(summands) == 1 and summands[0][:4] == (1, 1, None, 1):
+        return summands[0][4]
     out: dict[tuple, tuple[int, int]] = {}
     den = math.lcm(*[d * record[0] for _, d, _, _, record in summands])
     for x, d, r, n, record in summands:
@@ -524,10 +536,9 @@ def _pack(ints: Sequence[int], w: int) -> int:
 
     A long list is packed in halves joined by one shift (R. Brent,
     P. Zimmermann, "Modern Computer Arithmetic", 1.7), so the work is not
-    quadratic in its length; up to 16 ints, or while the packing has at
-    most 4096 bits, by Horner's rule.
+    quadratic in its length; up to 16 ints, by Horner's rule.
     """
-    if len(ints) > 16 and len(ints) * w > 4096:
+    if len(ints) > 16:
         h = len(ints) // 2
         return _pack(ints[:h], w) + (_pack(ints[h:], w) << (w * h))
     x = 0
@@ -606,11 +617,7 @@ class SparsePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        self._check_compatible(o)
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            _accumulate(out, e, -c)
-        return self._new(out)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -795,20 +802,19 @@ def check_pbw_overlaps(p: PBWPresentation) -> OverlapReport:
     first at the right pair (j, i); agreement of the two reductions for all
     triples certifies that normal forms are unique and the ordered monomials
     form a basis (G. M. Bergman, "The diamond lemma for ring theory", Adv.
-    Math. 29, 1978).  `_sum_products` takes each one-step reduct, rule (k, j)'s
-    right-hand side times x_i or x_k times rule (j, i)'s, to a normal form
-    through the product table, each of whose records a sequence of rule
-    applications reaches (`_times`), as the lemma needs.  When the rules are
-    confluent, every sequence reaches the one normal form, so pass or fail
-    does not depend on the reduction strategy; only a failing triple's
-    `left` and `right` do.
+    Math. 29, 1978).  `PBWPresentation._reduct` takes each one-step reduct,
+    rule (k, j)'s right-hand side times x_i or x_k times rule (j, i)'s, to a
+    normal form through the product table, whose records rule applications
+    reach (`_times`), as the lemma needs.  With confluent rules every such
+    sequence reaches the one normal form, so only a failing triple's `left`
+    and `right` depend on the strategy.
     """
     n, unit = len(p.generators), (0,) * len(p.generators)
     checks = []
     for k, j, i in itertools.combinations(range(n - 1, -1, -1), 3):
         started = time.perf_counter()
-        left = NCPoly(p, _sum_products(p, p._rhs(k, j), {_bump(unit, i): p._one}))
-        right = NCPoly(p, _sum_products(p, {_bump(unit, k): p._one}, p._rhs(j, i)))
+        left = NCPoly(p, p._reduct(unit, k, j, (i,)))
+        right = NCPoly(p, p._reduct(_bump(unit, k), j, i, ()))
         checks.append(OverlapCheck((k, j, i), left == right, left, right,
                                    (time.perf_counter() - started) * 1000))
     return OverlapReport(tuple(checks))
