@@ -30,7 +30,7 @@ import operator
 import time
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .arith import Rational, Scalar, UniPoly, _as_rational, _canonical, _over, _unit
 from .errors import BudgetExceeded, MixedPresentations
@@ -312,7 +312,8 @@ class PBWPresentation:
         except _Overflow as exc:
             self._widen(exc.args[0])
             return self._reduct(a, j, i, after)
-        return _as_terms(parts, den, self._width, self.coeff_var)
+        var = self.coeff_var
+        return _as_terms([((m, r, v or var), x) for m, x, r, v, _ in parts], den, self._width)
 
 
 def _bump(m: Exponents, g: int) -> Exponents:
@@ -436,17 +437,17 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
                         groups[key] = groups.get(key, 0) + g * (
                             _pack(_unpack(x, width), w) if repack else x)
                 f = -f
-    return _as_terms([(m, x, r, v) for (m, r, v), x in groups.items()], da * db * dc, w, var)
+    return _as_terms(groups.items(), da * db * dc, w)
 
 
-def _as_terms(parts: Sequence[tuple], den: int, w: int, var: str) -> dict:
-    """The terms x/(den·r) at their monomials m over the parts (m, x, r, v,
-    ...), x packed at 2^w, v the variable or None; zero numerators are skipped."""
+def _as_terms(groups: Iterable[tuple], den: int, w: int) -> dict:
+    """The terms x/(den·r) at their monomials m over the groups ((m, r, v),
+    x), x packed at 2^w in the variable v; zero numerators are skipped."""
     out: dict[Exponents, Scalar] = {}
-    for m, x, r, v, *_ in parts:
+    for (m, r, v), x in groups:
         if x:
-            num = _canonical(_unpack(x, w) if w else [x], den, v or var)
-            _accumulate(out, m, _over(num, _unit(v or var)) if r is None else Scalar(num, r))
+            num = _canonical(_unpack(x, w) if w else [x], den, v)
+            _accumulate(out, m, _over(num, _unit(v)) if r is None else Scalar(num, r))
     return out
 
 
@@ -617,7 +618,11 @@ class SparsePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        self._check_compatible(o)
+        out = dict(self.terms)
+        for e, c in o.terms.items():
+            _accumulate(out, e, -c)
+        return self._new(out)
 
     def __rsub__(self, other):
         o = self._coerce(other)
