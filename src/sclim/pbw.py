@@ -285,11 +285,10 @@ class PBWPresentation:
         self._table[key] = record
         return record
 
-    def _widen(self, bits: int) -> None:
-        """Empty the table and double its width until it has `bits`."""
+    def _widen(self) -> None:
+        """Empty the table and double its width."""
         self._table.clear()
-        while self._width < bits:
-            self._width *= 2
+        self._width *= 2
 
     def _expand(self, a: Exponents, j: int, i: int, after: tuple, active: set,
                 known: Optional[tuple] = None) -> tuple:
@@ -302,18 +301,18 @@ class PBWPresentation:
                 word, part = word[1:], known
             for g in word:
                 part = self._apply(part, g, active)
-            summands.append((_pack(x, w), d, r, sum(map(abs, x)), part))
+            summands.append((_pack(x, w) if len(x) > 1 else x[0], d, r, sum(map(abs, x)), part))
         return _combine(summands, w, self.coeff_var)
 
     def _reduct(self, a: Exponents, j: int, i: int, after: tuple) -> dict:
         """The normal form of x^a·(right-hand side of rule (j, i))·x_after."""
         try:
-            den, _, _, parts = self._expand(a, j, i, after, set())
-        except _Overflow as exc:
-            self._widen(exc.args[0])
+            den, _, wide, parts = self._expand(a, j, i, after, set())
+        except _Overflow:
+            self._widen()
             return self._reduct(a, j, i, after)
-        var = self.coeff_var
-        return _as_terms([((m, r, v or var), x) for m, x, r, v, _ in parts], den, self._width)
+        var, w = self.coeff_var, self._width if wide else 0
+        return _as_terms([((m, r, v or var), x) for m, x, r, v, _ in parts], den, w)
 
 
 def _bump(m: Exponents, g: int) -> Exponents:
@@ -403,8 +402,8 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
                     norm *= dc // lc
                     cn = norm if norm > cn else cn
                     wide = wide or wide_c
-    except _Overflow as exc:            # double the width and start again
-        p._widen(exc.args[0])
+    except _Overflow:                   # double the width and start again
+        p._widen()
         return _sum_products(p, a_terms, b_terms, commute)
     cn = dc if ordered and dc > cn else cn
     w = (na * nb * cn).bit_length() + 2 if wide else 0
@@ -478,7 +477,7 @@ def _split(terms: Mapping) -> tuple:
 
 
 class _Overflow(Exception):
-    """A numerator bound reaches the table's width; args[0] is a width that holds it."""
+    """A numerator bound in a record reaches the product table's width."""
 
 
 def _combine(summands: Sequence[tuple], w: int, var: str) -> tuple:
@@ -506,7 +505,7 @@ def _combine(summands: Sequence[tuple], w: int, var: str) -> tuple:
     norm, wide, parts = 0, False, []
     for (m, r), (x, n) in out.items():
         if n >= half:
-            raise _Overflow(n.bit_length() + 1)
+            raise _Overflow
         if x:
             const = -half < x < half
             norm, wide = norm + n, wide or not const
