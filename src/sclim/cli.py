@@ -333,6 +333,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
+    # Exact coefficients outgrow the 4,300 digits to which Python 3.10.7+
+    # limits the conversion of an int to and from text.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(main())
 
 

@@ -94,8 +94,9 @@ class _RingContext:
     generator, named in `gens` with its index, is a new one-term dict where
     it is read, so sums go into their dicts in place; a name in `scalars`
     (the parameter, which a generator of the same name shadows) is a
-    coefficient.  Two dicts multiply as the ring elements `wrap` makes of
-    them, and `parse` wraps its result; `wrap` is None for `Scalar`.
+    coefficient.  Two dicts multiply, and a dict takes a power, as the ring
+    elements `wrap` makes of them, and `parse` wraps its result; `wrap` is
+    None for `Scalar`.
     """
 
     def __init__(self, coeff, wrap, unit, one, gens: dict, scalars: dict):
@@ -186,13 +187,10 @@ class _RingContext:
         return out
 
     def _power(self, a, k: int):
-        """a^k; a term dict's power makes k - 1 products."""
+        """a^k."""
         if type(a) is not dict:
             return a ** k
-        out = a if k else {self.unit: self.one}
-        for _ in range(k - 1):
-            out = self._times(out, a)
-        return out
+        return (self.wrap(a) ** k).terms
 
     def _divide(self, a, b, pos: int):
         if type(b) is dict:

@@ -72,15 +72,18 @@ class SwapRule:
 class PBWPresentation:
     """Ordered generators plus swap rules.
 
-    Fixed once constructed, except two memos, each written without a lock.
+    Fixed once constructed, except three memos, each written without a lock.
     The product table `_table` maps a normal monomial m and a generator index
     i to the record of m·x_i, for every such product with a generator of m
     above i, and a pair (a, b) of normal monomials, b with more than one
-    generator, to the record of a·b when it is not a + b.  A record is the
+    generator, to the record of a·b when it is not a + b; filling a·b stores
+    a·m for every prefix m of b on the way (`_rewrite`).  A record is the
     normal form on ints packed at 2^`_width` (`_combine`), so neither filling
     nor reading the table does rational arithmetic; a numerator that outgrows
     the width doubles it and empties the table (`_widen`).  The table holds
     at most `_MAX_TABLE_ENTRIES` and is emptied when full.
+    `_left` is None until the first power above the square reads from the
+    table on which side powers multiply (`_left_first`).
     `_fibers` maps a parameter value to the fiber at that value (see
     `specialize_presentation`) and holds at most `_MAX_FIBERS`; when it is
     full, a new fiber replaces the newest one.
@@ -108,6 +111,7 @@ class PBWPresentation:
         self._one = Scalar.of(1, self.coeff_var)
         self._table: dict[tuple[Exponents, int | Exponents], tuple] = {}
         self._width = _START_WIDTH
+        self._left: Optional[bool] = None
         self._fibers: dict[Rational, PBWPresentation] = {}
         # The parametric presentation whose fiber this is, set only by
         # `specialize_presentation` before the fiber is handed out.
@@ -219,19 +223,49 @@ class PBWPresentation:
 
         The record is stored under (a, i) when b is x_i and under (a, b)
         otherwise, so each product is rewritten once while the table holds
-        it.
+        it.  A longer b is filled from its prefixes, the ordered monomials
+        its generators make as they enter one at a time, lowest first: a
+        loop walks down to the longest prefix m whose a·m the table holds,
+        then applies each remaining generator once and stores every prefix
+        it passes, so a·(m·x_g) costs one `_apply` once a·m is known.
         """
         word = _exponents_to_word(b)
         active: set[tuple[Exponents, int]] = set()
-        if len(word) == 1:
-            return self._times(a, word[0], active)
-        record = self._table.get((a, b))
-        if record is None:
+        end, m = len(word), b               # m is the prefix word[:end]
+        while end > 1:
+            record = self._table.get((a, m))
+            if record is not None:
+                break
+            end -= 1
+            g = word[end]
+            m = m[:g] + (m[g] - 1,) + m[g + 1:]
+        else:
             record = self._times(a, word[0], active)
-            for g in word[1:]:
-                record = self._apply(record, g, active)
-            record = self._store((a, b), record)
+        for g in word[end:]:
+            m = _bump(m, g)
+            record = self._store((a, m), self._apply(record, g, active))
         return record
+
+    def _left_first(self) -> bool:
+        """Whether powers multiply on the left, x^k = x·x^(k-1).
+
+        Which side is cheaper depends on the rules: under B's, h^c·e =
+        e·(h + 2(t-1))^c has c + 1 terms but h·e^a = e^a·(h + 2a(t-1)) two.
+        So the parts of the records x_j·x_i^3 (left) and x_j^3·x_i (right)
+        are summed over the pairs j > i, once, and ties go left.
+        """
+        if self._left is None:
+            unit, sizes = (0,) * len(self.generators), [0, 0]
+            try:
+                for j, i in self.swap_rules:
+                    xj, xi = _bump(unit, j), _bump(unit, i)
+                    sizes[0] += len(self._rewrite(xj, _bump(_bump(xi, i), i))[3])
+                    sizes[1] += len(self._rewrite(_bump(_bump(xj, j), j), xi)[3])
+            except _Overflow:
+                self._widen()
+                return self._left_first()
+            self._left = sizes[0] <= sizes[1]
+        return self._left
 
     def _apply(self, record: tuple, g: int, active: set) -> tuple:
         """The record of the sum of c·(u·x_g) over the parts c·u of `record`;
@@ -582,7 +616,8 @@ class SparsePoly:
     * `_const`, the constant element, and `_new`, which wraps terms that are
       already canonical without validating them again;
     * `_same_ring` and `_check_compatible`, which raises the ring's error;
-    * `_product`, the product of two elements.
+    * `_product`, the product of two elements, and `_left_first`, whether
+      powers multiply on the left (by default they do not).
     """
 
     __slots__ = ("terms",)
@@ -652,14 +687,19 @@ class SparsePoly:
         return self._new({e: c * f for e, c in self.terms.items()})
 
     def __pow__(self, exponent: int):
+        """x^k by k - 1 products, x·x^(k-1) for k > 2 if `_left_first`."""
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         if exponent == 0:
             return self._const(1)
+        left = exponent > 2 and self._left_first()
         result = self._new(dict(self.terms))
         for _ in range(exponent - 1):
-            result = result * self
+            result = self * result if left else result * self
         return result
+
+    def _left_first(self) -> bool:
+        return False
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, self._scalars):
@@ -707,6 +747,9 @@ class NCPoly(SparsePoly):
 
     def _product(self, other: "NCPoly") -> "NCPoly":
         return multiply(self, other)
+
+    def _left_first(self) -> bool:
+        return self.presentation._left_first()
 
     def leading_monomial(self) -> Exponents:
         """Highest monomial in degree-then-lex order."""

@@ -1,6 +1,7 @@
 """Tests for the expression language and the command-line front end."""
 
 import ast
+import decimal
 import json
 import operator
 import os
@@ -728,6 +729,21 @@ class TestModuleEntry:
         done = _fresh_python("-m", "sclim", "nf", "--algebra", "B", "f*e")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "e*f + (-t+1)*h"
+
+    @pytest.mark.parametrize("expr", ["(2*h)^20000", "2^20000*h^20000"],
+                             ids=["power", "literal"])
+    def test_prints_and_reads_ints_past_the_digit_limit(self, expr):
+        # 2^20000 has 6,021 digits, more than the 4,300 to which Python
+        # limits int-text conversion by default.  Decimal digits are built
+        # here without that conversion.
+        with decimal.localcontext() as context:
+            context.prec = 7000
+            digits = str(decimal.Decimal(2) ** 20000)
+        if expr == "2^20000*h^20000":
+            expr = f"{digits}*h^20000"
+        done = _fresh_python("-m", "sclim", "nf", "--algebra", "B", expr)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == f"{digits}*h^20000"
 
     # In-process tests run after every module is imported; a fresh
     # interpreter loads only what the command's handler imports.

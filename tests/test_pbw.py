@@ -17,6 +17,7 @@ from helpers import (corrupted_b, gl_presentation, nonzero, random_ncpoly,
 from sclim import pbw
 from sclim.arith import Scalar, UniPoly
 from sclim.errors import MixedPresentations
+from sclim.exprs import parse_expression
 from sclim.pbw import (AlgebraMorphism, B, B_lambda, B_q, NCPoly,
                        PBWPresentation, Representation, SwapRule, Usl2,
                        _exponents_to_word, annihilates, casimir,
@@ -76,9 +77,11 @@ class TestMultiply:
 
         product = pbw.multiply
         monkeypatch.setattr(pbw, "multiply", counting)
-        power = x ** k
-        assert power == expected and power is not x
-        assert len(calls) == max(k - 1, 0)
+        for make in (lambda: x ** k, lambda: parse_expression(f"(e + f/2)^{k}", p)):
+            power = make()
+            assert power == expected and power is not x
+            assert len(calls) == max(k - 1, 0)
+            calls.clear()
 
     def test_normal_form_idempotent(self):
         rng = random.Random(201)
@@ -112,6 +115,19 @@ def scaled_sl2_file() -> PBWPresentation:
            ("h", "f"): ("2/(t-1)", "f")}
     return presentation_from_json({
         "name": "S", "generators": ["e", "f", "h"],
+        "parameter": {"symbol": "t", "value": None},
+        "relations": [{"lhs": list(lhs), "coeff": "1",
+                       "rhs": [{"coeff": c, "monomial": {g: 1}}]}
+                      for lhs, (c, g) in rhs.items()]})
+
+
+def cartan_first() -> PBWPresentation:
+    """B's rules with h ordered first, h < e < f, read from a presentation
+    file: every tail is a multiple of the larger generator of its pair."""
+    rhs = {("e", "h"): ("-2*(t-1)", "e"), ("f", "h"): ("2*(t-1)", "f"),
+           ("f", "e"): ("-(t-1)", "h")}
+    return presentation_from_json({
+        "name": "C", "generators": ["h", "e", "f"],
         "parameter": {"symbol": "t", "value": None},
         "relations": [{"lhs": list(lhs), "coeff": "1",
                        "rhs": [{"coeff": c, "monomial": {g: 1}}]}
@@ -572,6 +588,76 @@ class TestProductRecords:
         expected = sympy.Poly(linear ** 12, e, f, h).as_dict()
         got = {m: at_one(c) for m, c in (z ** 12).terms.items()}
         assert {m: c for m, c in got.items() if c} == expected
+
+
+class TestPowerSide:
+    """Powers multiply on the side the presentation's table reads as cheaper;
+    a left product a·b is filled from the prefixes of b."""
+
+    @pytest.mark.parametrize("mode", ["cold", "narrowest width", "evicting"])
+    @pytest.mark.parametrize("name", sorted(ENGINE_ALGEBRAS) + ["C"])
+    def test_powers_match_the_right_chain_and_word_rewriting(self, monkeypatch, name, mode):
+        if mode == "narrowest width":
+            monkeypatch.setattr(pbw, "_START_WIDTH", 2)
+        if mode == "evicting":
+            monkeypatch.setattr(pbw, "_MAX_TABLE_ENTRIES", 3)
+        made = cartan_first() if name == "C" else ENGINE_ALGEBRAS[name]()
+        rng = random.Random(f"powers-{name}")
+        for k in range(7):
+            p, q = copy_of(made), copy_of(made)
+            for r in (p, q):
+                r._table.clear()
+                r._width = pbw._START_WIDTH
+            x = random_ncpoly(rng, p, max_degree=2, max_terms=3)
+            chain = q.one()
+            for _ in range(k):
+                chain = multiply(chain, NCPoly(q, x.terms))
+            expected = {(0,) * len(p.generators): p._one}
+            for _ in range(k):
+                expected = word_rewriting_product(p, expected, x.terms)
+            assert (x ** k).terms == chain.terms == expected
+
+    @pytest.mark.parametrize("name, left", [
+        ("B", True), ("Usl2", True), ("S", True), ("T", True), ("Q4", True),
+        ("U(gl_3)", True), ("C", False)])
+    def test_the_side_is_read_from_the_table(self, name, left):
+        made = {**ENGINE_ALGEBRAS, "U(gl_3)": lambda: gl_presentation(3), "C": cartan_first}
+        p = copy_of(made[name]())
+        assert p._left_first() is left
+        assert p._left is left
+
+    def test_left_powers_keep_records_short(self):
+        # Right products h^c·e = e·(h + 2(t-1))^c have c + 1 parts; left
+        # ones, h·e^a = e^a·(h + 2a(t-1)), two.  The overlap check and the
+        # side probe store h^3·e and fh·e, of four parts, so the table is
+        # emptied after them; right products would leave records of 22.
+        p = copy_of(B())
+        assert p._left_first()
+        p._table.clear()
+        sum(map(p.generator, range(3)), p.zero()) ** 12
+        assert max(len(record[3]) for record in p._table.values()) <= 3
+
+    def test_a_known_prefix_leaves_one_apply(self, monkeypatch):
+        # f·e^41 is (f·e^40)·e: the walk applies e once; the products that
+        # application reaches run inside it.
+        p = copy_of(B())
+        f = p.generator(1)
+        multiply(f, p.monomial((40, 0, 0)))
+        apply, depth, outer = p._apply, [0], []
+
+        def counting(record, g, active):
+            if not depth[0]:
+                outer.append(g)
+            depth[0] += 1
+            try:
+                return apply(record, g, active)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(p, "_apply", counting)
+        got = multiply(f, p.monomial((41, 0, 0)))
+        assert outer == [0]
+        assert got.terms == word_normal_form(p, (1,) + (0,) * 41)
 
 
 class TestMixedVariables:
