@@ -72,7 +72,7 @@ class SwapRule:
 class PBWPresentation:
     """Ordered generators plus swap rules.
 
-    Fixed once constructed, except three memos, each written without a lock.
+    Fixed once constructed, except two memos, each written without a lock.
     The product table `_table` maps a normal monomial m and a generator index
     i to the record of m·x_i, for every such product with a generator of m
     above i, and a pair (a, b) of normal monomials, b with more than one
@@ -82,8 +82,6 @@ class PBWPresentation:
     nor reading the table does rational arithmetic; a numerator that outgrows
     the width doubles it and empties the table (`_widen`).  The table holds
     at most `_MAX_TABLE_ENTRIES` and is emptied when full.
-    `_left` is None until the first power above the square reads from the
-    table on which side powers multiply (`_left_first`).
     `_fibers` maps a parameter value to the fiber at that value (see
     `specialize_presentation`) and holds at most `_MAX_FIBERS`; when it is
     full, a new fiber replaces the newest one.
@@ -111,7 +109,6 @@ class PBWPresentation:
         self._one = Scalar.of(1, self.coeff_var)
         self._table: dict[tuple[Exponents, int | Exponents], tuple] = {}
         self._width = _START_WIDTH
-        self._left: Optional[bool] = None
         self._fibers: dict[Rational, PBWPresentation] = {}
         # The parametric presentation whose fiber this is, set only by
         # `specialize_presentation` before the fiber is handed out.
@@ -245,27 +242,6 @@ class PBWPresentation:
             m = _bump(m, g)
             record = self._store((a, m), self._apply(record, g, active))
         return record
-
-    def _left_first(self) -> bool:
-        """Whether powers multiply on the left, x^k = x·x^(k-1).
-
-        Which side is cheaper depends on the rules: under B's, h^c·e =
-        e·(h + 2(t-1))^c has c + 1 terms but h·e^a = e^a·(h + 2a(t-1)) two.
-        So the parts of the records x_j·x_i^3 (left) and x_j^3·x_i (right)
-        are summed over the pairs j > i, once, and ties go left.
-        """
-        if self._left is None:
-            unit, sizes = (0,) * len(self.generators), [0, 0]
-            try:
-                for j, i in self.swap_rules:
-                    xj, xi = _bump(unit, j), _bump(unit, i)
-                    sizes[0] += len(self._rewrite(xj, _bump(_bump(xi, i), i))[3])
-                    sizes[1] += len(self._rewrite(_bump(_bump(xj, j), j), xi)[3])
-            except _Overflow:
-                self._widen()
-                return self._left_first()
-            self._left = sizes[0] <= sizes[1]
-        return self._left
 
     def _apply(self, record: tuple, g: int, active: set) -> tuple:
         """The record of the sum of c·(u·x_g) over the parts c·u of `record`;
@@ -616,7 +592,7 @@ class SparsePoly:
     * `_const`, the constant element, and `_new`, which wraps terms that are
       already canonical without validating them again;
     * `_same_ring` and `_check_compatible`, which raises the ring's error;
-    * `_product`, the product of two elements, and `_left_first`, whether
+    * `_product`, the product of two elements, and `_left_powers`, whether
       powers multiply on the left (by default they do not).
     """
 
@@ -687,18 +663,19 @@ class SparsePoly:
         return self._new({e: c * f for e, c in self.terms.items()})
 
     def __pow__(self, exponent: int):
-        """x^k by k - 1 products, x·x^(k-1) for k > 2 if `_left_first`."""
+        """x^k by k - 1 products, x·x^(k-1) if `_left_powers` and else
+        x^(k-1)·x."""
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         if exponent == 0:
             return self._const(1)
-        left = exponent > 2 and self._left_first()
+        left = self._left_powers()
         result = self._new(dict(self.terms))
         for _ in range(exponent - 1):
             result = self * result if left else result * self
         return result
 
-    def _left_first(self) -> bool:
+    def _left_powers(self) -> bool:
         return False
 
     def __eq__(self, other: object) -> bool:
@@ -748,8 +725,13 @@ class NCPoly(SparsePoly):
     def _product(self, other: "NCPoly") -> "NCPoly":
         return multiply(self, other)
 
-    def _left_first(self) -> bool:
-        return self.presentation._left_first()
+    def _left_powers(self) -> bool:
+        # Left products are the cheap ones when the larger generator of a
+        # pair rewrites diagonally: under B's rules h·e^a = e^a·(h + 2a(t-1))
+        # has two terms but h^c·e = e·(h + 2(t-1))^c has c + 1.  Without
+        # confluence products need not associate, so powers keep the order
+        # of a parsed x*x*...*x.
+        return self.presentation.is_confluent
 
     def leading_monomial(self) -> Exponents:
         """Highest monomial in degree-then-lex order."""
