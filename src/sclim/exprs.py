@@ -9,9 +9,9 @@ Grammar (whitespace insensitive)::
     atom   := INTEGER | NAME | '(' expr ')'
 
 Products need an explicit '*'; '^' takes a non-negative integer literal.
-Rational literals are just division of integers ("3/4"), so '/' doubles as
-the division operator; dividing by anything but a nonzero constant of the
-target ring is a parse error.
+Rational literals are just division of integers ("3/4", one `Fraction`), so
+'/' doubles as the division operator; dividing by anything but a nonzero
+constant of the target ring is a parse error.
 
 The parser reads a token list closed by an "end" token.  One precedence loop
 handles every binary operator: '+' and '-' bind at level 1, '*' and '/' at
@@ -23,12 +23,15 @@ The same parser and one context class serve three targets: noncommutative
 elements over a presentation, commutative polynomials over a variable list,
 and bare coefficient scalars (a ring whose only atom is the variable).  It
 evaluates on term dicts and coefficients and builds the ring element once,
-at the end.  Printing (`str`) of any of these re-parses to an equal value.
+at the end.  A context holds no parse state, so the parses over one variable
+list share one (the last 64 lists are kept).  Printing (`str`) of any of
+these re-parses to an equal value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .arith import Scalar
@@ -199,6 +202,8 @@ class _RingContext:
             b = b.get(self.unit, 0)
         if not b:
             raise ParseError("division by zero", pos)
+        if type(a) is int and type(b) is int:
+            return Fraction(a, b)
         return self._times(a, Fraction(1, b) if type(b) is int else 1 / b)
 
 
@@ -211,12 +216,18 @@ def parse_expression(text: str, presentation: PBWPresentation) -> NCPoly:
                         {g: k for k, g in enumerate(p.generators)}, scalars).parse(text)
 
 
-def parse_cpoly(text: str, variables: Sequence[str]) -> CPoly:
-    """Parse a commutative polynomial over the given variables."""
+@lru_cache(maxsize=64)
+def _cpoly_context(variables: tuple[str, ...]) -> _RingContext:
+    """The context of a variable list, shared by its parses: it holds no parse state."""
     from .poisson import CPoly  # here, so that `nf` never loads poisson
     zero = CPoly.zero(variables)
     return _RingContext(zero._coeff, zero._new, (0,) * len(variables), Fraction(1),
-                        {v: k for k, v in enumerate(variables)}, {}).parse(text)
+                        {v: k for k, v in enumerate(variables)}, {})
+
+
+def parse_cpoly(text: str, variables: Sequence[str]) -> CPoly:
+    """Parse a commutative polynomial over the given variables."""
+    return _cpoly_context(tuple(variables)).parse(text)
 
 
 def parse_scalar(text: str, var: str) -> Scalar:

@@ -750,6 +750,10 @@ class NCPoly(SparsePoly):
 
 def _scalar_coeff_str(c: Scalar) -> tuple[str, bool]:
     """Render a coefficient; second value says whether it needs parentheses."""
+    if len(c.num._ints) == 1 and len(c.den._ints) == 1:
+        # A constant prints from its int pair, reduced by UniPoly's invariant.
+        x, den = c.num._ints[0], c.num._den
+        return (str(x) if den == 1 else f"{x}/{den}"), False
     s = str(c)
     atomic = c.is_polynomial() and len([x for x in c.num._ints if x]) <= 1
     return s, not atomic

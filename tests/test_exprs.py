@@ -1,19 +1,22 @@
 """The parser evaluates on term dicts; the ring operators are its oracle."""
 
+import json
 import operator
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sclim import pbw
+from sclim import exprs, pbw
 from sclim.arith import Scalar
 from sclim.errors import ParseError
 from sclim.exprs import parse_cpoly, parse_expression, parse_scalar
 from sclim.pbw import B, B_lambda, B_q, Usl2
 from sclim.poisson import CPoly
+from test_pbw import scaled_sl2_file
 
 VARIABLES = ("e", "f", "h")
 
@@ -32,7 +35,7 @@ class Ring:
             self.lift = lambda c: Scalar.of(c, "t")
             self.parse = lambda text: parse_scalar(text, "t")
         else:
-            p = {"B": B, "B_q": B_q, "Usl2": Usl2,
+            p = {"B": B, "B_q": B_q, "Usl2": Usl2, "S": scaled_sl2_file,
                  "B_lambda(3/2)": lambda: B_lambda(Fraction(3, 2))}[name]()
             self.atoms = {g: p.gen(g) for g in p.generators}
             if p.parameter is not None:
@@ -128,9 +131,11 @@ def _degree(tree) -> int:
 
 
 def _trees(names):
+    # Long ints as well as digits, so that literals such as 6/4 reduce on both.
+    ints, dens = (st.one_of(st.integers(lo, 9), st.integers(lo, 10**30)) for lo in (0, 1))
     leaves = st.one_of(
-        st.integers(0, 9).map(lambda n: ("int", n)),
-        st.tuples(st.just("rat"), st.integers(0, 9), st.integers(1, 9)),
+        ints.map(lambda n: ("int", n)),
+        st.tuples(st.just("rat"), ints, dens),
         st.sampled_from(names).map(lambda n: ("name", n)))
 
     def extend(children):
@@ -198,6 +203,46 @@ class TestParserAgainstRingOperators:
         monkeypatch.setattr(pbw, "multiply", multiply)
         parse_expression(text, B())
         assert len(calls) == products
+
+
+class TestCPolyContext:
+    """`parse_cpoly` shares one context per variable list, and the context holds no state."""
+
+    def test_a_failed_parse_leaves_nothing_behind(self):
+        with pytest.raises(ParseError):
+            parse_cpoly("e + (f", VARIABLES)
+        fresh = exprs._cpoly_context.__wrapped__(VARIABLES)
+        for text in ("e + f", "(e - 2/3*h)^2*f", "7/4"):
+            assert parse_cpoly(text, VARIABLES) == fresh.parse(text)
+
+    def test_a_list_and_a_tuple_of_the_same_names_share_one_entry(self):
+        exprs._cpoly_context.cache_clear()
+        assert parse_cpoly("e", list(VARIABLES)) == CPoly.variable("e", VARIABLES)
+        assert parse_cpoly("f", VARIABLES) == CPoly.variable("f", VARIABLES)
+        info = exprs._cpoly_context.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_more_variable_lists_than_the_cache_holds(self):
+        for k in list(range(70)) + [0, 1]:
+            variables = (f"x{k}", "y")
+            assert parse_cpoly(f"2*x{k}*y - 6/4", variables) == \
+                CPoly(variables, {(1, 1): 2, (0, 0): Fraction(-3, 2)})
+            assert exprs._cpoly_context.cache_info().currsize <= 64
+
+
+# The text `str` prints for elements of each ring, recorded byte for byte:
+# integer, negative, fractional, long, polynomial and rational-function
+# coefficients.  S's brackets carry 1/(t-1).
+PRINTED = json.loads((Path(__file__).parent / "data" / "printed_text.json").read_text())
+
+
+class TestPrintedText:
+    @pytest.mark.parametrize("name", ["B", "B_q", "Usl2", "B_lambda(3/2)", "S", "CPoly"])
+    def test_str_is_the_recorded_text(self, name):
+        rows = [row for row in PRINTED if row["ring"] == name]
+        assert rows
+        parse = Ring(name).parse
+        assert [str(parse(row["text"])) for row in rows] == [row["printed"] for row in rows]
 
 
 # Every kind of ParseError with its message and position, for each target it
