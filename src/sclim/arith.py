@@ -283,7 +283,11 @@ class UniPoly:
         return hash((self._ints, self._den))
 
     def __str__(self) -> str:
-        # Each coefficient ints[k]/den, reduced by one gcd, prints as a Fraction.
+        return self._text()[0] or "0"
+
+    def _text(self) -> tuple[str, int]:
+        """The text, highest power first, and the number of nonzero ints; each
+        ints[k]/den, reduced by one gcd, prints as a Fraction."""
         den, parts = self._den, []
         for exp in range(len(self._ints) - 1, -1, -1):
             x = self._ints[exp]
@@ -300,7 +304,7 @@ class UniPoly:
                 else:
                     body = f"{body}*{head}"
             parts.append("+" + body if parts and body[0] != "-" else body)
-        return "".join(parts) or "0"
+        return "".join(parts), len(parts)
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
@@ -499,10 +503,8 @@ class Scalar:
     def __str__(self) -> str:
         if self.den.is_constant():
             return str(self.num)
-        num = str(self.num)
-        if len([c for c in self.num._ints if c]) > 1:
-            num = f"({num})"
-        return f"{num}/({self.den})"
+        num, count = self.num._text()
+        return f"({num})/({self.den})" if count > 1 else f"{num}/({self.den})"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"

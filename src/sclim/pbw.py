@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .arith import Rational, Scalar, UniPoly, _as_rational, _canonical, _over, _unit
+from .arith import Rational, Scalar, UniPoly, _as_rational, _unit
 from .errors import BudgetExceeded, MixedPresentations
 
 Exponents = tuple[int, ...]
@@ -45,6 +45,11 @@ _MAX_FIBERS = 64
 
 # Bits per coefficient at which a new product table packs its numerators.
 _START_WIDTH = 128
+
+# The printed text of a monomial, by generator names and exponents; emptied
+# when it holds `_MAX_MONOMIAL_TEXTS` entries.
+_MAX_MONOMIAL_TEXTS = 4096
+_MONOMIAL_TEXT: dict[tuple[tuple[str, ...], Exponents], str] = {}
 
 
 class SwapRule:
@@ -451,12 +456,33 @@ def _sum_products(p: "PBWPresentation", a_terms: Mapping, b_terms: Mapping,
 
 def _as_terms(groups: Iterable[tuple], den: int, w: int) -> dict:
     """The terms x/(den·r) at their monomials m over the groups ((m, r, v),
-    x), x packed at 2^w in the variable v; zero numerators are skipped."""
+    x), x packed at 2^w in the variable v; zero numerators are skipped.
+
+    A nonzero x's top digit is nonzero, so the ints need no trimming, and
+    one gcd with den makes the pair canonical."""
     out: dict[Exponents, Scalar] = {}
+    var = unit = None
     for (m, r, v), x in groups:
-        if x:
-            num = _canonical(_unpack(x, w) if w else [x], den, v)
-            _accumulate(out, m, _over(num, _unit(v)) if r is None else Scalar(num, r))
+        if not x:
+            continue
+        ints, d = _unpack(x, w) if w else [x], den
+        if d != 1:
+            g = math.gcd(d, *ints)
+            if g != 1:
+                ints, d = [c // g for c in ints], d // g
+        num = UniPoly.__new__(UniPoly)
+        num._ints, num._den, num.var = tuple(ints), d, v
+        if r is None:
+            if v != var:
+                var, unit = v, _unit(v)
+            c = Scalar.__new__(Scalar)
+            c.num, c.den = num, unit
+        else:
+            c = Scalar(num, r)
+        if m in out:
+            _accumulate(out, m, c)
+        else:
+            out[m] = c
     return out
 
 
@@ -750,25 +776,31 @@ class NCPoly(SparsePoly):
 
 def _scalar_coeff_str(c: Scalar) -> tuple[str, bool]:
     """Render a coefficient; second value says whether it needs parentheses."""
-    if len(c.num._ints) == 1 and len(c.den._ints) == 1:
+    num = c.num
+    if len(c.den._ints) != 1:
+        return str(c), True
+    if len(num._ints) == 1:
         # A constant prints from its int pair, reduced by UniPoly's invariant.
-        x, den = c.num._ints[0], c.num._den
+        x, den = num._ints[0], num._den
         return (str(x) if den == 1 else f"{x}/{den}"), False
-    s = str(c)
-    atomic = c.is_polynomial() and len([x for x in c.num._ints if x]) <= 1
-    return s, not atomic
+    text, count = num._text()
+    return text, count > 1
 
 
-def _format_terms(terms: Mapping[Exponents, object], names: Sequence[str],
+def _format_terms(terms: Mapping[Exponents, object], names: tuple[str, ...],
                   coeff_str) -> str:
     if not terms:
         return "0"
     parts = []
     for exps in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
         c = terms[exps]
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, exps) if e > 0)
+        mono = _MONOMIAL_TEXT.get((names, exps))
+        if mono is None:
+            if len(_MONOMIAL_TEXT) >= _MAX_MONOMIAL_TEXTS:
+                _MONOMIAL_TEXT.clear()
+            mono = _MONOMIAL_TEXT[names, exps] = "*".join(
+                name if e == 1 else f"{name}^{e}"
+                for name, e in zip(names, exps) if e > 0)
         body, wrap = coeff_str(c)
         if not mono:
             parts.append(f"({body})" if wrap else body)

@@ -245,6 +245,58 @@ class TestPrintedText:
         assert [str(parse(row["text"])) for row in rows] == [row["printed"] for row in rows]
 
 
+class BoundedMemo(dict):
+    """A monomial-text memo that fails as soon as it holds more than `bound`."""
+
+    def __init__(self, bound):
+        super().__init__()
+        self.bound, self.writes = bound, 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.writes += 1
+        assert len(self) <= self.bound
+
+
+class TestMonomialTexts:
+    def test_a_memo_of_two_prints_the_recorded_text(self, monkeypatch):
+        memo = BoundedMemo(2)
+        monkeypatch.setattr(pbw, "_MAX_MONOMIAL_TEXTS", 2)
+        monkeypatch.setattr(pbw, "_MONOMIAL_TEXT", memo)
+        rings = {name: Ring(name).parse for name in {row["ring"] for row in PRINTED}}
+        for row in PRINTED:
+            assert str(rings[row["ring"]](row["text"])) == row["printed"]
+        # The memo was emptied many times on the way.
+        assert memo.writes > 100
+
+    @pytest.mark.parametrize("text, printed", [
+        ("2*t*e", "2*t*e"),
+        ("-t*e", "-t*e"),
+        ("(1/2)*t^3*e", "1/2*t^3*e"),
+        ("2*t", "2*t"),
+        ("(t-1)*e", "(t-1)*e"),
+        ("-(t-1)*e", "(-t+1)*e"),
+        ("t-1", "(t-1)"),
+        ("(t^2-1/3)*e*f + 2*t*h^2 - t*e", "(t^2-1/3)*e*f + 2*t*h^2 - t*e"),
+        ("t*e/(t-1)", "(t/(t-1))*e"),
+        ("(t+1)*e/(t-1)", "((t+1)/(t-1))*e"),
+    ])
+    def test_polynomial_coefficients_keep_their_parentheses(self, text, printed):
+        assert str(parse_expression(text, B())) == printed
+
+    def test_cpoly_and_ncpoly_share_entries(self, monkeypatch):
+        memo = BoundedMemo(pbw._MAX_MONOMIAL_TEXTS)
+        monkeypatch.setattr(pbw, "_MONOMIAL_TEXT", memo)
+        text = "e*f^2 + 2*h^2 - 3*e + 1"
+        p = B()
+        assert p.generators == VARIABLES
+        assert str(parse_expression(text, p)) == text
+        entries = dict(memo)
+        assert len(entries) == 4
+        assert str(parse_cpoly(text, VARIABLES)) == text
+        assert memo == entries
+
+
 # Every kind of ParseError with its message and position, for each target it
 # can reach.  Nesting past the recursion limit fails at whichever '(' the
 # interpreter's limit is met, which depends on the caller's stack: None.

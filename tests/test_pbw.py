@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from helpers import (corrupted_b, gl_presentation, nonzero, random_ncpoly,
                      word_normal_form)
 from sclim import pbw
-from sclim.arith import Scalar, UniPoly
+from sclim.arith import Scalar, UniPoly, _canonical, _over, _unit
 from sclim.errors import MixedPresentations
 from sclim.exprs import parse_expression
 from sclim.pbw import (AlgebraMorphism, B, B_lambda, B_q, NCPoly,
@@ -462,6 +462,69 @@ class TestPackedProducts:
             product = multiply(x.scale(Fraction(5, 2)) + y, z + y.scale(-3))
             assert product.terms == word_rewriting_product(
                 p, (x.scale(Fraction(5, 2)) + y).terms, (z + y.scale(-3)).terms)
+
+
+def terms_by_helpers(groups, den, w):
+    """`pbw._as_terms` by the helpers: canonical ints, one Scalar a group,
+    each added into its monomial's term."""
+    out = {}
+    for (m, r, v), x in groups:
+        if x:
+            num = _canonical(pbw._unpack(x, w) if w else [x], den, v)
+            pbw._accumulate(out, m, _over(num, _unit(v)) if r is None else Scalar(num, r))
+    return out
+
+
+def canonical_pair(c: Scalar) -> tuple:
+    return (c.num._ints, c.num._den, c.num.var, c.den._ints, c.den._den, c.den.var)
+
+
+T_MINUS_1 = UniPoly([-1, 1], "t")
+
+
+def random_groups(rng: random.Random, w: int, with_r: bool) -> list[tuple]:
+    """Groups ((m, r, v), x) on four monomials: balanced digits of either sign
+    packed at 2^w, some with zero top digits and some sharing a factor with
+    the denominators; constants in t and q unless `with_r`, then
+    denominators r = t - 1 and t^2 + 1 in t."""
+    half = 1 << (w - 1) if w else 10 ** 30
+    groups = {}
+    for _ in range(rng.randint(1, 8)):
+        m = rng.choice([(0, 0), (1, 0), (0, 1), (2, 1)])
+        k = rng.choice([k for k in (1, 2, 3, 6, 35) if k < half])
+        if with_r:
+            v, r = "t", rng.choice([None, T_MINUS_1, UniPoly([1, 0, 1], "t")])
+        else:
+            v, r = rng.choice("tq"), None
+        length = rng.randint(1, 5) if w and v == "t" else 1
+        ints = [rng.randrange(-(half // k), half // k) * k for _ in range(length)]
+        ints += [0] * rng.randint(0, 2 if w else 0)
+        groups[m, r, v] = pbw._pack(ints, w) if w else ints[0]
+    return list(groups.items())
+
+
+class TestAsTerms:
+    @pytest.mark.parametrize("w", [0, 3, 8, 64, 128])
+    @pytest.mark.parametrize("with_r", [False, True])
+    def test_terms_are_those_of_the_helpers(self, w, with_r):
+        rng = random.Random(w * 2 + with_r)
+        for _ in range(200):
+            groups = random_groups(rng, w, with_r)
+            den = rng.choice([1, 2, 6, 35, 3 * 2 ** 70])
+            got, expected = pbw._as_terms(groups, den, w), terms_by_helpers(groups, den, w)
+            assert {m: canonical_pair(c) for m, c in got.items()} == {
+                m: canonical_pair(c) for m, c in expected.items()}
+
+    @pytest.mark.parametrize("sign, total", [(1, {(1, 0): Scalar.of(Fraction(2, 5))}), (-1, {})])
+    @pytest.mark.parametrize("w, v, r, ints", [
+        (0, "q", None, [2]), (8, "q", None, [2]), (8, "t", T_MINUS_1, [-2, 2])])
+    def test_groups_on_one_monomial_add_or_cancel(self, w, v, r, ints, sign, total):
+        # 1/5 at x_0, then ±1/5 as a constant in q or as ±2(t - 1)/(10(t - 1)).
+        def pack(ints):
+            return pbw._pack(ints, w) if w else ints[0]
+
+        groups = [(((1, 0), None, "t"), pack([2])), (((1, 0), r, v), pack([sign * c for c in ints]))]
+        assert pbw._as_terms(groups, 10, w) == terms_by_helpers(groups, 10, w) == total
 
 
 def horner_pack(ints, w):
